@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .indicators import IndicatorSeries
 from .ingest import PriceSeries
@@ -93,18 +94,48 @@ def find_local_extrema(values) -> tuple[np.ndarray, np.ndarray]:
     return peaks, troughs
 
 
-def _qualifying(indices: np.ndarray, closes: np.ndarray, top: bool) -> list[int]:
+def _qualifying(indices: np.ndarray, closes: np.ndarray, top: bool) -> np.ndarray:
     """Keep extrema that beat every close in the preceding prominence window."""
-    out = []
-    for t in indices:
-        if t < PROMINENCE_WINDOW:
-            continue
-        window = closes[t - PROMINENCE_WINDOW: t]
-        if top and closes[t] > window.max():
-            out.append(int(t))
-        elif not top and closes[t] < window.min():
-            out.append(int(t))
-    return out
+    t = indices[indices >= PROMINENCE_WINDOW]
+    windows = sliding_window_view(closes, PROMINENCE_WINDOW)[t - PROMINENCE_WINDOW]
+    if top:
+        return t[closes[t] > windows.max(axis=1)]
+    return t[closes[t] < windows.min(axis=1)]
+
+
+def divergence_pairs(closes) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The price half of divergence detection, which no indicator affects.
+
+    Maps "top" and "bottom" to (current, previous) index arrays: each
+    prominent extreme paired with the most recent earlier one of its kind
+    no further back than the lookback, kept when price makes a higher
+    high (top) or a lower low (bottom). `macd_disagrees` then decides,
+    per histogram, which pairs are divergences.
+    """
+    closes = np.asarray(closes, dtype=float)
+    if closes.size < PROMINENCE_WINDOW + 2:
+        raise ValueError(f"need at least {PROMINENCE_WINDOW + 2} days, got {closes.size}")
+    peaks, troughs = find_local_extrema(closes)
+    pairs = {}
+    for kind, extrema in (("top", peaks), ("bottom", troughs)):
+        candidates = _qualifying(extrema, closes, kind == "top")
+        cur, prev = candidates[1:], candidates[:-1]
+        if kind == "top":
+            price_moves = closes[cur] > closes[prev]
+        else:
+            price_moves = closes[cur] < closes[prev]
+        keep = (cur - prev <= PAIRING_LOOKBACK) & price_moves
+        pairs[kind] = (cur[keep], prev[keep])
+    return pairs
+
+
+def macd_disagrees(macd: np.ndarray, kind: str, cur: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Where the histogram fails to confirm price at each (cur, prev) pair:
+    a lower high for "top", a higher low for "bottom". Days run along the
+    last axis of `macd`, so a 2-D histogram gives one row of flags each."""
+    if kind == "top":
+        return macd[..., cur] < macd[..., prev]
+    return macd[..., cur] > macd[..., prev]
 
 
 def detect_divergences(prices: PriceSeries, ind: IndicatorSeries) -> list[DivergenceEvent]:
@@ -120,30 +151,16 @@ def detect_divergences(prices: PriceSeries, ind: IndicatorSeries) -> list[Diverg
     macd = ind.macd
     if closes.size != macd.size:
         raise ValueError(f"price series ({closes.size}) and indicators ({macd.size}) not aligned")
-    if closes.size < PROMINENCE_WINDOW + 2:
-        raise ValueError(f"need at least {PROMINENCE_WINDOW + 2} days, got {closes.size}")
-
-    peaks, troughs = find_local_extrema(closes)
     events = []
-    for top, extrema in ((True, peaks), (False, troughs)):
-        candidates = _qualifying(extrema, closes, top)
-        for i, t in enumerate(candidates):
-            prior = [p for p in candidates[:i] if t - p <= PAIRING_LOOKBACK]
-            if not prior:
-                continue
-            prev = prior[-1]
-            if top and closes[t] > closes[prev] and macd[t] < macd[prev]:
-                kind = "top"
-            elif not top and closes[t] < closes[prev] and macd[t] > macd[prev]:
-                kind = "bottom"
-            else:
-                continue
+    for kind, (cur, prev) in divergence_pairs(closes).items():
+        keep = macd_disagrees(macd, kind, cur, prev)
+        for t, p in zip(cur[keep].tolist(), prev[keep].tolist()):
             events.append(DivergenceEvent(
                 kind=kind,
                 current_extreme_index=t,
-                previous_extreme_index=prev,
-                price_at_extremes=(float(closes[prev]), float(closes[t])),
-                macd_at_extremes=(float(macd[prev]), float(macd[t])),
+                previous_extreme_index=p,
+                price_at_extremes=(float(closes[p]), float(closes[t])),
+                macd_at_extremes=(float(macd[p]), float(macd[t])),
             ))
     events.sort(key=lambda e: e.current_extreme_index)
     return events

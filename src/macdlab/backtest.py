@@ -4,6 +4,10 @@ Three strategy modes: trade the raw DIF/DEA crossings, trade crossings
 of the wavelet-smoothed DIF against a signal line recomputed from it,
 or additionally let divergence events force entries and exits. All-in
 fills at the signal day's close, no fees, fractional quantities.
+
+run_backtest logs one run in full; BatchBacktest gives the net profit
+of many parameter triples on one series, for the optimizer. Both step
+through the same trade walk.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import PROMINENCE_WINDOW, detect_divergences
+from .analysis import PROMINENCE_WINDOW, detect_divergences, divergence_pairs, macd_disagrees
 from .errors import DataError
 from .indicators import (
     SIGNAL_BUY,
@@ -25,6 +29,7 @@ from .indicators import (
     ema,
 )
 from .ingest import PriceSeries
+from .wavelet import denoise_dif
 
 DEFAULT_CAPITAL = 500_000.0
 
@@ -93,6 +98,84 @@ def _forced_actions(prices: PriceSeries, raw_ind: IndicatorSeries) -> dict[int, 
     return forced
 
 
+def _check_run(n: int, params: MacdParams, initial_capital: float) -> None:
+    """Reject a run on fewer days than the slow period, or without capital."""
+    if n < params.slow:
+        raise DataError(f"series too short: {n} rows < slow period {params.slow}")
+    if initial_capital <= 0:
+        raise ValueError(f"initial capital must be positive, got {initial_capital}")
+
+
+def _trade_inputs(prices: PriceSeries, params: MacdParams,
+                  mode: StrategyMode) -> tuple[np.ndarray, dict[int, int]]:
+    """The crossover signals a mode trades on, and its divergence-forced actions."""
+    raw_ind = compute_indicators(prices, params)
+    if mode is StrategyMode.RAW:
+        trade_ind = raw_ind
+    else:
+        trade_ind = recompute_dea_from_denoised(denoise_dif(raw_ind.dif), params.signal)
+    signals = cross_signals(trade_ind).signals
+    forced = {}
+    if mode is StrategyMode.DENOISED_WITH_DIVERGENCE:
+        forced = _forced_actions(prices, raw_ind)
+    return signals, forced
+
+
+def _trade_walk(closes: list[float], action: np.ndarray, forced_sell: np.ndarray,
+                initial_capital: float) -> tuple[list[tuple], list[tuple[int, float, float]]]:
+    """The all-in/all-out state machine, stepping only through the days
+    that carry an action (a crossover, or a divergence that overrides it).
+
+    `action` holds each day's tag, `forced_sell` marks the days whose sell
+    is forced. Returns the closed trades as Trade field tuples and every
+    change of state as (day, cash, quantity) after that day's execution;
+    between changes the equity curve is cash + quantity * close.
+    """
+    n = len(closes)
+    trades = []
+    changes = []
+    cash = float(initial_capital)
+    quantity = 0.0
+    buy_index = -1
+    buy_price = 0.0
+    cum_pnl = 0.0
+
+    def close_position(day: int, trigger: str):
+        nonlocal cash, quantity, cum_pnl
+        pnl = quantity * (closes[day] - buy_price)
+        cum_pnl = cum_pnl + pnl
+        trades.append((buy_index, day, buy_price, closes[day], quantity, pnl, trigger))
+        # Telescoped so that equity[-1] == initial + sum of pnls holds exactly.
+        cash = initial_capital + cum_pnl
+        quantity = 0.0
+        changes.append((day, cash, quantity))
+
+    days = np.flatnonzero(action)
+    for t, tag, forced in zip(days.tolist(), action[days].tolist(), forced_sell[days].tolist()):
+        if tag == SIGNAL_BUY and quantity == 0.0 and t < n - 1:
+            quantity = cash / closes[t]
+            buy_index = t
+            buy_price = closes[t]
+            cash = 0.0
+            changes.append((t, cash, quantity))
+        elif tag == SIGNAL_SELL and quantity > 0.0:
+            close_position(t, "divergence" if forced else "cross")
+
+    if quantity > 0.0:
+        close_position(n - 1, "final_liquidation")
+    return trades, changes
+
+
+def _tallies(pnls: list[float]) -> tuple[int, float, float, float]:
+    """(wins, gross profit, gross loss, net) of the closed trades' pnls."""
+    if not pnls:
+        return 0, 0.0, 0.0, 0.0
+    pnls = np.array(pnls)
+    gross_profit = float(pnls[pnls > 0].sum())
+    gross_loss = float(-pnls[pnls < 0].sum())
+    return int((pnls > 0).sum()), gross_profit, gross_loss, gross_profit - gross_loss
+
+
 def run_backtest(
     prices: PriceSeries,
     params: MacdParams,
@@ -109,69 +192,127 @@ def run_backtest(
     over a crossover landing on the same day.
     """
     n = len(prices)
-    if n < params.slow:
-        raise DataError(f"series too short: {n} rows < slow period {params.slow}")
-    if initial_capital <= 0:
-        raise ValueError(f"initial capital must be positive, got {initial_capital}")
+    _check_run(n, params, initial_capital)
     closes = np.asarray(prices.closes, dtype=float)
+    signals, forced = _trade_inputs(prices, params, mode)
 
-    raw_ind = compute_indicators(prices, params)
-    if mode is StrategyMode.RAW:
-        trade_ind = raw_ind
-    else:
-        from .wavelet import denoise_dif
+    action = signals.copy()
+    forced_sell = np.zeros(n, dtype=bool)
+    for day, tag in forced.items():
+        action[day] = tag
+        forced_sell[day] = tag == SIGNAL_SELL
+    walked, changes = _trade_walk(closes.tolist(), action, forced_sell, initial_capital)
+    trades = [Trade(*fields) for fields in walked]
 
-        trade_ind = recompute_dea_from_denoised(denoise_dif(raw_ind.dif), params.signal)
-    signals = cross_signals(trade_ind).signals
+    equity = np.empty(n)
+    states = [(0, float(initial_capital), 0.0)] + changes
+    stops = [day for day, _, _ in changes] + [n]
+    for (start, cash, quantity), stop in zip(states, stops):
+        equity[start:stop] = cash + quantity * closes[start:stop]
 
-    forced = {}
-    if mode is StrategyMode.DENOISED_WITH_DIVERGENCE:
-        forced = _forced_actions(prices, raw_ind)
-
-    trades: list[Trade] = []
-    equity = np.zeros(n)
-    cash = float(initial_capital)
-    quantity = 0.0
-    buy_index = -1
-    buy_price = 0.0
-    cum_pnl = 0.0
-
-    def close_position(day: int, trigger: str):
-        nonlocal cash, quantity, cum_pnl
-        pnl = quantity * (closes[day] - buy_price)
-        cum_pnl = cum_pnl + pnl
-        trades.append(Trade(buy_index, day, buy_price, float(closes[day]),
-                            quantity, pnl, trigger))
-        # Telescoped so that equity[-1] == initial + sum of pnls holds exactly.
-        cash = initial_capital + cum_pnl
-        quantity = 0.0
-
-    for t in range(n):
-        action = forced.get(t, signals[t])
-        if action == SIGNAL_BUY and quantity == 0.0 and t < n - 1:
-            quantity = cash / closes[t]
-            buy_index = t
-            buy_price = float(closes[t])
-            cash = 0.0
-        elif action == SIGNAL_SELL and quantity > 0.0:
-            close_position(t, "divergence" if forced.get(t) == SIGNAL_SELL else "cross")
-        equity[t] = cash + quantity * closes[t]
-
-    if quantity > 0.0:
-        close_position(n - 1, "final_liquidation")
-        equity[n - 1] = cash
-
-    pnls = np.array([trade.pnl for trade in trades])
-    gross_profit = float(pnls[pnls > 0].sum()) if len(pnls) else 0.0
-    gross_loss = float(-pnls[pnls < 0].sum()) if len(pnls) else 0.0
+    wins, gross_profit, gross_loss, net = _tallies([trade.pnl for trade in trades])
     return TradeLog(
         trades=trades,
         equity=equity,
         initial_capital=float(initial_capital),
         n_total=2 * len(trades),
         n_sells=len(trades),
-        n_wins=int((pnls > 0).sum()) if len(pnls) else 0,
+        n_wins=wins,
         gross_profit=gross_profit,
         gross_loss=gross_loss,
-        net=gross_profit - gross_loss,
+        net=net,
     )
+
+
+# A chunk of triples has as many rows as keep one (rows x days) float64
+# array within this many bytes.
+CHUNK_BYTES = 256 * 1024
+
+
+def _ema_by_row(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """EMA of each row of x with that row's period, one call per distinct period."""
+    out = np.empty_like(x)
+    for period in np.unique(periods).tolist():
+        rows = periods == period
+        out[rows] = ema(x[rows], period)
+    return out
+
+
+class BatchBacktest:
+    """Net profits of many parameter triples on one series and mode.
+
+    What depends only on the prices (the EMA of each period, the price
+    half of divergence detection) is computed once per series. The
+    triples then run in chunks of rows through the kernels run_backtest
+    uses, each along the day axis, and every net comes from the same
+    trade walk, so `nets(triples)[i] == run_backtest(...).net` exactly.
+    """
+
+    def __init__(self, prices: PriceSeries, mode: StrategyMode,
+                 initial_capital: float = DEFAULT_CAPITAL):
+        self.closes = np.asarray(prices.closes, dtype=float)
+        self._close_list = self.closes.tolist()
+        self.mode = mode
+        self.initial_capital = initial_capital
+        self._emas: dict[int, np.ndarray] = {}
+        self._pairs = {}
+        divergence = mode is StrategyMode.DENOISED_WITH_DIVERGENCE
+        if divergence and len(self.closes) >= PROMINENCE_WINDOW + 2:
+            self._pairs = divergence_pairs(self.closes)
+
+    def _ema(self, period: int) -> np.ndarray:
+        if period not in self._emas:
+            self._emas[period] = ema(self.closes, period)
+        return self._emas[period]
+
+    def nets(self, triples) -> list[float]:
+        """Net profit of each (fast, slow, signal) triple, in order.
+
+        Raises what run_backtest would for the first triple it rejects.
+        """
+        n = len(self.closes)
+        params = []
+        for genes in triples:
+            params.append(MacdParams(*(int(g) for g in genes)))
+            _check_run(n, params[-1], self.initial_capital)
+        # Chunks of one signal period need fewer EMA calls; a net does not
+        # depend on the chunk it is computed in.
+        order = sorted(range(len(params)), key=lambda i: params[i].signal)
+        rows = max(1, CHUNK_BYTES // (8 * max(n, 1)))
+        nets = [0.0] * len(params)
+        for start in range(0, len(order), rows):
+            chunk = order[start:start + rows]
+            for i, net in zip(chunk, self._chunk_nets([params[i] for i in chunk])):
+                nets[i] = net
+        return nets
+
+    def _chunk_nets(self, params: list[MacdParams]) -> list[float]:
+        """Nets of one chunk of triples, as rows of 2-D arrays."""
+        mode = self.mode
+        signal = np.array([p.signal for p in params])
+        dif = np.empty((len(params), len(self.closes)))
+        for row, p in zip(dif, params):
+            np.subtract(self._ema(p.fast), self._ema(p.slow), out=row)
+        if mode is not StrategyMode.DENOISED:
+            raw_ind = IndicatorSeries.from_dif_dea(dif, _ema_by_row(dif, signal))
+        if mode is StrategyMode.RAW:
+            trade_ind = raw_ind
+        else:
+            smooth = denoise_dif(dif)
+            trade_ind = IndicatorSeries.from_dif_dea(smooth, _ema_by_row(smooth, signal))
+        action = cross_signals(trade_ind).signals
+        forced_sell = np.zeros(action.shape, dtype=bool)
+        for kind, (cur, prev) in self._pairs.items():
+            rows, j = np.nonzero(macd_disagrees(raw_ind.macd, kind, cur, prev))
+            day = cur[j] + 1
+            if kind == "top":
+                action[rows, day] = SIGNAL_SELL
+                forced_sell[rows, day] = True
+            else:
+                action[rows, day] = SIGNAL_BUY
+        nets = []
+        for a, f in zip(action, forced_sell):
+            trades, _ = _trade_walk(self._close_list, a, f, self.initial_capital)
+            *_, net = _tallies([trade[5] for trade in trades])  # Trade.pnl
+            nets.append(net)
+        return nets

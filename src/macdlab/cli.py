@@ -110,10 +110,6 @@ def _metrics_row(report: MetricsReport) -> list:
     return [getattr(report, name) for name in REPORT_COLUMNS]
 
 
-def _metrics_json(report: MetricsReport) -> dict:
-    return report.as_dict()
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -219,7 +215,7 @@ def cmd_backtest(args) -> int:
         report = compute_metrics(log, series.span_days, risk)
 
         name = f"metrics_{series.code}.json"
-        _write_json(out / name, _metrics_json(report))
+        _write_json(out / name, report.as_dict())
         artifacts.append(name)
 
         name = f"trades_{series.code}.json"
@@ -413,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, default=GaConfig().convergence_patience)
     p.add_argument("--max-gen", type=int, default=GaConfig().max_generations)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help="parallel fitness evaluators")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted (must be >= 1) but unused: candidates are evaluated in "
+                        "batches in one thread, so it changes neither speed nor results")
     p.add_argument("--capital", type=float, default=DEFAULT_CAPITAL)
     p.add_argument("--risk-free", type=float, default=RiskConfig().risk_free_rate)
     p.set_defaults(func=cmd_optimize)

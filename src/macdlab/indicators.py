@@ -39,7 +39,11 @@ class MacdParams:
 
 @dataclass
 class IndicatorSeries:
-    """DIF, DEA and histogram arrays aligned 1:1 with the source closes."""
+    """DIF, DEA and histogram arrays aligned 1:1 with the source closes.
+
+    The arrays may also be 2-D, one row per parameter triple, days along
+    the last axis.
+    """
 
     dif: np.ndarray
     dea: np.ndarray
@@ -49,7 +53,7 @@ class IndicatorSeries:
         self.dif = np.asarray(self.dif, dtype=float)
         self.dea = np.asarray(self.dea, dtype=float)
         self.macd = np.asarray(self.macd, dtype=float)
-        if not (len(self.dif) == len(self.dea) == len(self.macd)):
+        if not (self.dif.shape == self.dea.shape == self.macd.shape):
             raise ValueError("dif, dea and macd must have equal length")
 
     @classmethod
@@ -82,7 +86,7 @@ class SignalSeries:
 
 
 def ema(values, n: int) -> np.ndarray:
-    """Exponential moving average with alpha = 2/(n+1).
+    """Exponential moving average with alpha = 2/(n+1), along the last axis.
 
     Seeded with the first value: e[0] = values[0],
     e[t] = alpha * values[t] + (1 - alpha) * e[t-1].
@@ -94,7 +98,7 @@ def ema(values, n: int) -> np.ndarray:
         raise ValueError("ema of empty input")
     alpha = 2.0 / (n + 1.0)
     # First-order IIR; the initial condition makes e[0] == x[0] exactly.
-    out, _ = lfilter([alpha], [1.0, alpha - 1.0], x, zi=[(1.0 - alpha) * x[0]])
+    out, _ = lfilter([alpha], [1.0, alpha - 1.0], x, axis=-1, zi=(1.0 - alpha) * x[..., :1])
     return out
 
 
@@ -112,14 +116,15 @@ def cross_signals(ind: IndicatorSeries) -> SignalSeries:
     """Tag strict DIF/DEA crossings.
 
     Day t is a buy iff dif was at or below dea on t-1 and strictly above
-    on t; a sell mirrors that downward. Day 0 is always untagged.
+    on t; a sell mirrors that downward. Day 0 is always untagged. Days
+    run along the last axis.
     """
-    if len(ind) == 0:
+    if ind.dif.size == 0:
         raise ValueError("cross_signals on empty indicator series")
     dif, dea = ind.dif, ind.dea
-    signals = np.zeros(len(ind), dtype=np.int8)
-    up = (dif[:-1] <= dea[:-1]) & (dif[1:] > dea[1:])
-    down = (dif[:-1] >= dea[:-1]) & (dif[1:] < dea[1:])
-    signals[1:][up] = SIGNAL_BUY
-    signals[1:][down] = SIGNAL_SELL
+    signals = np.zeros(dif.shape, dtype=np.int8)
+    up = (dif[..., :-1] <= dea[..., :-1]) & (dif[..., 1:] > dea[..., 1:])
+    down = (dif[..., :-1] >= dea[..., :-1]) & (dif[..., 1:] < dea[..., 1:])
+    signals[..., 1:][up] = SIGNAL_BUY
+    signals[..., 1:][down] = SIGNAL_SELL
     return SignalSeries(signals)

@@ -8,18 +8,19 @@ number of consecutive generations.
 
 Randomness discipline: every stochastic operator draws from its own
 substream derived from (seed, generation, operator), and fitness
-evaluation consumes no randomness at all, so evaluating the population
-in parallel cannot perturb the search path.
+evaluation consumes no randomness at all, so how the population is
+evaluated cannot perturb the search path. Backtest fitness is evaluated
+a generation at a time with BatchBacktest, which gives exactly the nets
+evaluate_fitness would.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backtest import DEFAULT_CAPITAL, StrategyMode, run_backtest
+from .backtest import DEFAULT_CAPITAL, BatchBacktest, StrategyMode, run_backtest
 from .errors import ConfigError
 from .indicators import MacdParams
 from .ingest import PriceSeries
@@ -83,7 +84,6 @@ class Individual:
 class GaState:
     population: list[Individual]
     fitness: list[float]
-    prob: np.ndarray | None
     generation: int
     best: Individual
     stale_generations: int
@@ -144,7 +144,6 @@ def select(state: GaState, rng: np.random.Generator) -> list[Individual]:
     if not population:
         raise ValueError("empty population")
     prob = selection_probabilities(fitness)
-    state.prob = prob
     n_elite = elite_count(len(population))
     chosen = rng.choice(len(population), size=len(population) - n_elite, replace=True, p=prob)
     elite_idx = np.argsort(fitness, kind="stable")[-n_elite:]
@@ -198,21 +197,12 @@ def _substream(seed: int, generation: int, operator: int) -> np.random.Generator
     return np.random.default_rng(np.random.SeedSequence([seed, generation, operator]))
 
 
-def _evaluate(population, fitness_fn, cache, workers) -> list[float]:
-    """Fitness for every individual, gathered in population order."""
-    pending = []
-    seen = set()
-    for ind in population:
-        if ind.genes not in cache and ind.genes not in seen:
-            pending.append(ind.genes)
-            seen.add(ind.genes)
+def _evaluate(population, evaluate_many, cache) -> list[float]:
+    """Fitness for every individual, gathered in population order; the
+    triples not seen before go to `evaluate_many` at once, in first-seen order."""
+    pending = list(dict.fromkeys(ind.genes for ind in population if ind.genes not in cache))
     if pending:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(fitness_fn, pending))
-        else:
-            results = [fitness_fn(genes) for genes in pending]
-        cache.update(zip(pending, results))
+        cache.update(zip(pending, evaluate_many(pending)))
     return [cache[ind.genes] for ind in population]
 
 
@@ -228,32 +218,32 @@ def optimize(
     """Search the bounded integer triple space for maximal fitness.
 
     By default fitness is the net backtest profit on `prices` under
-    `mode`; pass `fitness_fn(genes) -> float` to substitute any other
-    pure objective (prices may then be None). Fully deterministic for a
-    given config seed, regardless of `workers`.
+    `mode`, each generation's new triples evaluated together in batches;
+    pass `fitness_fn(genes) -> float` to substitute any other pure
+    objective (prices may then be None), called once per new triple.
+    `workers` must be >= 1 and is otherwise unused: evaluation runs in
+    this thread. Fully deterministic for a given config seed.
     """
-    if fitness_fn is None:
-        if prices is None:
-            raise ValueError("optimize needs a price series when no fitness_fn is given")
-        series, capital = prices, initial_capital
-
-        def fitness_fn(genes):
-            return evaluate_fitness(genes, series, mode, capital)
-
+    if fitness_fn is None and prices is None:
+        raise ValueError("optimize needs a price series when no fitness_fn is given")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if fitness_fn is None:
+        evaluate_many = BatchBacktest(prices, mode, initial_capital).nets
+    else:
+        def evaluate_many(pending):
+            return [fitness_fn(genes) for genes in pending]
 
     cache: dict[tuple[int, int, int], float] = {}
     init_rng = _substream(cfg.seed, 0, _INIT)
     raw = init_rng.integers(cfg.lows, cfg.highs + 1, size=(cfg.population_size, 3))
     population = [repair(Individual(tuple(int(g) for g in row)), cfg.bounds) for row in raw]
 
-    fitness = _evaluate(population, fitness_fn, cache, workers)
+    fitness = _evaluate(population, evaluate_many, cache)
     best_i = int(np.argmax(fitness))
     state = GaState(
         population=[replace(ind, fitness=f) for ind, f in zip(population, fitness)],
         fitness=fitness,
-        prob=None,
         generation=0,
         best=Individual(population[best_i].genes, fitness[best_i]),
         stale_generations=0,
@@ -267,7 +257,7 @@ def optimize(
         population = mutate(population, cfg.mutation_rate, cfg.bounds, _substream(cfg.seed, generation, _MUTATE))
         population = [repair(ind, cfg.bounds) for ind in population]
 
-        fitness = _evaluate(population, fitness_fn, cache, workers)
+        fitness = _evaluate(population, evaluate_many, cache)
         best_i = int(np.argmax(fitness))
         if fitness[best_i] > state.best.fitness:
             state.best = Individual(population[best_i].genes, fitness[best_i])

@@ -99,43 +99,65 @@ def haar_filters() -> WaveletFilter:
     return WaveletFilter.from_lowpass([np.sqrt(0.5), np.sqrt(0.5)])
 
 
+def _analysis(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """One periodized analysis band along the last axis:
+    out[t] = sum_k taps[k] * x[(2t + k) mod n].
+
+    x[(2t + k) mod n] is sample (t + k//2) mod n/2 of x's phase k mod 2
+    (its even or odd samples), so with each phase written out twice tap k
+    reads one plain slice. Each output gets the taps' products added in
+    tap order, whatever the length.
+    """
+    half = x.shape[-1] // 2
+    phases = [np.concatenate((p, p), axis=-1) for p in (x[..., 0::2], x[..., 1::2])]
+    out = np.zeros(x.shape[:-1] + (half,))
+    for k, c in enumerate(taps):
+        s = (k // 2) % half
+        out += c * phases[k % 2][..., s: s + half]
+    return out
+
+
 def dwt_step(signal, filt: WaveletFilter) -> tuple[np.ndarray, np.ndarray]:
-    """One periodized analysis step: halve into (approximation, detail).
+    """One periodized analysis step along the last axis: halve into
+    (approximation, detail).
 
     approx[t] = sum_k h[k] * x[(2t + k) mod n], detail likewise with g.
     Indices wrap, so filters longer than the signal fold onto it and the
     step stays orthogonal for any even length n >= 2.
     """
     x = np.asarray(signal, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     if n < 2 or n % 2:
         raise ValueError(f"signal length must be even and >= 2, got {n}")
-    half = n // 2
-    base = 2 * np.arange(half)
-    approx = np.zeros(half)
-    detail = np.zeros(half)
-    h, g = filt.lowpass, filt.highpass
-    for k in range(len(filt)):
-        xs = x[(base + k) % n]
-        approx += h[k] * xs
-        detail += g[k] * xs
-    return approx, detail
+    return _analysis(x, filt.lowpass), _analysis(x, filt.highpass)
 
 
 def _idwt_step(approx, detail, filt: WaveletFilter) -> np.ndarray:
-    """Transpose of dwt_step: merge (approximation, detail) back to length 2n."""
+    """Transpose of dwt_step: merge (approximation, detail) back to length 2n.
+
+    A detail of None stands for an all-zero band. Tap k adds its terms to
+    the outputs (2t + k) mod 2n, a cyclic shift of phase k mod 2, so each
+    phase sums its own taps' terms in tap order and the two phases are
+    interleaved at the end.
+    """
     approx = np.asarray(approx, dtype=float)
-    detail = np.asarray(detail, dtype=float)
-    if approx.size != detail.size:
-        raise ValueError("approximation and detail lengths differ")
-    half = approx.size
-    n = 2 * half
-    base = 2 * np.arange(half)
-    x = np.zeros(n)
+    if detail is not None:
+        detail = np.asarray(detail, dtype=float)
+        if approx.shape != detail.shape:
+            raise ValueError("approximation and detail lengths differ")
+    half = approx.shape[-1]
+    phases = [np.zeros(approx.shape), np.zeros(approx.shape)]
+    a2 = np.concatenate((approx, approx), axis=-1)
+    d2 = None if detail is None else np.concatenate((detail, detail), axis=-1)
     h, g = filt.lowpass, filt.highpass
     for k in range(len(filt)):
-        # For fixed k the target indices are distinct, so fancy-index += is safe.
-        x[(base + k) % n] += h[k] * approx + g[k] * detail
+        lo = half - (k // 2) % half
+        term = h[k] * a2[..., lo: lo + half]
+        if d2 is not None:
+            term += g[k] * d2[..., lo: lo + half]
+        phases[k % 2] += term
+    x = np.empty(approx.shape[:-1] + (2 * half,))
+    x[..., 0::2], x[..., 1::2] = phases
     return x
 
 
@@ -179,7 +201,7 @@ def reconstruct_approx(decomp: Decomposition, filt: WaveletFilter) -> np.ndarray
     _check_shape(decomp)
     cur = decomp.approx
     for d in reversed(decomp.details):
-        cur = _idwt_step(cur, np.zeros(len(d)), filt)
+        cur = _idwt_step(cur, None, filt)
     return cur
 
 
@@ -188,7 +210,10 @@ def denoise_dif(dif) -> np.ndarray:
 
     The input is edge-padded (last value repeated) up to a multiple of
     2^4, decomposed with the Coiflet-5 pair, rebuilt from the
-    approximation alone, and trimmed back to the input length.
+    approximation alone, and trimmed back to the input length. The
+    detail bands are never formed: they would be zeroed anyway. A 2-D
+    input is a stack of curves along its last axis; each row comes out
+    exactly as it would alone.
 
     Note this transforms the whole series at once: values near the start
     are influenced by later samples, so a backtest on the result carries
@@ -197,9 +222,13 @@ def denoise_dif(dif) -> np.ndarray:
     x = np.asarray(dif, dtype=float)
     if x.size == 0:
         raise ValueError("cannot denoise an empty series")
+    n = x.shape[-1]
     block = 1 << DENOISE_LEVELS
-    padded_len = -(-x.size // block) * block
-    padded = np.pad(x, (0, padded_len - x.size), mode="edge")
-    decomp = decompose(padded, coif5_filters(), DENOISE_LEVELS)
-    smooth = reconstruct_approx(decomp, coif5_filters())
-    return smooth[: x.size]
+    pad = -(-n // block) * block - n
+    cur = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(0, pad)], mode="edge")
+    filt = coif5_filters()
+    for _ in range(DENOISE_LEVELS):
+        cur = _analysis(cur, filt.lowpass)
+    for _ in range(DENOISE_LEVELS):
+        cur = _idwt_step(cur, None, filt)
+    return cur[..., :n]

@@ -95,3 +95,99 @@ def max_drawdown_allpairs_fast(equity):
     i, j = np.triu_indices(e.size, k=1)
     declines = (e[i] - e[j]) / e[i]
     return max(0.0, float(declines.max())) * 100.0 if declines.size else 0.0
+
+
+def backtest_naive(closes, signals, forced, capital):
+    """The all-in/all-out trading rules, one day at a time.
+
+    `signals` holds each day's crossover tag (1 buy, -1 sell, 0 none) and
+    `forced` maps a day to the tag a divergence forces on it, which wins
+    over the crossover. Returns (trades, equity): trades as
+    (buy_index, sell_index, buy_price, sell_price, quantity, pnl, trigger)
+    tuples, equity as the day-end portfolio values.
+    """
+    closes = [float(c) for c in closes]
+    n = len(closes)
+    trades, equity = [], []
+    cash, quantity, cum_pnl = float(capital), 0.0, 0.0
+    buy_index, buy_price = -1, 0.0
+
+    def sell(day, trigger):
+        nonlocal cash, quantity, cum_pnl
+        pnl = quantity * (closes[day] - buy_price)
+        cum_pnl = cum_pnl + pnl
+        trades.append((buy_index, day, buy_price, closes[day], quantity, pnl, trigger))
+        cash = capital + cum_pnl
+        quantity = 0.0
+
+    for t in range(n):
+        action = forced.get(t, int(signals[t]))
+        if action == 1 and quantity == 0.0 and t < n - 1:
+            quantity = cash / closes[t]
+            buy_index, buy_price = t, closes[t]
+            cash = 0.0
+        elif action == -1 and quantity > 0.0:
+            sell(t, "divergence" if forced.get(t) == -1 else "cross")
+        equity.append(cash + quantity * closes[t])
+    if quantity > 0.0:
+        sell(n - 1, "final_liquidation")
+        equity[-1] = cash
+    return trades, equity
+
+
+def divergences_naive(closes, macd, window=15, lookback=60):
+    """(kind, current, previous) of every divergence, by the definition.
+
+    An extreme qualifies when it is a strict local peak (trough) above
+    (below) every close of the `window` days before it; it pairs with the
+    most recent earlier qualifying extreme of its kind at most `lookback`
+    days back, and is a divergence when price makes a higher high (lower
+    low) while the histogram makes a lower high (higher low).
+    """
+    closes = [float(c) for c in closes]
+    out = []
+    for kind in ("top", "bottom"):
+        sign = 1.0 if kind == "top" else -1.0
+        qualifying = [
+            t for t in range(window, len(closes) - 1)
+            if sign * closes[t] > sign * closes[t - 1] and sign * closes[t] > sign * closes[t + 1]
+            and all(sign * closes[t] > sign * c for c in closes[t - window:t])
+        ]
+        for i in range(1, len(qualifying)):
+            t, prev = qualifying[i], qualifying[i - 1]
+            if t - prev <= lookback and sign * closes[t] > sign * closes[prev] \
+                    and sign * macd[t] < sign * macd[prev]:
+                out.append((kind, t, prev))
+    return sorted(out, key=lambda e: e[1])
+
+
+def denoise_naive(values, lowpass, levels=4):
+    """Level-`levels` periodized wavelet approximation, scalar loops only.
+
+    Edge-pads to a multiple of 2**levels; analysis keeps only the lowpass
+    band, approx[t] = sum_k h[k] * x[(2t + k) mod n]; synthesis adds
+    h[k] * approx[t] into x[(2t + k) mod 2n]. Every sum runs over k in
+    increasing order, starting from 0.0.
+    """
+    h = [float(c) for c in lowpass]
+    x = [float(v) for v in values]
+    n = len(x)
+    block = 2 ** levels
+    x = x + [x[-1]] * (-n % block)
+    for _ in range(levels):
+        m = len(x)
+        approx = []
+        for t in range(m // 2):
+            acc = 0.0
+            for k, c in enumerate(h):
+                acc += c * x[(2 * t + k) % m]
+            approx.append(acc)
+        x = approx
+    for _ in range(levels):
+        m = 2 * len(x)
+        out = [0.0] * m
+        for k, c in enumerate(h):
+            for t, a in enumerate(x):
+                out[(2 * t + k) % m] += c * a
+        x = out
+    return x[:n]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macdlab import (
     IndicatorSeries,
@@ -9,8 +10,10 @@ from macdlab import (
     detect_oscillation,
     find_local_extrema,
 )
+from macdlab.analysis import divergence_pairs, macd_disagrees
 
 from conftest import plant_divergence, random_walk_closes, series_from_closes
+from oracles import divergences_naive
 
 
 def check_event_inequalities(event):
@@ -176,3 +179,53 @@ class TestDetectDivergences:
         moved = detect_divergences(scaled_series, shifted)
         assert [(e.kind, e.current_extreme_index, e.previous_extreme_index) for e in base] == \
                [(e.kind, e.current_extreme_index, e.previous_extreme_index) for e in moved]
+
+
+def events_from_pairs(closes, macd):
+    """(kind, current, previous) of the pairs the histogram disagrees with."""
+    out = []
+    for kind, (cur, prev) in divergence_pairs(closes).items():
+        keep = macd_disagrees(macd, kind, cur, prev)
+        out += [(kind, int(t), int(p)) for t, p in zip(cur[keep], prev[keep])]
+    return sorted(out, key=lambda e: e[1])
+
+
+def event_keys(events):
+    return [(e.kind, e.current_extreme_index, e.previous_extreme_index) for e in events]
+
+
+class TestDivergencePairs:
+    @pytest.mark.parametrize("kind", ["top", "bottom"])
+    def test_planted_corpora(self, rng, kind):
+        for _ in range(20):
+            series, ind, _, _ = plant_divergence(kind, rng)
+            events = event_keys(detect_divergences(series, ind))
+            assert events
+            assert events_from_pairs(series.closes, ind.macd) == events
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(17, 400), seed=st.integers(0, 2**32 - 1), vol=st.floats(0.002, 0.05))
+    def test_random_walks_match_detector_and_oracle(self, n, seed, vol):
+        closes = random_walk_closes(np.random.default_rng(seed), n, vol=vol)
+        series = series_from_closes(closes)
+        ind = compute_indicators(series, MacdParams())
+        events = event_keys(detect_divergences(series, ind))
+        assert events_from_pairs(closes, ind.macd) == events
+        assert divergences_naive(closes, ind.macd) == events
+
+    def test_two_dimensional_histogram_rows(self, rng):
+        closes = random_walk_closes(rng, 500, vol=0.02)
+        macd = np.array([compute_indicators(series_from_closes(closes), MacdParams(f, 26, 9)).macd
+                         for f in (5, 12, 20)])
+        for kind, (cur, prev) in divergence_pairs(closes).items():
+            flags = macd_disagrees(macd, kind, cur, prev)
+            for i in range(len(macd)):
+                assert np.array_equal(flags[i], macd_disagrees(macd[i], kind, cur, prev))
+
+    def test_pairs_within_lookback_and_price_diverging(self, rng):
+        closes = random_walk_closes(rng, 800, vol=0.02)
+        pairs = divergence_pairs(closes)
+        for kind, (cur, prev) in pairs.items():
+            assert ((cur - prev > 0) & (cur - prev <= 60)).all()
+            moves = closes[cur] > closes[prev] if kind == "top" else closes[cur] < closes[prev]
+            assert moves.all()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macdlab import (
     MacdParams,
@@ -7,13 +8,16 @@ from macdlab import (
     compute_indicators,
     cross_signals,
     ema,
+    evaluate_fitness,
     recompute_dea_from_denoised,
     run_backtest,
 )
-from macdlab.errors import DataError
+from macdlab.backtest import BatchBacktest, _trade_inputs
+from macdlab.errors import ConfigError, DataError
 from macdlab.indicators import SIGNAL_BUY
 
 from conftest import random_walk_closes, series_from_closes
+from oracles import backtest_naive
 
 
 def crossing_series(n=120):
@@ -188,3 +192,65 @@ class TestDivergenceMode:
         plain, with_div = self.into_modes(rising)
         assert plain.trades == with_div.trades
         assert np.array_equal(plain.equity, with_div.equity)
+
+
+class TestNaiveParity:
+    """run_backtest's sparse trade walk against the day-by-day oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(17, 400), seed=st.integers(0, 2**32 - 1),
+           fast=st.integers(2, 12), gap=st.integers(1, 14), signal=st.integers(1, 12),
+           mode=st.sampled_from(list(StrategyMode)))
+    def test_trades_and_equity_match_exactly(self, n, seed, fast, gap, signal, mode):
+        closes = random_walk_closes(np.random.default_rng(seed), n, vol=0.02)
+        series = series_from_closes(closes)
+        params = MacdParams(fast, min(fast + gap, n), signal)
+        log = run_backtest(series, params, mode)
+        signals, forced = _trade_inputs(series, params, mode)
+        trades, equity = backtest_naive(closes, signals, forced, 500_000.0)
+
+        assert [(t.buy_index, t.sell_index, t.trigger) for t in log.trades] == \
+               [(t[0], t[1], t[6]) for t in trades]
+        assert [(t.buy_price, t.sell_price, t.quantity, t.pnl) for t in log.trades] == \
+               [t[2:6] for t in trades]
+        assert np.array_equal(log.equity, equity)
+
+
+def stride_sample(step):
+    """Every `step`-th valid triple of the default GA bounds."""
+    triples = [(f, s, z) for f in range(5, 21) for s in range(20, 51) for z in range(5, 26)
+               if f < s]
+    return triples[::step]
+
+
+class TestBatchBacktest:
+    @pytest.fixture(scope="class")
+    def series(self):
+        return series_from_closes(random_walk_closes(np.random.default_rng(1000), 1000, vol=0.015))
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_nets_equal_evaluate_fitness(self, series, mode):
+        triples = stride_sample(37)
+        assert len(triples) >= 250
+        assert BatchBacktest(series, mode).nets(triples) == \
+               [evaluate_fitness(genes, series, mode) for genes in triples]
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_all_at_once_equals_one_by_one(self, series, mode):
+        triples = stride_sample(101)
+        batch = BatchBacktest(series, mode)
+        assert batch.nets(triples) == [batch.nets([genes])[0] for genes in triples]
+
+    def test_short_series_rejected_at_first_offending_triple(self, make_series):
+        batch = BatchBacktest(make_series(random_walk_closes(np.random.default_rng(2), 30)),
+                              StrategyMode.DENOISED_WITH_DIVERGENCE)
+        with pytest.raises(DataError, match="series too short: 30 rows < slow period 40"):
+            batch.nets([(5, 26, 9), (5, 40, 9), (5, 45, 9)])
+
+    def test_bad_capital_rejected(self, series):
+        with pytest.raises(ValueError, match="initial capital must be positive"):
+            BatchBacktest(series, StrategyMode.RAW, 0.0).nets([(12, 26, 9)])
+
+    def test_bad_triple_rejected_like_macd_params(self, series):
+        with pytest.raises(ConfigError):
+            BatchBacktest(series, StrategyMode.RAW).nets([(12, 26, 9), (26, 26, 9)])

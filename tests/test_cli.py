@@ -55,6 +55,12 @@ class TestExitCodes:
         assert main(["backtest", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
         assert "too short" in capsys.readouterr().err
 
+    def test_optimize_on_short_series_is_data_error(self, tmp_path, capsys):
+        closes = random_walk_closes(np.random.default_rng(30), 30)
+        data = write_csv(tmp_path / "short.csv", synthetic_rows("A", closes))
+        assert main(["optimize", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert "too short" in capsys.readouterr().err
+
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["ingest", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 2

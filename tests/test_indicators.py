@@ -140,3 +140,27 @@ class TestCrossSignals:
             ind = compute_indicators(series_from_closes(closes), MacdParams())
             tags = [s for s in cross_signals(ind).signals if s != SIGNAL_NONE]
             assert all(a != b for a, b in zip(tags, tags[1:]))
+
+
+class TestLastAxis:
+    """A 2-D call computes each row exactly as the 1-D call would."""
+
+    LENGTHS = list(range(1, 41)) + [257, 1000]
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_ema_rows(self, rng, n):
+        x = rng.normal(size=(5, n)).cumsum(axis=1)
+        for period in (1, 5, 26):
+            out = ema(x, period)
+            assert all(np.array_equal(out[i], ema(x[i], period)) for i in range(len(x)))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_cross_signals_rows(self, rng, n):
+        dif = rng.normal(size=(5, n))
+        dea = np.round(dif + rng.normal(scale=0.5, size=(5, n)), 1)
+        dif[:, ::3] = dea[:, ::3]  # ties: touching lines
+        out = cross_signals(IndicatorSeries.from_dif_dea(dif, dea)).signals
+        assert out.shape == dif.shape
+        for i in range(len(dif)):
+            row = cross_signals(IndicatorSeries.from_dif_dea(dif[i], dea[i])).signals
+            assert np.array_equal(out[i], row)

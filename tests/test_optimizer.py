@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from macdlab import GaConfig, GaState, Individual, StrategyMode, optimize
-from macdlab.errors import ConfigError
+from macdlab.errors import ConfigError, DataError
 from macdlab.optimizer import (
     crossover,
     elite_count,
@@ -91,7 +91,7 @@ class TestSelectionProbabilities:
 class TestSelect:
     def make_state(self, fitness):
         population = [Individual((5 + i % 15, 26, 9)) for i in range(len(fitness))]
-        return GaState(population=population, fitness=list(fitness), prob=None,
+        return GaState(population=population, fitness=list(fitness),
                        generation=0, best=population[0], stale_generations=0)
 
     def test_population_size_preserved(self, rng):
@@ -116,7 +116,7 @@ class TestSelect:
         assert tail == want
 
     def test_empty_population_rejected(self):
-        state = GaState([], [], None, 0, Individual((5, 20, 5)), 0)
+        state = GaState([], [], 0, Individual((5, 20, 5)), 0)
         with pytest.raises(ValueError):
             select(state, np.random.default_rng(0))
 
@@ -283,3 +283,41 @@ class TestOptimize:
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigError):
             optimize(None, None, small_cfg(), fitness_fn=surrogate, workers=0)
+
+
+class TestBatchedGa:
+    """optimize's batched backtest fitness against a scalar fitness_fn."""
+
+    CFG = GaConfig(population_size=120, max_generations=6, seed=4)
+
+    @staticmethod
+    def scalar(series, mode, capital=500_000.0):
+        return lambda genes: evaluate_fitness(genes, series, mode, capital)
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_identical_search(self, mode):
+        series = series_from_closes(random_walk_closes(np.random.default_rng(8), 400, vol=0.02))
+        batched = optimize(series, mode, self.CFG)
+        scalar = optimize(None, mode, self.CFG, fitness_fn=self.scalar(series, mode))
+        assert batched.history == scalar.history
+        assert batched.best_genes == scalar.best_genes
+        assert batched.best_fitness == scalar.best_fitness
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_short_series_error_matches(self, mode):
+        series = series_from_closes(random_walk_closes(np.random.default_rng(9), 35))
+        with pytest.raises(DataError) as batched:
+            optimize(series, mode, self.CFG)
+        with pytest.raises(DataError) as scalar:
+            optimize(None, mode, self.CFG, fitness_fn=self.scalar(series, mode))
+        assert str(batched.value) == str(scalar.value)
+        assert str(batched.value).startswith("series too short: 35 rows < slow period ")
+
+    def test_bad_capital_error_matches(self):
+        series = series_from_closes(random_walk_closes(np.random.default_rng(10), 200))
+        mode = StrategyMode.RAW
+        with pytest.raises(ValueError) as batched:
+            optimize(series, mode, self.CFG, initial_capital=-1.0)
+        with pytest.raises(ValueError) as scalar:
+            optimize(None, mode, self.CFG, fitness_fn=self.scalar(series, mode, -1.0))
+        assert str(batched.value) == str(scalar.value)

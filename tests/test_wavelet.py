@@ -13,6 +13,8 @@ from macdlab.wavelet import (
     reconstruct_approx,
 )
 
+from oracles import denoise_naive
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -176,3 +178,26 @@ class TestDenoiseDif:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             denoise_dif([])
+
+
+class TestDenoiseExactness:
+    """The vectorised denoiser repeats the scalar loops' arithmetic exactly."""
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 29, 30, 31, 40, 100, 1000])
+    def test_matches_scalar_loops_bit_for_bit(self, rng, n):
+        x = rng.normal(size=n).cumsum()
+        assert np.array_equal(denoise_dif(x), denoise_naive(x, COIF5_LOWPASS))
+
+    @pytest.mark.parametrize("n", list(range(1, 41)) + [1000])
+    def test_rows_match_one_dimensional_calls(self, rng, n):
+        x = rng.normal(size=(4, n)).cumsum(axis=1)
+        out = denoise_dif(x)
+        assert out.shape == x.shape
+        assert all(np.array_equal(out[i], denoise_dif(x[i])) for i in range(len(x)))
+
+    def test_dwt_step_rows(self, rng):
+        x = rng.normal(size=(3, 24))
+        approx, detail = dwt_step(x, coif5_filters())
+        for i in range(len(x)):
+            a, d = dwt_step(x[i], coif5_filters())
+            assert np.array_equal(approx[i], a) and np.array_equal(detail[i], d)
