@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -62,22 +63,62 @@ def _fmt(value) -> str:
 
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
     print(f"wrote {path}")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _text(column) -> list[str]:
+    """The cells of one column, each as `_fmt` writes it.
+
+    Whole numpy columns are formatted by dtype: `repr` of the Python
+    float (the text of `repr(float(x))`, `nan` included), `str` of the
+    Python int, and "1"/"0" for bools. Anything else goes cell by cell.
+    """
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "f":
+            return list(map(repr, column.tolist()))
+        if kind in "iu":
+            return list(map(str, column.tolist()))
+        if kind == "b":
+            return ["1" if v else "0" for v in column.tolist()]
+    return [v if type(v) is str else _fmt(v) for v in column]
+
+
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _csv_cell(text: str) -> str:
+    """`text` as csv.writer writes it inside a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _csv_cells(cells: list[str]) -> list[str]:
+    """A column's cells, passed through csv.writer only if one of them
+    holds a character it may quote (cells are never split across a row)."""
+    joined = "".join(cells)
+    if any(char in joined for char in _CSV_SPECIAL):
+        return [_csv_cell(cell) for cell in cells]
+    return cells
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write a CSV from whole columns (numpy arrays or sequences of cell
+    values), with the bytes csv.writer writes for the same rows of `_fmt`
+    cells, `\\n` line ends."""
+    cells = [_csv_cells(_text(column)) for column in columns]
+    lines = [",".join(_csv_cells(list(header)))]
+    lines.extend(map(",".join, zip(*cells)))
+    lines.append("")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        fh.write("\n".join(lines))
     print(f"wrote {path}")
 
 
 def _write_manifest(out: Path, command: str, args: argparse.Namespace,
-                    options: dict, artifacts: list[str]) -> None:
+                    options: dict, artifacts: list[str], skipped: dict | None = None) -> None:
     manifest = {
         "command": command,
         "version": __version__,
@@ -85,6 +126,8 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace,
         "options": options,
         "artifacts": sorted(artifacts),
     }
+    if skipped:
+        manifest["skipped"] = skipped
     _write_json(out / "manifest.json", manifest)
 
 
@@ -104,6 +147,18 @@ def _load_usable(path) -> tuple[list, list[tuple[str, str]]]:
         except UnusableSeriesError:
             statuses.append((series.code, "unusable"))
     return usable, statuses
+
+
+class _IsoDates(dict):
+    """Date -> ISO text, each date formatted once per command: a panel's
+    instruments mostly share their trading days."""
+
+    def __missing__(self, day):
+        text = self[day] = day.isoformat()
+        return text
+
+    def column(self, series) -> list[str]:
+        return list(map(self.__getitem__, series.dates))
 
 
 def _metrics_row(report: MetricsReport) -> list:
@@ -127,7 +182,7 @@ def cmd_ingest(args) -> int:
         except UnusableSeriesError as exc:
             summary.append([series.code, len(series), "", exc.dropped, "unusable"])
     _write_csv(out / "instruments.csv",
-               ["code", "rows", "rows_kept", "rows_dropped", "status"], summary)
+               ["code", "rows", "rows_kept", "rows_dropped", "status"], zip(*summary))
     artifacts.append("instruments.csv")
     save_csv(usable, out / "cleaned.csv")
     print(f"wrote {out / 'cleaned.csv'}")
@@ -140,12 +195,13 @@ def cmd_denoise(args) -> int:
     out = _out_dir(args)
     artifacts = []
     usable, _ = _load_usable(args.data)
+    iso = _IsoDates()
     for series in usable:
         ind = compute_indicators(series, args.params)
         smooth = denoise_dif(ind.dif)
         name = f"denoise_{series.code}.csv"
         _write_csv(out / name, ["date", "dif", "dif_denoised"],
-                   [[d.isoformat(), r, s] for d, r, s in zip(series.dates, ind.dif, smooth)])
+                   [iso.column(series), ind.dif, smooth])
         artifacts.append(name)
     _write_manifest(out, "denoise", args,
                     {"params": list(args.params.as_tuple())}, artifacts)
@@ -156,14 +212,14 @@ def cmd_analyze(args) -> int:
     out = _out_dir(args)
     artifacts = []
     usable, _ = _load_usable(args.data)
+    iso = _IsoDates()
     for series in usable:
         osc = detect_oscillation(series)
         name = f"oscillation_{series.code}.csv"
         _write_csv(out / name,
                    ["date", "close", "mean10", "inband", "pairflag", "mask"],
-                   [[d.isoformat(), c, m, i, p, k]
-                    for d, c, m, i, p, k in zip(series.dates, series.closes, osc.mean10,
-                                                osc.inband, osc.pairflag, osc.mask)])
+                   [iso.column(series), series.closes, osc.mean10, osc.inband, osc.pairflag,
+                    osc.mask])
         artifacts.append(name)
 
         ind = compute_indicators(series, args.params)
@@ -187,7 +243,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _chart_rows(series, params: MacdParams, mode: StrategyMode):
+def _chart_columns(series, params: MacdParams, mode: StrategyMode) -> list[np.ndarray]:
+    """close, dif, dif_denoised, dea and signal of the chart, one array each."""
     ind = compute_indicators(series, params)
     smooth = denoise_dif(ind.dif)
     if mode is StrategyMode.RAW:
@@ -196,10 +253,7 @@ def _chart_rows(series, params: MacdParams, mode: StrategyMode):
         from .backtest import recompute_dea_from_denoised
 
         trade_ind = recompute_dea_from_denoised(smooth, params.signal)
-    signals = cross_signals(trade_ind).signals
-    for i, day in enumerate(series.dates):
-        yield [day.isoformat(), series.closes[i], ind.dif[i], smooth[i],
-               trade_ind.dea[i], int(signals[i])]
+    return [series.closes, ind.dif, smooth, trade_ind.dea, cross_signals(trade_ind).signals]
 
 
 def cmd_backtest(args) -> int:
@@ -210,8 +264,15 @@ def cmd_backtest(args) -> int:
     usable, _ = _load_usable(args.data)
     if not usable:
         raise DataError(f"no usable instrument in {args.data}")
+    iso = _IsoDates()
+    skipped = {}
     for series in usable:
-        log = run_backtest(series, args.params, mode, args.capital)
+        try:
+            log = run_backtest(series, args.params, mode, args.capital)
+        except DataError as exc:
+            skipped[series.code] = str(exc)
+            print(f"skipped {series.code}: {exc}", file=sys.stderr)
+            continue
         report = compute_metrics(log, series.span_days, risk)
 
         name = f"metrics_{series.code}.json"
@@ -235,21 +296,24 @@ def cmd_backtest(args) -> int:
         ])
         artifacts.append(name)
 
+        dates = iso.column(series)
         name = f"equity_{series.code}.csv"
-        _write_csv(out / name, ["date", "equity"],
-                   [[d.isoformat(), e] for d, e in zip(series.dates, log.equity)])
+        _write_csv(out / name, ["date", "equity"], [dates, log.equity])
         artifacts.append(name)
 
         name = f"chart_{series.code}.csv"
         _write_csv(out / name, ["date", "close", "dif", "dif_denoised", "dea", "signal"],
-                   _chart_rows(series, args.params, mode))
+                   [dates, *_chart_columns(series, args.params, mode)])
         artifacts.append(name)
+    if not artifacts:
+        raise DataError(f"no instrument in {args.data} could be backtested: "
+                        + "; ".join(f"{code}: {why}" for code, why in skipped.items()))
     _write_manifest(out, "backtest", args, {
         "mode": mode.value,
         "params": list(args.params.as_tuple()),
         "capital": args.capital,
         "risk_free": args.risk_free,
-    }, artifacts)
+    }, artifacts, skipped)
     return 0
 
 
@@ -272,7 +336,7 @@ def cmd_compare(args) -> int:
             except (DataError, ValueError):
                 rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["error"])
     _write_csv(out / "comparison.csv",
-               ["name", "mode", *REPORT_COLUMNS, "status"], rows)
+               ["name", "mode", *REPORT_COLUMNS, "status"], zip(*rows))
     _write_manifest(out, "compare", args, {
         "params": list(args.params.as_tuple()),
         "capital": args.capital,
@@ -327,8 +391,8 @@ def cmd_optimize(args) -> int:
     _write_csv(out / "history.csv",
                ["generation", "best_fitness", "mean_fitness",
                 "best_fast", "best_slow", "best_signal"],
-               [[g.generation, g.best_fitness, g.mean_fitness, *g.best_genes]
-                for g in result.history])
+               zip(*([g.generation, g.best_fitness, g.mean_fitness, *g.best_genes]
+                     for g in result.history)))
     artifacts.append("history.csv")
 
     comparison = []
@@ -337,7 +401,7 @@ def cmd_optimize(args) -> int:
         report = compute_metrics(log, series.span_days, risk)
         comparison.append([label, "{},{},{}".format(*params.as_tuple())] + _metrics_row(report))
     _write_csv(out / "comparison.csv",
-               ["run", "params", *REPORT_COLUMNS], comparison)
+               ["run", "params", *REPORT_COLUMNS], zip(*comparison))
     artifacts.append("comparison.csv")
 
     _write_manifest(out, "optimize", args, {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -37,11 +38,10 @@ class PriceSeries:
             raise DataError(
                 f"instrument {self.code!r}: {len(self.dates)} dates but {len(self.closes)} closes"
             )
-        for i in range(1, len(self.dates)):
-            if self.dates[i] <= self.dates[i - 1]:
-                raise DataError(
-                    f"instrument {self.code!r}: dates not strictly increasing at {self.dates[i]}"
-                )
+        dates = self.dates
+        if any(map(operator.ge, dates, dates[1:])):
+            bad = next(b for a, b in zip(dates, dates[1:]) if a >= b)
+            raise DataError(f"instrument {self.code!r}: dates not strictly increasing at {bad}")
 
     def __len__(self) -> int:
         return len(self.closes)
@@ -52,19 +52,25 @@ class PriceSeries:
         return len(self.closes)
 
 
+def _blank(row: list[str]) -> bool:
+    return all(not cell.strip() for cell in row)
+
+
 def load_csv(path: str | Path) -> list[PriceSeries]:
     """Read a close-price CSV into one date-sorted PriceSeries per instrument.
 
     The file must carry a header row with (case-insensitive) columns
-    ``code``, ``date`` and ``close``. Dates are ISO-8601. An empty close
-    field is kept as NaN for ``clean`` to drop; anything else unparsable
-    is an error naming the offending row.
+    ``code``, ``date`` and ``close``; a UTF-8 byte-order mark before it is
+    ignored. Dates are ISO-8601, in any order within an instrument; two
+    rows with the same code and date are an error. An empty close field
+    is kept as NaN for ``clean`` to drop; anything else unparsable is an
+    error naming the offending row.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"data file not found: {path}")
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -75,34 +81,50 @@ def load_csv(path: str | Path) -> list[PriceSeries]:
         if missing:
             raise DataError(f"{path}: missing required column(s): {', '.join(missing)}")
         i_code, i_date, i_close = (positions[c] for c in REQUIRED_COLUMNS)
+        min_len = max(i_code, i_date, i_close) + 1
 
         rows: dict[str, list[tuple[date, float]]] = {}
+        days: dict[str, date] = {}  # each distinct date text, parsed once
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not row:
                 continue
-            if len(row) <= max(i_code, i_date, i_close):
+            # A row of blank cells is skipped; the scan runs only on rows
+            # that would otherwise be an error.
+            if len(row) < min_len:
+                if _blank(row):
+                    continue
                 raise DataError(f"{path}:{lineno}: too few columns")
             code = row[i_code].strip()
             if not code:
+                if _blank(row):
+                    continue
                 raise DataError(f"{path}:{lineno}: empty instrument code")
-            try:
-                day = date.fromisoformat(row[i_date].strip())
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad date {row[i_date]!r}: {exc}") from None
-            raw_close = row[i_close].strip()
-            if not raw_close:
-                close = math.nan
-            else:
+            raw_date = row[i_date]
+            day = days.get(raw_date)
+            if day is None:
                 try:
-                    close = float(raw_close)
-                except ValueError:
+                    day = days[raw_date] = date.fromisoformat(raw_date.strip())
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: bad date {raw_date!r}: {exc}") from None
+            try:
+                # float() ignores the same surrounding whitespace str.strip() removes
+                close = float(row[i_close])
+            except ValueError:
+                raw_close = row[i_close].strip()
+                if raw_close:
                     raise DataError(f"{path}:{lineno}: bad close {raw_close!r}") from None
+                close = math.nan
             rows.setdefault(code, []).append((day, close))
 
     out = []
     for code in sorted(rows):
-        pairs = sorted(rows[code], key=lambda p: p[0])
-        out.append(PriceSeries(code, [p[0] for p in pairs], np.array([p[1] for p in pairs])))
+        pairs = sorted(rows[code], key=operator.itemgetter(0))
+        dates = [p[0] for p in pairs]
+        if any(map(operator.eq, dates, dates[1:])):
+            twice = next(a for a, b in zip(dates, dates[1:]) if a == b)
+            raise DataError(f"{path}: instrument {code!r}: more than one row for {twice} "
+                            "(dates must be strictly increasing)")
+        out.append(PriceSeries(code, dates, np.array([p[1] for p in pairs])))
     return out
 
 

@@ -191,3 +191,81 @@ def denoise_naive(values, lowpass, levels=4):
                 out[(2 * t + k) % m] += c * a
         x = out
     return x[:n]
+
+
+def fmt_cell(value):
+    """A CLI CSV cell: full-precision floats, 1/0 bools, None as undefined."""
+    import numpy as np
+
+    if value is None:
+        return "undefined"
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv_rows(path, header, rows):
+    """A CLI CSV artifact written one row at a time through csv.writer."""
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt_cell(cell) for cell in row])
+
+
+def load_csv_naive(path):
+    """[(code, dates, closes)] per instrument, sorted by code then date.
+
+    One row at a time: blank rows skipped, every cell stripped, every
+    date parsed. Raises ValueError with the message the library's
+    DataError carries (a repeated date fails the increasing-dates check).
+    """
+    import csv
+    from datetime import date
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, header row required") from None
+        positions = {name.strip().lower(): i for i, name in enumerate(header)}
+        missing = [c for c in ("code", "date", "close") if c not in positions]
+        if missing:
+            raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
+        i_code, i_date, i_close = positions["code"], positions["date"], positions["close"]
+        rows = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) <= max(i_code, i_date, i_close):
+                raise ValueError(f"{path}:{lineno}: too few columns")
+            code = row[i_code].strip()
+            if not code:
+                raise ValueError(f"{path}:{lineno}: empty instrument code")
+            try:
+                day = date.fromisoformat(row[i_date].strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad date {row[i_date]!r}: {exc}") from None
+            raw_close = row[i_close].strip()
+            if not raw_close:
+                close = math.nan
+            else:
+                try:
+                    close = float(raw_close)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: bad close {raw_close!r}") from None
+            rows.setdefault(code, []).append((day, close))
+    out = []
+    for code in sorted(rows):
+        pairs = sorted(rows[code], key=lambda p: p[0])
+        for i in range(1, len(pairs)):
+            if pairs[i][0] <= pairs[i - 1][0]:
+                raise ValueError(
+                    f"instrument {code!r}: dates not strictly increasing at {pairs[i][0]}")
+        out.append((code, [p[0] for p in pairs], [p[1] for p in pairs]))
+    return out

@@ -122,6 +122,25 @@ class TestBacktest:
         equity = read_csv(out / "equity_AAA.X.csv")
         assert len(equity) - 1 == 220
 
+    def test_short_instrument_skipped_and_recorded(self, tmp_path, capsys):
+        rng = np.random.default_rng(12)
+        rows = synthetic_rows("LONG", random_walk_closes(rng, 400))
+        rows += synthetic_rows("SHORT", random_walk_closes(rng, 20))
+        data = write_csv(tmp_path / "mixed.csv", rows)
+        out = tmp_path / "out"
+        assert main(["backtest", "--data", str(data), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["skipped"] == {"SHORT": "series too short: 20 rows < slow period 26"}
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["artifacts"] + ["manifest.json"])
+        assert all("LONG" in name for name in manifest["artifacts"])
+        assert "skipped SHORT" in capsys.readouterr().err
+
+    def test_manifest_without_skips_has_no_skipped_key(self, data_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["backtest", "--data", str(data_file), "--out", str(out)]) == 0
+        assert "skipped" not in json.loads((out / "manifest.json").read_text())
+
     @pytest.mark.parametrize("mode", ["raw", "denoised", "divergence"])
     def test_all_modes_run(self, data_file, tmp_path, mode):
         assert main(["backtest", "--data", str(data_file),

@@ -1,13 +1,15 @@
 import math
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from macdlab import PriceSeries, clean, load_csv, save_csv
 from macdlab.errors import DataError, UnusableSeriesError
 
 from conftest import series_from_closes
+from oracles import load_csv_naive
 
 
 def write(tmp_path, text, name="prices.csv"):
@@ -66,6 +68,31 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="strictly increasing"):
             load_csv(path)
 
+    def test_duplicate_row_names_code_and_date(self, tmp_path):
+        path = write(tmp_path, (
+            "code,date,close\n"
+            "B,2014-01-02,20\n"
+            "A,2014-01-03,12\n"
+            "A,2014-01-02,11\n"
+            "A,2014-01-03,13\n"
+        ))
+        with pytest.raises(DataError, match=r"instrument 'A': more than one row for 2014-01-03"):
+            load_csv(path)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        rng = np.random.default_rng(8)
+        text = "code,date,close\n" + "".join(
+            f"{'AB'[i % 2]},{date(2014, 1, 1) + timedelta(days=i // 2)},{c!r}\n"
+            for i, c in enumerate(rng.uniform(1, 100, 100).tolist()))
+        plain = load_csv(write(tmp_path, text))
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        with_bom = load_csv(path)
+        assert [s.code for s in with_bom] == [s.code for s in plain] == ["A", "B"]
+        for a, b in zip(with_bom, plain):
+            assert a.dates == b.dates
+            assert np.array_equal(a.closes, b.closes)
+
     def test_roundtrip_is_fixed_point(self, tmp_path, rng):
         path = write(tmp_path, (
             "code,date,close\n"
@@ -83,7 +110,87 @@ class TestLoadCsv:
             assert np.array_equal(a.closes, b.closes, equal_nan=True)
 
 
+BAD_INPUTS = [
+    "",
+    "code,date,price\nA,2014-01-01,10\n",
+    "code,date,close\nA,2014-13-40,10\n",
+    "code,date,close\nA, 2014-01-01x ,10\n",
+    "code,date,close\nA,2014-01-01,ten\n",
+    "code,date,close\nA,2014-01-01, 1 0 \n",
+    "code,date,close\nA,2014-01-01\n",
+    "code,date,close\n,2014-01-01,10\n",
+    "code,date,close\n  ,2014-01-01,\n",
+    "close,code,date\n10,A\n",
+    "code,date,close\nA,2014-01-02,1\n,,\n \t, ,\nB,2014-01-01,x\n",
+]
+
+GOOD_INPUTS = [
+    "code,date,close\n",
+    "code,date,close\n\n,,\n  ,  ,  \nA,2014-01-01,10\n",
+    "Code , DATE,close,extra\r\n B ,2014-01-02 , 2.5 ,x\r\nB,2014-01-01,\r\nA,2014-01-01,1e3\r\n",
+    "date,close,code\n2014-01-03,\u00a07\u2003,A\n2014-01-01,-1,A\n2014-01-02,nan,A\n",
+    'code,date,close\n"A,1","2014-01-01","1_000"\nA,2014-01-01,inf\n',
+]
+
+
+def same_as_naive(path):
+    """load_csv and load_csv_naive agree: equal series, or equal messages."""
+    try:
+        expected = load_csv_naive(path)
+    except ValueError as exc:
+        with pytest.raises(DataError) as got:
+            load_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    got = load_csv(path)
+    assert [(s.code, s.dates) for s in got] == [(c, d) for c, d, _ in expected]
+    for series, (_, _, closes) in zip(got, expected):
+        assert np.array_equal(series.closes, np.array(closes), equal_nan=True)
+
+
+class TestLoadCsvMatchesRowLoop:
+    @pytest.mark.parametrize("text", BAD_INPUTS + GOOD_INPUTS)
+    def test_corpus(self, tmp_path, text):
+        same_as_naive(write(tmp_path, text))
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.permutations(["code", "date", "close", "note"]),
+        st.lists(st.tuples(
+            st.sampled_from(["A", " B ", "C", "", " "]),
+            st.sampled_from(["2014-01-01", "2014-01-02", " 2014-01-03", "2014-02-30", ""]),
+            st.sampled_from(["1.5", " 2 ", "", "x", "nan", "-3", "\u00a04"]),
+            st.sampled_from(["", "n", '"q,1"']),
+        ), max_size=12),
+        st.sampled_from(["\n", "\r\n"]),
+        st.lists(st.integers(0, 12), max_size=3),
+    )
+    def test_fuzzed_files(self, tmp_path, columns, rows, newline, blank_at):
+        lines = [",".join(columns)]
+        for row in rows:
+            cells = dict(zip(("code", "date", "close", "note"), row))
+            lines.append(",".join(cells[c] for c in columns))
+        for i in sorted(blank_at, reverse=True):
+            lines.insert(min(i, len(lines) - 1) + 1, "")
+        path = tmp_path / "fuzz.csv"
+        path.write_text(newline.join(lines) + newline, encoding="utf-8", newline="")
+        try:
+            load_csv_naive(path)
+        except ValueError as exc:
+            if "strictly increasing" in str(exc):
+                # a repeated (code, date) row: the message now names it
+                with pytest.raises(DataError, match="more than one row for"):
+                    load_csv(path)
+                return
+        same_as_naive(path)
+
+
 class TestPriceSeries:
+    def test_dates_must_increase(self):
+        d = [date(2014, 1, i) for i in (1, 3, 2, 4)]
+        with pytest.raises(DataError, match="'A': dates not strictly increasing at 2014-01-02$"):
+            PriceSeries("A", d, np.ones(4))
+
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             PriceSeries("A", [__import__("datetime").date(2014, 1, 1)], np.array([1.0, 2.0]))
