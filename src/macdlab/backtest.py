@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -231,8 +232,11 @@ CHUNK_BYTES = 256 * 1024
 
 def _ema_by_row(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """EMA of each row of x with that row's period, one call per distinct period."""
+    distinct = sorted(set(periods.tolist()))
+    if len(distinct) == 1:
+        return ema(x, distinct[0])
     out = np.empty_like(x)
-    for period in np.unique(periods).tolist():
+    for period in distinct:
         rows = periods == period
         out[rows] = ema(x[rows], period)
     return out
@@ -294,16 +298,18 @@ class BatchBacktest:
         for row, p in zip(dif, params):
             np.subtract(self._ema(p.fast), self._ema(p.slow), out=row)
         if mode is not StrategyMode.DENOISED:
-            raw_ind = IndicatorSeries.from_dif_dea(dif, _ema_by_row(dif, signal))
+            dea = _ema_by_row(dif, signal)
         if mode is StrategyMode.RAW:
-            trade_ind = raw_ind
+            lines = SimpleNamespace(dif=dif, dea=dea)
         else:
             smooth = denoise_dif(dif)
-            trade_ind = IndicatorSeries.from_dif_dea(smooth, _ema_by_row(smooth, signal))
-        action = cross_signals(trade_ind).signals
+            lines = SimpleNamespace(dif=smooth, dea=_ema_by_row(smooth, signal))
+        action = cross_signals(lines).signals
         forced_sell = np.zeros(action.shape, dtype=bool)
+        if self._pairs:  # only the divergence overrides read a histogram: the raw one
+            macd = 2.0 * (dif - dea)
         for kind, (cur, prev) in self._pairs.items():
-            rows, j = np.nonzero(macd_disagrees(raw_ind.macd, kind, cur, prev))
+            rows, j = np.nonzero(macd_disagrees(macd, kind, cur, prev))
             day = cur[j] + 1
             if kind == "top":
                 action[rows, day] = SIGNAL_SELL

@@ -137,16 +137,38 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_usable(path) -> tuple[list, list[tuple[str, str]]]:
-    """Clean every instrument; return (usable series, [(code, status)] for all)."""
-    usable, statuses = [], []
+def _load_usable(path) -> tuple[list, dict[str, str]]:
+    """Clean every instrument; return (usable series, {code: reason} for the unusable)."""
+    usable, unusable = [], {}
     for series in load_csv(path):
         try:
             usable.append(clean(series))
-            statuses.append((series.code, "ok"))
-        except UnusableSeriesError:
-            statuses.append((series.code, "unusable"))
-    return usable, statuses
+        except UnusableSeriesError as exc:
+            unusable[series.code] = str(exc)
+    return usable, unusable
+
+
+def _skip(skipped: dict, code: str, reason) -> None:
+    """Record an instrument a command cannot process, for the manifest and stderr."""
+    skipped[code] = str(reason)
+    print(f"skipped {code}: {reason}", file=sys.stderr)
+
+
+def _load_skipping(path, skipped: dict) -> list:
+    """The usable instruments in `path`; each unusable one is skipped.
+    A data error when none is usable."""
+    usable, unusable = _load_usable(path)
+    if not usable:
+        raise DataError(f"no usable instrument in {path}")
+    for code, reason in unusable.items():
+        _skip(skipped, code, reason)
+    return usable
+
+
+def _nothing_done(path, done: str, skipped: dict) -> DataError:
+    """The data error of a command that processed no instrument, with every reason."""
+    return DataError(f"no instrument in {path} could be {done}: "
+                     + "; ".join(f"{code}: {why}" for code, why in skipped.items()))
 
 
 class _IsoDates(dict):
@@ -211,10 +233,16 @@ def cmd_denoise(args) -> int:
 def cmd_analyze(args) -> int:
     out = _out_dir(args)
     artifacts = []
-    usable, _ = _load_usable(args.data)
+    skipped = {}
+    usable = _load_skipping(args.data, skipped)
     iso = _IsoDates()
     for series in usable:
-        osc = detect_oscillation(series)
+        try:
+            osc = detect_oscillation(series)
+            events = detect_divergences(series, compute_indicators(series, args.params))
+        except ValueError as exc:  # too few days
+            _skip(skipped, series.code, exc)
+            continue
         name = f"oscillation_{series.code}.csv"
         _write_csv(out / name,
                    ["date", "close", "mean10", "inband", "pairflag", "mask"],
@@ -222,8 +250,6 @@ def cmd_analyze(args) -> int:
                     osc.mask])
         artifacts.append(name)
 
-        ind = compute_indicators(series, args.params)
-        events = detect_divergences(series, ind)
         name = f"divergences_{series.code}.json"
         _write_json(out / name, [
             {
@@ -238,8 +264,10 @@ def cmd_analyze(args) -> int:
             for e in events
         ])
         artifacts.append(name)
+    if not artifacts:
+        raise _nothing_done(args.data, "analyzed", skipped)
     _write_manifest(out, "analyze", args,
-                    {"params": list(args.params.as_tuple())}, artifacts)
+                    {"params": list(args.params.as_tuple())}, artifacts, skipped)
     return 0
 
 
@@ -261,17 +289,14 @@ def cmd_backtest(args) -> int:
     artifacts = []
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
-    usable, _ = _load_usable(args.data)
-    if not usable:
-        raise DataError(f"no usable instrument in {args.data}")
-    iso = _IsoDates()
     skipped = {}
+    usable = _load_skipping(args.data, skipped)
+    iso = _IsoDates()
     for series in usable:
         try:
             log = run_backtest(series, args.params, mode, args.capital)
         except DataError as exc:
-            skipped[series.code] = str(exc)
-            print(f"skipped {series.code}: {exc}", file=sys.stderr)
+            _skip(skipped, series.code, exc)
             continue
         report = compute_metrics(log, series.span_days, risk)
 
@@ -306,8 +331,7 @@ def cmd_backtest(args) -> int:
                    [dates, *_chart_columns(series, args.params, mode)])
         artifacts.append(name)
     if not artifacts:
-        raise DataError(f"no instrument in {args.data} could be backtested: "
-                        + "; ".join(f"{code}: {why}" for code, why in skipped.items()))
+        raise _nothing_done(args.data, "backtested", skipped)
     _write_manifest(out, "backtest", args, {
         "mode": mode.value,
         "params": list(args.params.as_tuple()),

@@ -3,13 +3,51 @@ line (DEA), the MACD histogram, and raw crossover signals."""
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError
 from .ingest import PriceSeries
+
+_SIGTOOLS = "scipy.signal._sigtools"
+
+
+def _sigtools_path() -> str | None:
+    """The file of scipy's compiled signal-filter extension, or None."""
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or []:
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "signal", "_sigtools" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_linear_filter():
+    """scipy's compiled IIR kernel, the one scipy.signal.lfilter calls.
+
+    The extension is loaded from its file, so the scipy.signal package
+    (with scipy.stats, scipy.interpolate and the window functions it
+    imports, over a second of start-up) is never imported. If the file
+    is not where scipy's layout puts it, the same kernel is imported the
+    ordinary way.
+    """
+    path = _sigtools_path()
+    if path is None:
+        from scipy.signal._sigtools import _linear_filter
+
+        return _linear_filter
+    loader = ExtensionFileLoader(_SIGTOOLS, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_SIGTOOLS, loader))
+    loader.exec_module(module)
+    return module._linear_filter
+
+
+_linear_filter = _load_linear_filter()
 
 # Per-day signal tags.
 SIGNAL_NONE = 0
@@ -90,6 +128,13 @@ def ema(values, n: int) -> np.ndarray:
 
     Seeded with the first value: e[0] = values[0],
     e[t] = alpha * values[t] + (1 - alpha) * e[t-1].
+
+    This is scipy.signal.lfilter([alpha], [1, alpha - 1], x, axis=-1,
+    zi=(1 - alpha) * x[..., :1]), bit for bit: the same compiled kernel
+    with the arguments lfilter passes it. scipy stays a dependency, but
+    only that kernel (in scipy's private `_sigtools` extension) is
+    loaded; should the module move, the loader falls back to importing
+    it, and tests hold both routes to lfilter's output.
     """
     if n < 1:
         raise ValueError(f"ema period must be >= 1, got {n}")
@@ -98,7 +143,8 @@ def ema(values, n: int) -> np.ndarray:
         raise ValueError("ema of empty input")
     alpha = 2.0 / (n + 1.0)
     # First-order IIR; the initial condition makes e[0] == x[0] exactly.
-    out, _ = lfilter([alpha], [1.0, alpha - 1.0], x, axis=-1, zi=(1.0 - alpha) * x[..., :1])
+    out, _ = _linear_filter(np.array([alpha]), np.array([1.0, alpha - 1.0]), x, -1,
+                            (1.0 - alpha) * x[..., :1])
     return out
 
 
@@ -113,7 +159,7 @@ def compute_indicators(prices: PriceSeries | np.ndarray, params: MacdParams) -> 
 
 
 def cross_signals(ind: IndicatorSeries) -> SignalSeries:
-    """Tag strict DIF/DEA crossings.
+    """Tag strict DIF/DEA crossings (only `ind.dif` and `ind.dea` are read).
 
     Day t is a buy iff dif was at or below dea on t-1 and strictly above
     on t; a sell mirrors that downward. Day 0 is always untagged. Days

@@ -136,6 +136,19 @@ class TestBacktest:
         assert all("LONG" in name for name in manifest["artifacts"])
         assert "skipped SHORT" in capsys.readouterr().err
 
+    def test_unusable_instrument_skipped_and_recorded(self, tmp_path, capsys):
+        rng = np.random.default_rng(13)
+        rows = synthetic_rows("GOOD", random_walk_closes(rng, 120))
+        rows += synthetic_rows("BAD", [0.0] * 100)
+        data = write_csv(tmp_path / "mix.csv", rows)
+        out = tmp_path / "out"
+        assert main(["backtest", "--data", str(data), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["skipped"] == {
+            "BAD": "instrument 'BAD' unusable: 100 of 100 rows dropped by cleaning"}
+        assert all("GOOD" in name for name in manifest["artifacts"])
+        assert "skipped BAD: instrument 'BAD' unusable" in capsys.readouterr().err
+
     def test_manifest_without_skips_has_no_skipped_key(self, data_file, tmp_path):
         out = tmp_path / "out"
         assert main(["backtest", "--data", str(data_file), "--out", str(out)]) == 0
@@ -225,6 +238,41 @@ class TestAnalyzeAndDenoise:
         for event in events:
             assert event["kind"] in ("top", "bottom")
             assert event["previous_extreme_index"] < event["current_extreme_index"]
+
+    def test_analyze_skips_what_it_cannot_analyze(self, tmp_path, capsys):
+        # SHORT fails the oscillation mask's 10 days, MID the divergence
+        # pass's 17 days: neither may leave a file behind.
+        rng = np.random.default_rng(14)
+        rows = synthetic_rows("LONG", random_walk_closes(rng, 400))
+        rows += synthetic_rows("MID", random_walk_closes(rng, 12))
+        rows += synthetic_rows("SHORT", random_walk_closes(rng, 6))
+        rows += synthetic_rows("BAD", [0.0] * 30)
+        data = write_csv(tmp_path / "mixed.csv", rows)
+        out = tmp_path / "out"
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["divergences_LONG.json", "oscillation_LONG.csv"]
+        assert manifest["skipped"] == {
+            "BAD": "instrument 'BAD' unusable: 30 of 30 rows dropped by cleaning",
+            "MID": "need at least 17 days, got 12",
+            "SHORT": "need at least 10 days, got 6",
+        }
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            manifest["artifacts"] + ["manifest.json"])
+        err = capsys.readouterr().err
+        assert all(f"skipped {code}: " in err for code in ("BAD", "MID", "SHORT"))
+
+    def test_analyze_exits_2_when_nothing_analyzed(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "short.csv", synthetic_rows("A", [100.0] * 6))
+        out = tmp_path / "out"
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 2
+        assert "could be analyzed: A: need at least 10 days, got 6" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_analyze_manifest_without_skips_has_no_skipped_key(self, data_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["analyze", "--data", str(data_file), "--out", str(out)]) == 0
+        assert "skipped" not in json.loads((out / "manifest.json").read_text())
 
     def test_denoise_columns_aligned(self, data_file, tmp_path):
         out = tmp_path / "out"

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import lfilter
 
 from macdlab import IndicatorSeries, MacdParams, compute_indicators, cross_signals, ema
+from macdlab import indicators
+from macdlab.backtest import _ema_by_row
 from macdlab.errors import ConfigError
 from macdlab.indicators import SIGNAL_BUY, SIGNAL_NONE, SIGNAL_SELL
 
@@ -164,3 +172,116 @@ class TestLastAxis:
         for i in range(len(dif)):
             row = cross_signals(IndicatorSeries.from_dif_dea(dif[i], dea[i])).signals
             assert np.array_equal(out[i], row)
+
+
+def lfilter_ema(x, n):
+    """The EMA as scipy.signal.lfilter computes it: the reference."""
+    x = np.asarray(x, dtype=float)
+    alpha = 2.0 / (n + 1.0)
+    out, _ = lfilter([alpha], [1.0, alpha - 1.0], x, axis=-1, zi=(1.0 - alpha) * x[..., :1])
+    return out
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # also tells -0.0 from 0.0, and NaN payloads
+
+
+PERIODS = range(1, 61)
+PARITY_LENGTHS = list(range(1, 21)) + [31, 64, 127, 128, 129, 255, 256, 257, 500, 1000,
+                                       1024, 2047, 2500, 2999, 3000]
+
+
+class TestLfilterParity:
+    """ema is lfilter's kernel called with lfilter's arguments: equal bit for bit."""
+
+    def check_all(self, rng):
+        for n in PARITY_LENGTHS:
+            x = rng.normal(size=(3, n)).cumsum(axis=1) * 10.0 + 100.0
+            for period in PERIODS:
+                assert_bits_equal(ema(x[0], period), lfilter_ema(x[0], period))
+                assert_bits_equal(ema(x, period), lfilter_ema(x, period))
+
+    def test_periods_and_lengths(self, rng):
+        self.check_all(rng)
+
+    def test_every_length(self, rng):
+        x = rng.normal(size=(2, 3000)).cumsum(axis=1)
+        for n in range(1, 3001):
+            period = n % 60 + 1
+            assert_bits_equal(ema(x[0, :n], period), lfilter_ema(x[0, :n], period))
+            assert_bits_equal(ema(x[:, :n], period), lfilter_ema(x[:, :n], period))
+
+    def test_fallback_route(self, rng, monkeypatch):
+        # The file locator misses, so the kernel comes from an ordinary import.
+        monkeypatch.setattr(indicators, "_sigtools_path", lambda: None)
+        monkeypatch.setattr(indicators, "_linear_filter", indicators._load_linear_filter())
+        self.check_all(rng)
+
+    def test_direct_route_finds_the_extension(self):
+        path = indicators._sigtools_path()
+        assert path is not None and Path(path).is_file()
+
+    @pytest.mark.parametrize("values", [
+        [5.0] * 40,
+        [-3.25] * 40,
+        list(-np.geomspace(1e-3, 1e3, 40)),
+        [0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0],
+        [-0.0] * 10,
+        [1e308, -1e308, 1e308, 5e-324, -5e-324],
+    ])
+    def test_special_series(self, values):
+        x = np.array(values)
+        for period in (1, 2, 9, 26, 60):
+            assert_bits_equal(ema(x, period), lfilter_ema(x, period))
+            assert_bits_equal(ema(np.stack([x, -x]), period), lfilter_ema(np.stack([x, -x]), period))
+
+    def test_sign_of_zero_kept(self):
+        out = ema([-0.0, -0.0, -0.0], 5)
+        assert np.all(out == 0.0) and np.all(np.signbit(out))
+        assert not np.any(np.signbit(ema([0.0, 0.0], 5)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64),
+                           min_size=1, max_size=300),
+           period=st.integers(1, 60), rows=st.integers(1, 3))
+    def test_hypothesis_series(self, values, period, rows):
+        x = np.array(values)
+        with np.errstate(all="ignore"):  # inf and nan inputs, overflow
+            x2 = np.stack([x * (k + 1) for k in range(rows)])
+            assert_bits_equal(ema(x, period), lfilter_ema(x, period))
+            assert_bits_equal(ema(x2, period), lfilter_ema(x2, period))
+
+    @pytest.mark.parametrize("periods", [[9] * 6, [5, 9, 9, 12, 5, 30]])
+    def test_ema_by_row(self, rng, periods):
+        x = rng.normal(size=(len(periods), 700)).cumsum(axis=1)
+        out = _ema_by_row(x, np.array(periods))
+        for row, period, got in zip(x, periods, out):
+            assert_bits_equal(got, ema(row, period))
+
+
+def test_import_footprint():
+    """Importing the CLI and running a batch of backtests in every mode
+    loads none of scipy.signal, scipy.stats or numpy.ma."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = """
+import sys
+from datetime import date, timedelta
+
+import numpy as np
+
+import macdlab.cli
+from macdlab import PriceSeries, StrategyMode
+from macdlab.backtest import BatchBacktest
+
+rng = np.random.default_rng(5)
+closes = 100.0 * np.exp(np.cumsum(rng.normal(4e-4, 0.01, 300)))
+series = PriceSeries("A", [date(2014, 1, 2) + timedelta(days=i) for i in range(300)], closes)
+for mode in StrategyMode:
+    BatchBacktest(series, mode).nets([(12, 26, 9), (5, 30, 9), (8, 40, 14)])
+print(",".join(sorted({"scipy.signal", "scipy.stats", "numpy.ma"} & set(sys.modules))))
+"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
