@@ -5,27 +5,28 @@ of the wavelet-smoothed DIF against a signal line recomputed from it,
 or additionally let divergence events force entries and exits. All-in
 fills at the signal day's close, no fees, fractional quantities.
 
-run_backtest logs one run in full; BatchBacktest gives the net profit
-of many parameter triples on one series, for the optimizer. Both step
-through the same trade walk.
+BatchBacktest.prepare is the one place a mode becomes trading lines
+and actions, for many parameter triples on one series at once (a row
+each). BatchBacktest.nets walks every row to its net profit, for the
+optimizer; run_backtest is the one-row case and logs that run in full,
+with the lines it traded on. Both step through the same trade walk.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
 
-from .analysis import PROMINENCE_WINDOW, detect_divergences, divergence_pairs, macd_disagrees
+from .analysis import PROMINENCE_WINDOW, divergence_pairs, macd_disagrees
 from .errors import DataError
 from .indicators import (
     SIGNAL_BUY,
     SIGNAL_SELL,
     IndicatorSeries,
     MacdParams,
-    compute_indicators,
     cross_signals,
     ema,
 )
@@ -60,8 +61,33 @@ class Trade:
 
 
 @dataclass
+class SignalLines:
+    """What a mode trades on, one row per parameter triple, days along the
+    last axis.
+
+    dif is the raw DIF; trade_dif is the line the crossings are read off
+    (the wavelet-smoothed DIF, or dif itself in raw mode) and dea its
+    signal line. signals holds the crossover tags (1 buy, -1 sell, 0
+    none), forced the tag a divergence forces on a day (0 none), which
+    the trade walk takes over the crossover.
+    """
+
+    dif: np.ndarray
+    trade_dif: np.ndarray
+    dea: np.ndarray
+    signals: np.ndarray
+    forced: np.ndarray
+
+    def row(self, i: int) -> SignalLines:
+        return SignalLines(*(getattr(self, f.name)[i] for f in fields(self)))
+
+
+@dataclass
 class TradeLog:
-    """Executed trades plus the daily equity curve and its tallies."""
+    """Executed trades plus the daily equity curve and its tallies.
+
+    lines holds what run_backtest traded on (one row), for charting.
+    """
 
     trades: list[Trade]
     equity: np.ndarray = field(repr=False)
@@ -72,6 +98,7 @@ class TradeLog:
     gross_profit: float
     gross_loss: float
     net: float
+    lines: SignalLines | None = field(default=None, repr=False, compare=False)
 
 
 def recompute_dea_from_denoised(denoised_dif, signal: int) -> IndicatorSeries:
@@ -82,23 +109,6 @@ def recompute_dea_from_denoised(denoised_dif, signal: int) -> IndicatorSeries:
     return IndicatorSeries.from_dif_dea(dn, ema(dn, signal))
 
 
-def _forced_actions(prices: PriceSeries, raw_ind: IndicatorSeries) -> dict[int, int]:
-    """Map day -> forced signal from divergence events.
-
-    An event is confirmable one day after its extreme (peak detection
-    needs the next close), so it executes at that day's close. A top
-    forces a sell, a bottom forces a buy. Divergences are read off the
-    conventional histogram, not the smoothed one.
-    """
-    if len(prices) < PROMINENCE_WINDOW + 2:
-        return {}
-    forced = {}
-    for event in detect_divergences(prices, raw_ind):
-        day = event.current_extreme_index + 1
-        forced[day] = SIGNAL_SELL if event.kind == "top" else SIGNAL_BUY
-    return forced
-
-
 def _check_run(n: int, params: MacdParams, initial_capital: float) -> None:
     """Reject a run on fewer days than the slow period, or without capital."""
     if n < params.slow:
@@ -107,28 +117,14 @@ def _check_run(n: int, params: MacdParams, initial_capital: float) -> None:
         raise ValueError(f"initial capital must be positive, got {initial_capital}")
 
 
-def _trade_inputs(prices: PriceSeries, params: MacdParams,
-                  mode: StrategyMode) -> tuple[np.ndarray, dict[int, int]]:
-    """The crossover signals a mode trades on, and its divergence-forced actions."""
-    raw_ind = compute_indicators(prices, params)
-    if mode is StrategyMode.RAW:
-        trade_ind = raw_ind
-    else:
-        trade_ind = recompute_dea_from_denoised(denoise_dif(raw_ind.dif), params.signal)
-    signals = cross_signals(trade_ind).signals
-    forced = {}
-    if mode is StrategyMode.DENOISED_WITH_DIVERGENCE:
-        forced = _forced_actions(prices, raw_ind)
-    return signals, forced
-
-
-def _trade_walk(closes: list[float], action: np.ndarray, forced_sell: np.ndarray,
+def _trade_walk(closes: list[float], signals: np.ndarray, forced: np.ndarray,
                 initial_capital: float) -> tuple[list[tuple], list[tuple[int, float, float]]]:
     """The all-in/all-out state machine, stepping only through the days
     that carry an action (a crossover, or a divergence that overrides it).
 
-    `action` holds each day's tag, `forced_sell` marks the days whose sell
-    is forced. Returns the closed trades as Trade field tuples and every
+    `signals` holds each day's crossover tag and `forced` the tag a
+    divergence forces on it, which wins; a sell is "divergence"-triggered
+    when forced. Returns the closed trades as Trade field tuples and every
     change of state as (day, cash, quantity) after that day's execution;
     between changes the equity curve is cash + quantity * close.
     """
@@ -151,8 +147,10 @@ def _trade_walk(closes: list[float], action: np.ndarray, forced_sell: np.ndarray
         quantity = 0.0
         changes.append((day, cash, quantity))
 
-    days = np.flatnonzero(action)
-    for t, tag, forced in zip(days.tolist(), action[days].tolist(), forced_sell[days].tolist()):
+    days = np.flatnonzero(signals | forced)
+    for t, crossed, forced_tag in zip(days.tolist(), signals[days].tolist(),
+                                      forced[days].tolist()):
+        tag = forced_tag or crossed
         if tag == SIGNAL_BUY and quantity == 0.0 and t < n - 1:
             quantity = cash / closes[t]
             buy_index = t
@@ -160,7 +158,7 @@ def _trade_walk(closes: list[float], action: np.ndarray, forced_sell: np.ndarray
             cash = 0.0
             changes.append((t, cash, quantity))
         elif tag == SIGNAL_SELL and quantity > 0.0:
-            close_position(t, "divergence" if forced else "cross")
+            close_position(t, "divergence" if forced_tag else "cross")
 
     if quantity > 0.0:
         close_position(n - 1, "final_liquidation")
@@ -194,16 +192,12 @@ def run_backtest(
     """
     n = len(prices)
     _check_run(n, params, initial_capital)
-    closes = np.asarray(prices.closes, dtype=float)
-    signals, forced = _trade_inputs(prices, params, mode)
-
-    action = signals.copy()
-    forced_sell = np.zeros(n, dtype=bool)
-    for day, tag in forced.items():
-        action[day] = tag
-        forced_sell[day] = tag == SIGNAL_SELL
-    walked, changes = _trade_walk(closes.tolist(), action, forced_sell, initial_capital)
-    trades = [Trade(*fields) for fields in walked]
+    batch = BatchBacktest(prices, mode, initial_capital)
+    closes = batch.closes
+    lines = batch.prepare([params]).row(0)
+    walked, changes = _trade_walk(batch._close_list, lines.signals, lines.forced,
+                                  initial_capital)
+    trades = [Trade(*trade) for trade in walked]
 
     equity = np.empty(n)
     states = [(0, float(initial_capital), 0.0)] + changes
@@ -222,6 +216,7 @@ def run_backtest(
         gross_profit=gross_profit,
         gross_loss=gross_loss,
         net=net,
+        lines=lines,
     )
 
 
@@ -243,13 +238,14 @@ def _ema_by_row(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
 
 
 class BatchBacktest:
-    """Net profits of many parameter triples on one series and mode.
+    """Trading lines and net profits of many parameter triples on one
+    series and mode.
 
     What depends only on the prices (the EMA of each period, the price
-    half of divergence detection) is computed once per series. The
-    triples then run in chunks of rows through the kernels run_backtest
-    uses, each along the day axis, and every net comes from the same
-    trade walk, so `nets(triples)[i] == run_backtest(...).net` exactly.
+    half of divergence detection) is computed once per series. `prepare`
+    turns triples into their trading lines and actions, one row each,
+    through kernels that run along the day axis; run_backtest is its
+    one-row case, so `nets(triples)[i] == run_backtest(...).net` exactly.
     """
 
     def __init__(self, prices: PriceSeries, mode: StrategyMode,
@@ -286,12 +282,25 @@ class BatchBacktest:
         nets = [0.0] * len(params)
         for start in range(0, len(order), rows):
             chunk = order[start:start + rows]
-            for i, net in zip(chunk, self._chunk_nets([params[i] for i in chunk])):
-                nets[i] = net
+            lines = self.prepare([params[i] for i in chunk])
+            for i, signals, forced in zip(chunk, lines.signals, lines.forced):
+                trades, _ = _trade_walk(self._close_list, signals, forced,
+                                        self.initial_capital)
+                *_, nets[i] = _tallies([trade[5] for trade in trades])  # Trade.pnl
         return nets
 
-    def _chunk_nets(self, params: list[MacdParams]) -> list[float]:
-        """Nets of one chunk of triples, as rows of 2-D arrays."""
+    def prepare(self, params: list[MacdParams]) -> SignalLines:
+        """The mode's trading lines, crossover tags and divergence-forced
+        tags for each triple, one row each.
+
+        Raw mode trades the crossings of DIF and DEA; the denoised modes
+        those of the smoothed DIF and a DEA recomputed from it. With
+        divergences, an event is confirmable one day after its extreme
+        (peak detection needs the next close) and forces a tag on that
+        day, which the trade walk takes over the crossover's: a top forces
+        a sell, a bottom a buy. Divergences are read off the raw
+        histogram, not the smoothed one.
+        """
         mode = self.mode
         signal = np.array([p.signal for p in params])
         dif = np.empty((len(params), len(self.closes)))
@@ -300,25 +309,15 @@ class BatchBacktest:
         if mode is not StrategyMode.DENOISED:
             dea = _ema_by_row(dif, signal)
         if mode is StrategyMode.RAW:
-            lines = SimpleNamespace(dif=dif, dea=dea)
+            trade_dif, trade_dea = dif, dea
         else:
-            smooth = denoise_dif(dif)
-            lines = SimpleNamespace(dif=smooth, dea=_ema_by_row(smooth, signal))
-        action = cross_signals(lines).signals
-        forced_sell = np.zeros(action.shape, dtype=bool)
-        if self._pairs:  # only the divergence overrides read a histogram: the raw one
+            trade_dif = denoise_dif(dif)
+            trade_dea = _ema_by_row(trade_dif, signal)
+        signals = cross_signals(SimpleNamespace(dif=trade_dif, dea=trade_dea)).signals
+        forced = np.zeros(signals.shape, dtype=np.int8)
+        if self._pairs:
             macd = 2.0 * (dif - dea)
         for kind, (cur, prev) in self._pairs.items():
             rows, j = np.nonzero(macd_disagrees(macd, kind, cur, prev))
-            day = cur[j] + 1
-            if kind == "top":
-                action[rows, day] = SIGNAL_SELL
-                forced_sell[rows, day] = True
-            else:
-                action[rows, day] = SIGNAL_BUY
-        nets = []
-        for a, f in zip(action, forced_sell):
-            trades, _ = _trade_walk(self._close_list, a, f, self.initial_capital)
-            *_, net = _tallies([trade[5] for trade in trades])  # Trade.pnl
-            nets.append(net)
-        return nets
+            forced[rows, cur[j] + 1] = SIGNAL_SELL if kind == "top" else SIGNAL_BUY
+        return SignalLines(dif, trade_dif, trade_dea, signals, forced)

@@ -24,7 +24,7 @@ from . import __version__
 from .analysis import detect_divergences, detect_oscillation
 from .backtest import DEFAULT_CAPITAL, StrategyMode, run_backtest
 from .errors import ConfigError, DataError, UnusableSeriesError
-from .indicators import MacdParams, compute_indicators, cross_signals
+from .indicators import MacdParams, compute_indicators
 from .ingest import clean, load_csv, save_csv
 from .metrics import REPORT_COLUMNS, MetricsReport, RiskConfig, compute_metrics
 from .optimizer import GaConfig, optimize
@@ -137,15 +137,16 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_usable(path) -> tuple[list, dict[str, str]]:
-    """Clean every instrument; return (usable series, {code: reason} for the unusable)."""
-    usable, unusable = [], {}
+def _screen(path) -> list[tuple]:
+    """Every instrument in `path`, in file order, as (series, cleaned, None)
+    or, when clean() screens it out, (series, None, the UnusableSeriesError)."""
+    screened = []
     for series in load_csv(path):
         try:
-            usable.append(clean(series))
+            screened.append((series, clean(series), None))
         except UnusableSeriesError as exc:
-            unusable[series.code] = str(exc)
-    return usable, unusable
+            screened.append((series, None, exc))
+    return screened
 
 
 def _skip(skipped: dict, code: str, reason) -> None:
@@ -157,11 +158,13 @@ def _skip(skipped: dict, code: str, reason) -> None:
 def _load_skipping(path, skipped: dict) -> list:
     """The usable instruments in `path`; each unusable one is skipped.
     A data error when none is usable."""
-    usable, unusable = _load_usable(path)
+    screened = _screen(path)
+    usable = [cleaned for _, cleaned, _ in screened if cleaned is not None]
     if not usable:
         raise DataError(f"no usable instrument in {path}")
-    for code, reason in unusable.items():
-        _skip(skipped, code, reason)
+    for series, _, unusable in screened:
+        if unusable is not None:
+            _skip(skipped, series.code, unusable)
     return usable
 
 
@@ -193,16 +196,14 @@ def _metrics_row(report: MetricsReport) -> list:
 def cmd_ingest(args) -> int:
     out = _out_dir(args)
     artifacts = []
-    raw = load_csv(args.data)
     summary, usable = [], []
-    for series in raw:
-        try:
-            cleaned = clean(series)
-            usable.append(cleaned)
-            summary.append([series.code, len(series), len(cleaned),
-                            len(series) - len(cleaned), "ok"])
-        except UnusableSeriesError as exc:
-            summary.append([series.code, len(series), "", exc.dropped, "unusable"])
+    for series, cleaned, unusable in _screen(args.data):
+        if unusable is not None:
+            summary.append([series.code, len(series), "", unusable.dropped, "unusable"])
+            continue
+        usable.append(cleaned)
+        summary.append([series.code, len(series), len(cleaned),
+                        len(series) - len(cleaned), "ok"])
     _write_csv(out / "instruments.csv",
                ["code", "rows", "rows_kept", "rows_dropped", "status"], zip(*summary))
     artifacts.append("instruments.csv")
@@ -216,7 +217,8 @@ def cmd_ingest(args) -> int:
 def cmd_denoise(args) -> int:
     out = _out_dir(args)
     artifacts = []
-    usable, _ = _load_usable(args.data)
+    skipped = {}
+    usable = _load_skipping(args.data, skipped)
     iso = _IsoDates()
     for series in usable:
         ind = compute_indicators(series, args.params)
@@ -226,7 +228,7 @@ def cmd_denoise(args) -> int:
                    [iso.column(series), ind.dif, smooth])
         artifacts.append(name)
     _write_manifest(out, "denoise", args,
-                    {"params": list(args.params.as_tuple())}, artifacts)
+                    {"params": list(args.params.as_tuple())}, artifacts, skipped)
     return 0
 
 
@@ -271,19 +273,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _chart_columns(series, params: MacdParams, mode: StrategyMode) -> list[np.ndarray]:
-    """close, dif, dif_denoised, dea and signal of the chart, one array each."""
-    ind = compute_indicators(series, params)
-    smooth = denoise_dif(ind.dif)
-    if mode is StrategyMode.RAW:
-        trade_ind = ind
-    else:
-        from .backtest import recompute_dea_from_denoised
-
-        trade_ind = recompute_dea_from_denoised(smooth, params.signal)
-    return [series.closes, ind.dif, smooth, trade_ind.dea, cross_signals(trade_ind).signals]
-
-
 def cmd_backtest(args) -> int:
     out = _out_dir(args)
     artifacts = []
@@ -326,9 +315,13 @@ def cmd_backtest(args) -> int:
         _write_csv(out / name, ["date", "equity"], [dates, log.equity])
         artifacts.append(name)
 
+        # The lines the run traded on; signal is the crossover tag before
+        # divergence overrides. Raw mode trades on no smoothed DIF.
+        lines = log.lines
+        smooth = denoise_dif(lines.dif) if mode is StrategyMode.RAW else lines.trade_dif
         name = f"chart_{series.code}.csv"
         _write_csv(out / name, ["date", "close", "dif", "dif_denoised", "dea", "signal"],
-                   [dates, *_chart_columns(series, args.params, mode)])
+                   [dates, series.closes, lines.dif, smooth, lines.dea, lines.signals])
         artifacts.append(name)
     if not artifacts:
         raise _nothing_done(args.data, "backtested", skipped)
@@ -345,10 +338,8 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     risk = RiskConfig(risk_free_rate=args.risk_free)
     rows = []
-    for series in load_csv(args.data):
-        try:
-            cleaned = clean(series)
-        except UnusableSeriesError:
+    for series, cleaned, unusable in _screen(args.data):
+        if unusable is not None:
             for mode in StrategyMode:
                 rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["unusable"])
             continue
@@ -374,9 +365,8 @@ def cmd_optimize(args) -> int:
     artifacts = []
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
-    usable, _ = _load_usable(args.data)
-    if not usable:
-        raise DataError(f"no usable instrument in {args.data}")
+    skipped = {}
+    usable = _load_skipping(args.data, skipped)
     if args.code:
         matches = [s for s in usable if s.code == args.code]
         if not matches:
@@ -440,7 +430,7 @@ def cmd_optimize(args) -> int:
         "workers": args.workers,
         "capital": args.capital,
         "risk_free": args.risk_free,
-    }, artifacts)
+    }, artifacts, skipped)
     return 0
 
 

@@ -1,7 +1,9 @@
 """Independent reference implementations the tests check the library against.
 
 Everything here is deliberately written the slow, obvious way, without
-importing any of the code paths it is used to verify.
+importing any of the code paths it is used to verify. trade_inputs_naive
+composes public building blocks one series at a time; what it verifies
+is the batch pipeline that composes them for a strategy mode.
 """
 
 import math
@@ -133,6 +135,31 @@ def backtest_naive(closes, signals, forced, capital):
         sell(n - 1, "final_liquidation")
         equity[-1] = cash
     return trades, equity
+
+
+def trade_inputs_naive(prices, params, mode):
+    """The lines, crossover tags and divergence-forced actions of one run,
+    composed in 1-D from the public functions.
+
+    Raw mode trades on the conventional indicators; the denoised modes on
+    the smoothed DIF with a signal line recomputed from it. In divergence
+    mode each event executes one day after its extreme (a top forces a
+    sell, a bottom a buy), read off the raw histogram; a series shorter
+    than the prominence window plus two days has no events. Returns
+    (raw indicators, trading indicators, signals, {day: forced tag}).
+    """
+    from macdlab import (StrategyMode, compute_indicators, cross_signals, denoise_dif,
+                         detect_divergences, recompute_dea_from_denoised)
+
+    raw_ind = compute_indicators(prices, params)
+    trade_ind = raw_ind
+    if mode is not StrategyMode.RAW:
+        trade_ind = recompute_dea_from_denoised(denoise_dif(raw_ind.dif), params.signal)
+    forced = {}
+    if mode is StrategyMode.DENOISED_WITH_DIVERGENCE and len(prices) >= 15 + 2:
+        for event in detect_divergences(prices, raw_ind):
+            forced[event.current_extreme_index + 1] = -1 if event.kind == "top" else 1
+    return raw_ind, trade_ind, cross_signals(trade_ind).signals, forced
 
 
 def divergences_naive(closes, macd, window=15, lookback=60):

@@ -12,12 +12,13 @@ from macdlab import (
     recompute_dea_from_denoised,
     run_backtest,
 )
-from macdlab.backtest import BatchBacktest, _trade_inputs
+from macdlab.analysis import PROMINENCE_WINDOW
+from macdlab.backtest import BatchBacktest
 from macdlab.errors import ConfigError, DataError
 from macdlab.indicators import SIGNAL_BUY
 
 from conftest import random_walk_closes, series_from_closes
-from oracles import backtest_naive
+from oracles import backtest_naive, trade_inputs_naive
 
 
 def crossing_series(n=120):
@@ -194,19 +195,26 @@ class TestDivergenceMode:
         assert np.array_equal(plain.equity, with_div.equity)
 
 
-class TestNaiveParity:
-    """run_backtest's sparse trade walk against the day-by-day oracle."""
+@st.composite
+def naive_runs(draw):
+    """(closes, params, mode) of a random walk at least as long as the slow period."""
+    fast = draw(st.integers(2, 12))
+    params = MacdParams(fast, fast + draw(st.integers(1, 14)), draw(st.integers(1, 12)))
+    n = draw(st.integers(params.slow, 400))
+    closes = random_walk_closes(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n,
+                                vol=0.02)
+    return closes, params, draw(st.sampled_from(list(StrategyMode)))
 
-    @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(17, 400), seed=st.integers(0, 2**32 - 1),
-           fast=st.integers(2, 12), gap=st.integers(1, 14), signal=st.integers(1, 12),
-           mode=st.sampled_from(list(StrategyMode)))
-    def test_trades_and_equity_match_exactly(self, n, seed, fast, gap, signal, mode):
-        closes = random_walk_closes(np.random.default_rng(seed), n, vol=0.02)
+
+class TestNaiveParity:
+    """run_backtest against the 1-D composition of the public functions,
+    traded by the day-by-day oracle."""
+
+    @staticmethod
+    def assert_matches_naive(closes, params, mode):
         series = series_from_closes(closes)
-        params = MacdParams(fast, min(fast + gap, n), signal)
         log = run_backtest(series, params, mode)
-        signals, forced = _trade_inputs(series, params, mode)
+        raw_ind, trade_ind, signals, forced = trade_inputs_naive(series, params, mode)
         trades, equity = backtest_naive(closes, signals, forced, 500_000.0)
 
         assert [(t.buy_index, t.sell_index, t.trigger) for t in log.trades] == \
@@ -214,6 +222,27 @@ class TestNaiveParity:
         assert [(t.buy_price, t.sell_price, t.quantity, t.pnl) for t in log.trades] == \
                [t[2:6] for t in trades]
         assert np.array_equal(log.equity, equity)
+        # the lines the run traded on, as the chart shows them
+        lines = log.lines
+        assert np.array_equal(lines.dif, raw_ind.dif)
+        assert np.array_equal(lines.trade_dif, trade_ind.dif)
+        assert np.array_equal(lines.dea, trade_ind.dea)
+        assert np.array_equal(lines.signals, signals)
+        assert lines.forced.tolist() == [forced.get(t, 0) for t in range(len(closes))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(run=naive_runs())
+    def test_trades_and_equity_match_exactly(self, run):
+        self.assert_matches_naive(*run)
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_series_too_short_for_divergences(self, mode):
+        # every length from the slow period up to the first one with room
+        # for a divergence: no forced action in any mode
+        rng = np.random.default_rng(17)
+        params = MacdParams(3, 5, 2)
+        for n in range(params.slow, PROMINENCE_WINDOW + 3):
+            self.assert_matches_naive(random_walk_closes(rng, n, vol=0.02), params, mode)
 
 
 def stride_sample(step):

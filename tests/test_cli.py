@@ -37,6 +37,16 @@ def two_instrument_file(tmp_path):
     return write_csv(tmp_path / "two.csv", rows)
 
 
+@pytest.fixture
+def good_bad_file(tmp_path):
+    rows = synthetic_rows("GOOD", random_walk_closes(np.random.default_rng(13), 120))
+    rows += synthetic_rows("BAD", [0.0] * 100)
+    return write_csv(tmp_path / "good_bad.csv", rows)
+
+
+BAD_REASON = "instrument 'BAD' unusable: 100 of 100 rows dropped by cleaning"
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
@@ -226,6 +236,13 @@ class TestOptimize:
     def test_unknown_code_is_data_error(self, data_file, tmp_path):
         assert main(self.args(data_file, tmp_path / "o", code="NOPE")) == 2
 
+    def test_unusable_instrument_skipped_and_recorded(self, good_bad_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(self.args(good_bad_file, out, code="GOOD")) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["skipped"] == {"BAD": BAD_REASON}
+        assert f"skipped BAD: {BAD_REASON}" in capsys.readouterr().err
+
 
 class TestAnalyzeAndDenoise:
     def test_analyze_artifacts(self, data_file, tmp_path):
@@ -273,6 +290,21 @@ class TestAnalyzeAndDenoise:
         out = tmp_path / "out"
         assert main(["analyze", "--data", str(data_file), "--out", str(out)]) == 0
         assert "skipped" not in json.loads((out / "manifest.json").read_text())
+
+    def test_denoise_skips_unusable_instrument(self, good_bad_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["denoise", "--data", str(good_bad_file), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == ["denoise_GOOD.csv"]
+        assert manifest["skipped"] == {"BAD": BAD_REASON}
+        assert f"skipped BAD: {BAD_REASON}" in capsys.readouterr().err
+
+    def test_denoise_exits_2_when_nothing_usable(self, tmp_path, capsys):
+        data = write_csv(tmp_path / "bad.csv", synthetic_rows("BAD", [0.0] * 30))
+        out = tmp_path / "out"
+        assert main(["denoise", "--data", str(data), "--out", str(out)]) == 2
+        assert "no usable instrument" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_denoise_columns_aligned(self, data_file, tmp_path):
         out = tmp_path / "out"
