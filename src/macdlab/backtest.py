@@ -7,9 +7,11 @@ fills at the signal day's close, no fees, fractional quantities.
 
 BatchBacktest.prepare is the one place a mode becomes trading lines
 and actions, for many parameter triples on one series at once (a row
-each). BatchBacktest.nets walks every row to its net profit, for the
-optimizer; run_backtest is the one-row case and logs that run in full,
-with the lines it traded on. Both step through the same trade walk.
+each). run_backtest is its one-row case: the logging trade walk steps
+through that row's actions and records every trade, trigger and change
+of equity, and it is the reference for the batched walk. For the
+optimizer, BatchBacktest.nets walks a whole batch of rows at once from
+their state changes alone, computing only each row's net profit.
 """
 
 from __future__ import annotations
@@ -220,6 +222,87 @@ def run_backtest(
     )
 
 
+def _round_trips(signals: np.ndarray, forced: np.ndarray):
+    """The round trips _trade_walk makes in each row of a (rows x days)
+    batch: how many each row makes, and the buy and sell day of each
+    (int32, row by row, in order).
+
+    The walk acts on a day's effective tag (forced where set, else the
+    crossover) only when it differs from the last tag it acted on, each
+    row starting flat. Last-day tags are left out: a buy there is
+    ignored, and a sell there closes on the day the final liquidation
+    of a position still open would.
+    """
+    rows, n = signals.shape
+    tags = np.where(forced != 0, forced, signals) if forced.any() else signals
+    acted = tags != 0
+    acted[:, -1] = False
+    flat = np.flatnonzero(acted)
+    tag = tags.ravel()[flat]
+    row, day = np.divmod(flat, n)
+    prev = np.empty_like(tag)
+    prev[:1] = SIGNAL_SELL
+    prev[1:] = tag[:-1]
+    prev[1:][row[1:] != row[:-1]] = SIGNAL_SELL
+    changed = tag != prev
+    row, day, tag = row[changed], day[changed], tag[changed]
+    # A row's changes alternate buy, sell, ...: a buy's sell is the next
+    # change, unless that is the next row's first buy or there is none.
+    buys = np.flatnonzero(tag == SIGNAL_BUY)
+    after = buys + 1
+    closed = np.append(tag, SIGNAL_BUY)[after] == SIGNAL_SELL
+    sells = np.where(closed, np.append(day, n - 1)[after], n - 1)
+    counts = np.bincount(row[buys], minlength=rows)
+    return counts, day[buys].astype(np.int32), sells.astype(np.int32)
+
+
+def _walk_nets(closes: np.ndarray, counts: np.ndarray, buys: np.ndarray,
+               sells: np.ndarray, initial_capital: float) -> list[float]:
+    """Net profit of each row's round trips (as _round_trips returns
+    them), exactly as _tallies(_trade_walk(...)) computes it.
+
+    The pnl recursion runs once per trade index k, across every row that
+    has a k-th trade: ranked by trade count, those rows are a prefix of
+    the ranking, and step k gathers their k-th trades from the row-major
+    arrays and scatters the pnls back. A row stops trading, as the walk
+    does, at the first buy whose quantity is not positive (only rounding
+    to a zero or negative cash brings that about). Each row's gains and
+    losses are then summed in trade order, as _tallies sums them.
+    """
+    rows = len(counts)
+    by_count = np.argsort(-counts, kind="stable")
+    depth = int(counts.max(initial=0))
+    trading = (rows - np.cumsum(np.bincount(counts, minlength=depth))[:depth]).tolist()
+    first = np.cumsum(counts) - counts
+    ranked_first = first[by_count]
+    buy_price = closes[buys]
+    pnl = closes[sells]
+    pnl -= buy_price  # each trade's price gain, replaced by its pnl at its step
+    cum = np.zeros(rows)
+    stop = counts.copy()
+    for k, m in enumerate(trading):
+        at = ranked_first[:m] + k  # the k-th trade of each of the m rows that have one
+        quantity = (initial_capital + cum[:m]) / buy_price[at]
+        if not quantity.min() > 0.0:
+            stuck = by_count[np.flatnonzero(~(quantity > 0.0))]
+            stop[stuck] = np.minimum(stop[stuck], k)
+        step = pnl[at]
+        step *= quantity
+        pnl[at] = step
+        cum[:m] += step
+    del buy_price
+    row = np.repeat(np.arange(rows, dtype=np.int32), counts)
+    for r in np.flatnonzero(stop < counts).tolist():
+        pnl[first[r] + stop[r]:first[r] + counts[r]] = 0.0  # trades the walk never makes
+    # Each row's gains (and losses) in trade order, rows one after another.
+    won, lost = pnl > 0, pnl < 0
+    gains, losses = pnl[won], pnl[lost]
+    gain_at = np.append(0, np.cumsum(np.bincount(row[won], minlength=rows))).tolist()
+    loss_at = np.append(0, np.cumsum(np.bincount(row[lost], minlength=rows))).tolist()
+    return [float(gains[gain_at[r]:gain_at[r + 1]].sum())
+            - float(-losses[loss_at[r]:loss_at[r + 1]].sum()) for r in range(rows)]
+
+
 # A chunk of triples has as many rows as keep one (rows x days) float64
 # array within this many bytes.
 CHUNK_BYTES = 256 * 1024
@@ -279,14 +362,19 @@ class BatchBacktest:
         # depend on the chunk it is computed in.
         order = sorted(range(len(params)), key=lambda i: params[i].signal)
         rows = max(1, CHUNK_BYTES // (8 * max(n, 1)))
-        nets = [0.0] * len(params)
+        trips = []
         for start in range(0, len(order), rows):
-            chunk = order[start:start + rows]
-            lines = self.prepare([params[i] for i in chunk])
-            for i, signals, forced in zip(chunk, lines.signals, lines.forced):
-                trades, _ = _trade_walk(self._close_list, signals, forced,
-                                        self.initial_capital)
-                *_, nets[i] = _tallies([trade[5] for trade in trades])  # Trade.pnl
+            lines = self.prepare([params[i] for i in order[start:start + rows]])
+            trips.append(_round_trips(lines.signals, lines.forced))
+            del lines  # the chunk's dense lines go before the next chunk's are built
+        if not trips:
+            return []
+        counts, buys, sells = map(np.concatenate, zip(*trips))
+        del trips
+        nets = [0.0] * len(params)
+        walked = _walk_nets(self.closes, counts, buys, sells, float(self.initial_capital))
+        for i, net in zip(order, walked):
+            nets[i] = net
         return nets
 
     def prepare(self, params: list[MacdParams]) -> SignalLines:

@@ -175,8 +175,7 @@ def mutate(population: list[Individual], pm: float, bounds, rng: np.random.Gener
     highs = np.array([b[1] for b in bounds])
     hit = rng.random(genes.shape) < pm
     draws = rng.integers(lows, highs + 1, size=genes.shape)
-    mutated = np.where(hit, draws, genes)
-    return [Individual(tuple(int(g) for g in row)) for row in mutated]
+    return [Individual(tuple(row)) for row in np.where(hit, draws, genes).tolist()]
 
 
 def repair(individual: Individual, bounds=DEFAULT_BOUNDS) -> Individual:

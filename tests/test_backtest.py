@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from macdlab import (
     MacdParams,
@@ -13,7 +14,8 @@ from macdlab import (
     run_backtest,
 )
 from macdlab.analysis import PROMINENCE_WINDOW
-from macdlab.backtest import BatchBacktest
+from macdlab import backtest
+from macdlab.backtest import BatchBacktest, _round_trips, _tallies, _trade_walk, _walk_nets
 from macdlab.errors import ConfigError, DataError
 from macdlab.indicators import SIGNAL_BUY
 
@@ -283,3 +285,80 @@ class TestBatchBacktest:
     def test_bad_triple_rejected_like_macd_params(self, series):
         with pytest.raises(ConfigError):
             BatchBacktest(series, StrategyMode.RAW).nets([(12, 26, 9), (26, 26, 9)])
+
+    def test_no_triples(self, series):
+        assert BatchBacktest(series, StrategyMode.RAW).nets([]) == []
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one_row_chunks", "one_chunk"])
+    def test_nets_do_not_depend_on_chunking(self, series, mode, chunk_bytes, monkeypatch):
+        triples = stride_sample(101)
+        expected = BatchBacktest(series, mode).nets(triples)
+        monkeypatch.setattr(backtest, "CHUNK_BYTES", chunk_bytes)
+        assert BatchBacktest(series, mode).nets(triples) == expected
+
+
+def walked(closes, signals, forced, capital):
+    """Each row's round-trip days and net, from the logging trade walk."""
+    days, nets = [], []
+    for row_signals, row_forced in zip(signals, forced):
+        trades, _ = _trade_walk(list(closes), row_signals, row_forced, capital)
+        days.append([trade[:2] for trade in trades])
+        nets.append(_tallies([trade[5] for trade in trades])[3])
+    return days, nets
+
+
+def batched(closes, signals, forced, capital):
+    """Each row's round-trip days and net, from the batched walk."""
+    counts, buys, sells = _round_trips(signals, forced)
+    ends = np.cumsum(counts).tolist()
+    trips = list(zip(buys.tolist(), sells.tolist()))
+    days = [trips[end - count:end] for count, end in zip(counts.tolist(), ends)]
+    return days, _walk_nets(np.asarray(closes, dtype=float), counts, buys, sells, capital)
+
+
+@st.composite
+def tag_batches(draw):
+    """(closes, signals, forced, capital): random {-1, 0, 1} crossover and
+    forced tags over positive closes swinging by up to 10^6 a day."""
+    rows, n = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    tags = arrays(np.int8, (rows, n), elements=st.integers(-1, 1))
+    closes = draw(st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n))
+    return closes, draw(tags), draw(tags), draw(st.floats(1e-3, 1e12))
+
+
+class TestBatchedWalk:
+    """The batched walk BatchBacktest.nets runs against the logging walk
+    run_backtest runs, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=tag_batches())
+    def test_matches_trade_walk(self, batch):
+        closes, signals, forced, capital = batch
+        ones = [1.0] * len(closes)  # no cash ever runs out: every state change trades
+        assert batched(ones, signals, forced, capital)[0] == walked(ones, signals, forced, capital)[0]
+        assert batched(*batch)[1] == walked(*batch)[1]
+
+    @pytest.mark.parametrize("signals, forced", [
+        ([[1], [-1], [0]], [[0], [0], [-1]]),  # one day: nothing trades
+        ([[1, -1], [1, 0], [0, 1], [1, 1]], [[0, 0], [0, 0], [0, 0], [0, -1]]),  # two days
+        ([[0, 0, 0, 0, 0, 0]], [[0, 0, 0, 0, 0, 0]]),  # no events
+        ([[0, 0, 1, -1, 0, 1]], [[0, 0, 0, 0, 0, 0]]),  # a buy on the last day
+        ([[0, 1, 0, 1, -1, 0]], [[0, -1, 0, 0, 1, 0]]),  # forced opposite a crossover
+        ([[1, 1, -1, -1, 1, 1]], [[0, 0, 0, 0, 0, 0]]),  # repeated tags
+        ([[0, 1, 0, -1, 1, 0], [1, 0, 0, 0, 0, -1]], [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]),
+    ], ids=["n1", "n2", "no_events", "last_day_buy", "forced_over_cross", "repeats",
+            "ends_holding"])
+    def test_edge_cases(self, signals, forced):
+        signals, forced = np.array(signals, dtype=np.int8), np.array(forced, dtype=np.int8)
+        closes = [10.0, 12.5, 9.0, 11.0, 8.5, 13.0][:signals.shape[1]]
+        assert batched(closes, signals, forced, 1000.0) == walked(closes, signals, forced, 1000.0)
+
+    def test_cash_rounded_below_zero_stops_trading(self):
+        # The crash leaves cash at -5.8e-11 after telescoping: the walk's
+        # next buy gets a negative quantity, and it never trades again.
+        signals = np.array([[1, -1, 1, -1, 0]], dtype=np.int8)
+        closes = [1e300, 1.0, 1.0, 2.0, 2.0]
+        days, nets = walked(closes, signals, np.zeros_like(signals), 500_000.0)
+        assert days == [[(0, 1)]]
+        assert batched(closes, signals, np.zeros_like(signals), 500_000.0)[1] == nets

@@ -183,6 +183,14 @@ class TestMutate:
             for g, (lo, hi) in zip(ind.genes, self.BOUNDS):
                 assert lo <= g <= hi
 
+    def test_genes_are_python_ints(self, rng):
+        # genes key the fitness cache and land in JSON artifacts
+        pop = [Individual((int(x), int(x) + 20, 10)) for x in rng.integers(5, 20, 50)]
+        for pm in (0.0, 0.5, 1.0):
+            for ind in mutate(pop, pm, self.BOUNDS, np.random.default_rng(3)):
+                assert isinstance(ind.genes, tuple)
+                assert all(type(g) is int for g in ind.genes)
+
 
 class TestRepair:
     def test_minimal_nudge(self):
