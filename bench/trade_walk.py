@@ -19,7 +19,8 @@ days once and checks every triple of it, to show that the harness and its parity
 still run.
 
 Prints one JSON line: the machine, the settings and, per mode, the
-triples, the checked triples and the seconds of every call.
+triples, the checked triples, the total seconds of the checks'
+run_backtest calls and the seconds of every nets call.
 """
 
 from __future__ import annotations
@@ -60,17 +61,21 @@ def walk(days: int, seed: int) -> PriceSeries:
     return PriceSeries(f"WALK{seed}", dates, closes)
 
 
-def check(series: PriceSeries, mode: StrategyMode, triples, every: int) -> int:
+def check(series: PriceSeries, mode: StrategyMode, triples, every: int) -> tuple[int, float]:
     """Check BatchBacktest.nets against run_backtest on every `every`-th
-    triple; return how many were checked."""
+    triple; return how many were checked and the total seconds of their
+    run_backtest calls."""
     sample = triples[::every]
     nets = BatchBacktest(series, mode).nets(sample)
+    run_s = 0.0
     for genes, net in zip(sample, nets):
+        start = time.perf_counter()
         expected = run_backtest(series, MacdParams(*genes), mode).net
+        run_s += time.perf_counter() - start
         if net != expected:
             sys.exit(f"trade_walk: {mode.value} {genes}: nets gives {net!r}, "
                      f"run_backtest {expected!r}")
-    return len(sample)
+    return len(sample), run_s
 
 
 def main(argv=None) -> None:
@@ -84,7 +89,7 @@ def main(argv=None) -> None:
 
     modes = {}
     for mode in MODES:
-        checked = check(series, mode, triples, every)
+        checked, run_backtest_s = check(series, mode, triples, every)
         seconds = []
         for _ in range(repeats):
             batch = BatchBacktest(series, mode)
@@ -92,6 +97,7 @@ def main(argv=None) -> None:
             batch.nets(triples)
             seconds.append(time.perf_counter() - start)
         modes[mode.value] = {"triples": len(triples), "checked": checked,
+                             "run_backtest_s": run_backtest_s,
                              "best_s": min(seconds), "seconds": seconds}
     print(json.dumps({
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),

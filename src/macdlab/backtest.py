@@ -7,11 +7,13 @@ fills at the signal day's close, no fees, fractional quantities.
 
 BatchBacktest.prepare is the one place a mode becomes trading lines
 and actions, for many parameter triples on one series at once (a row
-each). run_backtest is its one-row case: the logging trade walk steps
-through that row's actions and records every trade, trigger and change
-of equity, and it is the reference for the batched walk. For the
-optimizer, BatchBacktest.nets walks a whole batch of rows at once from
-their state changes alone, computing only each row's net profit.
+each), and _round_trips the one place actions become trades, the buy
+and sell day of every round trip of a whole batch of rows. run_backtest
+is the one-row case of both: it logs each trade's quantity, pnl and
+trigger and the daily equity. For the optimizer, BatchBacktest.nets
+computes only each row's net profit, for a whole batch at once.
+tests/oracles.py's backtest_naive, trading one day at a time, is the
+reference both are tested against.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ class SignalLines:
     (the wavelet-smoothed DIF, or dif itself in raw mode) and dea its
     signal line. signals holds the crossover tags (1 buy, -1 sell, 0
     none), forced the tag a divergence forces on a day (0 none), which
-    the trade walk takes over the crossover.
+    wins over the crossover.
     """
 
     dif: np.ndarray
@@ -119,52 +121,41 @@ def _check_run(n: int, params: MacdParams, initial_capital: float) -> None:
         raise ValueError(f"initial capital must be positive, got {initial_capital}")
 
 
-def _trade_walk(closes: list[float], signals: np.ndarray, forced: np.ndarray,
-                initial_capital: float) -> tuple[list[tuple], list[tuple[int, float, float]]]:
-    """The all-in/all-out state machine, stepping only through the days
-    that carry an action (a crossover, or a divergence that overrides it).
+def _trade_log(closes: np.ndarray, signals: np.ndarray, forced: np.ndarray,
+               capital: float) -> tuple[list[tuple], np.ndarray]:
+    """Trade field tuples of one row's round trips (as _round_trips
+    makes them) and the daily equity curve.
 
-    `signals` holds each day's crossover tag and `forced` the tag a
-    divergence forces on it, which wins; a sell is "divergence"-triggered
-    when forced. Returns the closed trades as Trade field tuples and every
-    change of state as (day, cash, quantity) after that day's execution;
-    between changes the equity curve is cash + quantity * close.
+    Each buy invests the cash, telescoped as capital plus the pnls so far
+    so that equity[-1] == capital + sum of pnls holds exactly. At the
+    first buy whose quantity is not positive (only rounding to a zero or
+    negative cash brings that about), trading stops and that quantity is
+    held to the end.
     """
-    n = len(closes)
+    _, buys, sells = _round_trips(signals[None], forced[None])
+    equity = np.empty(len(closes))
     trades = []
-    changes = []
-    cash = float(initial_capital)
-    quantity = 0.0
-    buy_index = -1
-    buy_price = 0.0
     cum_pnl = 0.0
-
-    def close_position(day: int, trigger: str):
-        nonlocal cash, quantity, cum_pnl
-        pnl = quantity * (closes[day] - buy_price)
+    flat_from = 0
+    for buy, sell, buy_price, sell_price, crossed, forced_tag in zip(
+            buys.tolist(), sells.tolist(), closes[buys].tolist(), closes[sells].tolist(),
+            signals[sells].tolist(), forced[sells].tolist()):
+        equity[flat_from:buy] = capital + cum_pnl
+        quantity = (capital + cum_pnl) / buy_price
+        if not quantity > 0.0:
+            equity[buy:] = 0.0 + quantity * closes[buy:]
+            return trades, equity
+        equity[buy:sell] = 0.0 + quantity * closes[buy:sell]
+        pnl = quantity * (sell_price - buy_price)
         cum_pnl = cum_pnl + pnl
-        trades.append((buy_index, day, buy_price, closes[day], quantity, pnl, trigger))
-        # Telescoped so that equity[-1] == initial + sum of pnls holds exactly.
-        cash = initial_capital + cum_pnl
-        quantity = 0.0
-        changes.append((day, cash, quantity))
-
-    days = np.flatnonzero(signals | forced)
-    for t, crossed, forced_tag in zip(days.tolist(), signals[days].tolist(),
-                                      forced[days].tolist()):
-        tag = forced_tag or crossed
-        if tag == SIGNAL_BUY and quantity == 0.0 and t < n - 1:
-            quantity = cash / closes[t]
-            buy_index = t
-            buy_price = closes[t]
-            cash = 0.0
-            changes.append((t, cash, quantity))
-        elif tag == SIGNAL_SELL and quantity > 0.0:
-            close_position(t, "divergence" if forced_tag else "cross")
-
-    if quantity > 0.0:
-        close_position(n - 1, "final_liquidation")
-    return trades, changes
+        if (forced_tag or crossed) != SIGNAL_SELL:
+            trigger = "final_liquidation"
+        else:
+            trigger = "divergence" if forced_tag else "cross"
+        trades.append((buy, sell, buy_price, sell_price, quantity, pnl, trigger))
+        flat_from = sell
+    equity[flat_from:] = capital + cum_pnl
+    return trades, equity
 
 
 def _tallies(pnls: list[float]) -> tuple[int, float, float, float]:
@@ -195,18 +186,10 @@ def run_backtest(
     n = len(prices)
     _check_run(n, params, initial_capital)
     batch = BatchBacktest(prices, mode, initial_capital)
-    closes = batch.closes
     lines = batch.prepare([params]).row(0)
-    walked, changes = _trade_walk(batch._close_list, lines.signals, lines.forced,
-                                  initial_capital)
-    trades = [Trade(*trade) for trade in walked]
-
-    equity = np.empty(n)
-    states = [(0, float(initial_capital), 0.0)] + changes
-    stops = [day for day, _, _ in changes] + [n]
-    for (start, cash, quantity), stop in zip(states, stops):
-        equity[start:stop] = cash + quantity * closes[start:stop]
-
+    logged, equity = _trade_log(batch.closes, lines.signals, lines.forced,
+                                float(initial_capital))
+    trades = [Trade(*trade) for trade in logged]
     wins, gross_profit, gross_loss, net = _tallies([trade.pnl for trade in trades])
     return TradeLog(
         trades=trades,
@@ -223,15 +206,17 @@ def run_backtest(
 
 
 def _round_trips(signals: np.ndarray, forced: np.ndarray):
-    """The round trips _trade_walk makes in each row of a (rows x days)
-    batch: how many each row makes, and the buy and sell day of each
-    (int32, row by row, in order).
+    """The trading rule: the round trips each row of a (rows x days)
+    batch of tags makes, as each row's count and each trip's buy and
+    sell day (int32, row by row, in order).
 
-    The walk acts on a day's effective tag (forced where set, else the
-    crossover) only when it differs from the last tag it acted on, each
-    row starting flat. Last-day tags are left out: a buy there is
+    All in, all out, each row starting flat. A day acts on its effective
+    tag (forced where set, else the crossover) only when it differs from
+    the last tag acted on. Last-day tags are left out: a buy there is
     ignored, and a sell there closes on the day the final liquidation
-    of a position still open would.
+    of a position still open does. The callers cut a row at the first
+    buy its cash cannot pay for. This is the only place tags become
+    trades; tests/oracles.py's backtest_naive is the day-by-day reference.
     """
     rows, n = signals.shape
     tags = np.where(forced != 0, forced, signals) if forced.any() else signals
@@ -259,12 +244,12 @@ def _round_trips(signals: np.ndarray, forced: np.ndarray):
 def _walk_nets(closes: np.ndarray, counts: np.ndarray, buys: np.ndarray,
                sells: np.ndarray, initial_capital: float) -> list[float]:
     """Net profit of each row's round trips (as _round_trips returns
-    them), exactly as _tallies(_trade_walk(...)) computes it.
+    them), exactly as run_backtest computes it from _trade_log's pnls.
 
     The pnl recursion runs once per trade index k, across every row that
     has a k-th trade: ranked by trade count, those rows are a prefix of
     the ranking, and step k gathers their k-th trades from the row-major
-    arrays and scatters the pnls back. A row stops trading, as the walk
+    arrays and scatters the pnls back. A row stops trading, as _trade_log
     does, at the first buy whose quantity is not positive (only rounding
     to a zero or negative cash brings that about). Each row's gains and
     losses are then summed in trade order, as _tallies sums them.
@@ -293,7 +278,7 @@ def _walk_nets(closes: np.ndarray, counts: np.ndarray, buys: np.ndarray,
     del buy_price
     row = np.repeat(np.arange(rows, dtype=np.int32), counts)
     for r in np.flatnonzero(stop < counts).tolist():
-        pnl[first[r] + stop[r]:first[r] + counts[r]] = 0.0  # trades the walk never makes
+        pnl[first[r] + stop[r]:first[r] + counts[r]] = 0.0  # trades never made
     # Each row's gains (and losses) in trade order, rows one after another.
     won, lost = pnl > 0, pnl < 0
     gains, losses = pnl[won], pnl[lost]
@@ -334,7 +319,6 @@ class BatchBacktest:
     def __init__(self, prices: PriceSeries, mode: StrategyMode,
                  initial_capital: float = DEFAULT_CAPITAL):
         self.closes = np.asarray(prices.closes, dtype=float)
-        self._close_list = self.closes.tolist()
         self.mode = mode
         self.initial_capital = initial_capital
         self._emas: dict[int, np.ndarray] = {}
@@ -385,9 +369,9 @@ class BatchBacktest:
         those of the smoothed DIF and a DEA recomputed from it. With
         divergences, an event is confirmable one day after its extreme
         (peak detection needs the next close) and forces a tag on that
-        day, which the trade walk takes over the crossover's: a top forces
-        a sell, a bottom a buy. Divergences are read off the raw
-        histogram, not the smoothed one.
+        day, which wins over the crossover's: a top forces a sell, a
+        bottom a buy. Divergences are read off the raw histogram, not the
+        smoothed one.
         """
         mode = self.mode
         signal = np.array([p.signal for p in params])

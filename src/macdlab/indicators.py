@@ -171,6 +171,7 @@ def cross_signals(ind: IndicatorSeries) -> SignalSeries:
     signals = np.zeros(dif.shape, dtype=np.int8)
     up = (dif[..., :-1] <= dea[..., :-1]) & (dif[..., 1:] > dea[..., 1:])
     down = (dif[..., :-1] >= dea[..., :-1]) & (dif[..., 1:] < dea[..., 1:])
-    signals[..., 1:][up] = SIGNAL_BUY
-    signals[..., 1:][down] = SIGNAL_SELL
+    # up and down are disjoint, so up - down is the tag: SIGNAL_BUY (1),
+    # SIGNAL_SELL (-1) or SIGNAL_NONE (0)
+    np.subtract(up, down, out=signals[..., 1:], dtype=np.int8)
     return SignalSeries(signals)

@@ -16,7 +16,7 @@ evaluate_fitness would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -241,7 +241,7 @@ def optimize(
     fitness = _evaluate(population, evaluate_many, cache)
     best_i = int(np.argmax(fitness))
     state = GaState(
-        population=[replace(ind, fitness=f) for ind, f in zip(population, fitness)],
+        population=population,
         fitness=fitness,
         generation=0,
         best=Individual(population[best_i].genes, fitness[best_i]),
@@ -263,7 +263,7 @@ def optimize(
             state.stale_generations = 0
         else:
             state.stale_generations += 1
-        state.population = [replace(ind, fitness=f) for ind, f in zip(population, fitness)]
+        state.population = population
         state.fitness = fitness
         state.generation = generation
         history.append(GenerationStats(generation, state.best.fitness,

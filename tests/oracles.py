@@ -28,6 +28,21 @@ def macd_naive(closes, fast, slow, signal):
     return dif, dea, hist
 
 
+def cross_signals_naive(dif, dea):
+    """Crossover tags by the definition: 1 on a day dif ends strictly
+    above dea after being at or below it the day before, -1 mirrored, 0
+    otherwise (day 0 always). A NaN compares false, so it tags nothing."""
+    tags = [0]
+    for t in range(1, len(dif)):
+        if dif[t - 1] <= dea[t - 1] and dif[t] > dea[t]:
+            tags.append(1)
+        elif dif[t - 1] >= dea[t - 1] and dif[t] < dea[t]:
+            tags.append(-1)
+        else:
+            tags.append(0)
+    return tags
+
+
 def max_drawdown_bruteforce(equity):
     """Largest percent decline over every (earlier, later) index pair."""
     n = len(equity)

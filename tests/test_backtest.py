@@ -15,7 +15,7 @@ from macdlab import (
 )
 from macdlab.analysis import PROMINENCE_WINDOW
 from macdlab import backtest
-from macdlab.backtest import BatchBacktest, _round_trips, _tallies, _trade_walk, _walk_nets
+from macdlab.backtest import BatchBacktest, _round_trips, _tallies, _trade_log, _walk_nets
 from macdlab.errors import ConfigError, DataError
 from macdlab.indicators import SIGNAL_BUY
 
@@ -298,14 +298,29 @@ class TestBatchBacktest:
         assert BatchBacktest(series, mode).nets(triples) == expected
 
 
-def walked(closes, signals, forced, capital):
-    """Each row's round-trip days and net, from the logging trade walk."""
-    days, nets = [], []
+def naive_logs(closes, signals, forced, capital):
+    """Each row's trades and equity bytes, traded by the day-by-day oracle."""
+    logs = []
     for row_signals, row_forced in zip(signals, forced):
-        trades, _ = _trade_walk(list(closes), row_signals, row_forced, capital)
-        days.append([trade[:2] for trade in trades])
-        nets.append(_tallies([trade[5] for trade in trades])[3])
-    return days, nets
+        days = np.flatnonzero(row_forced).tolist()
+        trades, equity = backtest_naive(closes, row_signals,
+                                        dict(zip(days, row_forced[days].tolist())), capital)
+        logs.append((trades, np.array(equity).tobytes()))
+    return logs
+
+
+def trade_logs(closes, signals, forced, capital):
+    """Each row's trades and equity bytes, from run_backtest's trade log."""
+    closes = np.asarray(closes, dtype=float)
+    logs = (_trade_log(closes, *row, capital) for row in zip(signals, forced))
+    return [(trades, equity.tobytes()) for trades, equity in logs]
+
+
+def naive(closes, signals, forced, capital):
+    """Each row's round-trip days and net, traded by the day-by-day oracle."""
+    logs = naive_logs(closes, signals, forced, capital)
+    return ([[trade[:2] for trade in trades] for trades, _ in logs],
+            [_tallies([trade[5] for trade in trades])[3] for trades, _ in logs])
 
 
 def batched(closes, signals, forced, capital):
@@ -328,16 +343,17 @@ def tag_batches(draw):
 
 
 class TestBatchedWalk:
-    """The batched walk BatchBacktest.nets runs against the logging walk
-    run_backtest runs, bit for bit."""
+    """The batched walk BatchBacktest.nets runs and the trade log
+    run_backtest keeps against the day-by-day oracle, bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(batch=tag_batches())
-    def test_matches_trade_walk(self, batch):
+    def test_matches_naive_backtest(self, batch):
         closes, signals, forced, capital = batch
         ones = [1.0] * len(closes)  # no cash ever runs out: every state change trades
-        assert batched(ones, signals, forced, capital)[0] == walked(ones, signals, forced, capital)[0]
-        assert batched(*batch)[1] == walked(*batch)[1]
+        assert batched(ones, signals, forced, capital)[0] == naive(ones, signals, forced, capital)[0]
+        assert batched(*batch)[1] == naive(*batch)[1]
+        assert trade_logs(*batch) == naive_logs(*batch)
 
     @pytest.mark.parametrize("signals, forced", [
         ([[1], [-1], [0]], [[0], [0], [-1]]),  # one day: nothing trades
@@ -347,18 +363,30 @@ class TestBatchedWalk:
         ([[0, 1, 0, 1, -1, 0]], [[0, -1, 0, 0, 1, 0]]),  # forced opposite a crossover
         ([[1, 1, -1, -1, 1, 1]], [[0, 0, 0, 0, 0, 0]]),  # repeated tags
         ([[0, 1, 0, -1, 1, 0], [1, 0, 0, 0, 0, -1]], [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]),
+        ([[0, 1, 0, 0, 0, 1], [0, 1, 0, 0, 0, -1]],  # a forced and a crossover sell on the last day
+         [[0, 0, 0, 0, 0, -1], [0, 0, 0, 0, 0, 0]]),
+        ([[0, 1, 0, 1, 0, 0]], [[0, 0, 0, -1, 0, 0]]),  # a forced sell over a crossover buy
     ], ids=["n1", "n2", "no_events", "last_day_buy", "forced_over_cross", "repeats",
-            "ends_holding"])
+            "ends_holding", "sell_on_last_day", "forced_sell_over_cross_buy"])
     def test_edge_cases(self, signals, forced):
         signals, forced = np.array(signals, dtype=np.int8), np.array(forced, dtype=np.int8)
         closes = [10.0, 12.5, 9.0, 11.0, 8.5, 13.0][:signals.shape[1]]
-        assert batched(closes, signals, forced, 1000.0) == walked(closes, signals, forced, 1000.0)
+        assert batched(closes, signals, forced, 1000.0) == naive(closes, signals, forced, 1000.0)
+        assert trade_logs(closes, signals, forced, 1000.0) == \
+               naive_logs(closes, signals, forced, 1000.0)
 
     def test_cash_rounded_below_zero_stops_trading(self):
-        # The crash leaves cash at -5.8e-11 after telescoping: the walk's
-        # next buy gets a negative quantity, and it never trades again.
+        # The crash leaves cash at -5.8e-11 after telescoping: the next
+        # buy gets a negative quantity, and the row never trades again.
+        # It stays "long" that quantity, bought at day 2, to the end.
         signals = np.array([[1, -1, 1, -1, 0]], dtype=np.int8)
+        forced = np.zeros_like(signals)
         closes = [1e300, 1.0, 1.0, 2.0, 2.0]
-        days, nets = walked(closes, signals, np.zeros_like(signals), 500_000.0)
+        days, nets = naive(closes, signals, forced, 500_000.0)
         assert days == [[(0, 1)]]
-        assert batched(closes, signals, np.zeros_like(signals), 500_000.0)[1] == nets
+        assert batched(closes, signals, forced, 500_000.0)[1] == nets
+        [(trades, equity)] = trade_logs(closes, signals, forced, 500_000.0)
+        assert len(trades) == 1
+        assert np.frombuffer(equity)[1:] == pytest.approx(
+            [-5.82e-11, -5.82e-11, -1.16e-10, -1.16e-10], rel=1e-2)
+        assert [(trades, equity)] == naive_logs(closes, signals, forced, 500_000.0)

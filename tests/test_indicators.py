@@ -16,7 +16,7 @@ from macdlab.errors import ConfigError
 from macdlab.indicators import SIGNAL_BUY, SIGNAL_NONE, SIGNAL_SELL
 
 from conftest import random_walk_closes, series_from_closes
-from oracles import ema_naive, macd_naive
+from oracles import cross_signals_naive, ema_naive, macd_naive
 
 
 class TestMacdParams:
@@ -167,11 +167,14 @@ class TestLastAxis:
         dif = rng.normal(size=(5, n))
         dea = np.round(dif + rng.normal(scale=0.5, size=(5, n)), 1)
         dif[:, ::3] = dea[:, ::3]  # ties: touching lines
+        dif[3, n // 2:] = np.nan  # a line that stops, and one with gaps
+        dea[4, ::4] = np.nan
         out = cross_signals(IndicatorSeries.from_dif_dea(dif, dea)).signals
         assert out.shape == dif.shape
         for i in range(len(dif)):
             row = cross_signals(IndicatorSeries.from_dif_dea(dif[i], dea[i])).signals
             assert np.array_equal(out[i], row)
+            assert row.tolist() == cross_signals_naive(dif[i].tolist(), dea[i].tolist())
 
 
 def lfilter_ema(x, n):
