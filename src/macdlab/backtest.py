@@ -11,7 +11,10 @@ each), and _round_trips the one place actions become trades, the buy
 and sell day of every round trip of a whole batch of rows. run_backtest
 is the one-row case of both: it logs each trade's quantity, pnl and
 trigger and the daily equity. For the optimizer, BatchBacktest.nets
-computes only each row's net profit, for a whole batch at once.
+computes only each row's net profit, for a whole batch at once. A
+BatchBacktest keeps what a part of the triple decides (each period's
+EMA, each (fast, slow) pair's wavelet trend) across its calls, so a GA
+generation analyses only the pairs no earlier one has.
 tests/oracles.py's backtest_naive, trading one day at a time, is the
 reference both are tested against.
 """
@@ -35,7 +38,7 @@ from .indicators import (
     ema,
 )
 from .ingest import PriceSeries
-from .wavelet import denoise_dif
+from .wavelet import denoise_analysis, denoise_synthesis
 
 DEFAULT_CAPITAL = 500_000.0
 
@@ -310,10 +313,13 @@ class BatchBacktest:
     series and mode.
 
     What depends only on the prices (the EMA of each period, the price
-    half of divergence detection) is computed once per series. `prepare`
-    turns triples into their trading lines and actions, one row each,
-    through kernels that run along the day axis; run_backtest is its
-    one-row case, so `nets(triples)[i] == run_backtest(...).net` exactly.
+    half of divergence detection) is computed once per series, and so is
+    what depends only on the (fast, slow) pair: the wavelet trend of its
+    DIF, one row of ceil(days / 16) values per pair, kept for the life of
+    the instance. `prepare` turns triples into their trading lines and
+    actions, one row each, through kernels that run along the day axis;
+    run_backtest is its one-row case, so
+    `nets(triples)[i] == run_backtest(...).net` exactly.
     """
 
     def __init__(self, prices: PriceSeries, mode: StrategyMode,
@@ -322,6 +328,8 @@ class BatchBacktest:
         self.mode = mode
         self.initial_capital = initial_capital
         self._emas: dict[int, np.ndarray] = {}
+        # Each (fast, slow) pair's level-4 DIF trend (denoise_analysis).
+        self._trends: dict[tuple[int, int], np.ndarray] = {}
         self._pairs = {}
         divergence = mode is StrategyMode.DENOISED_WITH_DIVERGENCE
         if divergence and len(self.closes) >= PROMINENCE_WINDOW + 2:
@@ -331,6 +339,25 @@ class BatchBacktest:
         if period not in self._emas:
             self._emas[period] = ema(self.closes, period)
         return self._emas[period]
+
+    def _smoothed(self, params: list[MacdParams], dif: np.ndarray) -> np.ndarray:
+        """denoise_dif(dif), row for row, from each (fast, slow) pair's
+        trend: the pairs not seen before are analysed in one call, and
+        each distinct pair of the batch is synthesised once."""
+        pairs = [(p.fast, p.slow) for p in params]
+        rows = {}  # each distinct pair's first row
+        for row, pair in enumerate(pairs):
+            rows.setdefault(pair, row)
+        new = [pair for pair in rows if pair not in self._trends]
+        if new:
+            trends = denoise_analysis(dif[[rows[pair] for pair in new]])
+            self._trends.update(zip(new, trends))
+        smoothed = denoise_synthesis(np.array([self._trends[pair] for pair in rows]),
+                                     dif.shape[-1])
+        if len(rows) == len(pairs):
+            return smoothed
+        at = {pair: i for i, pair in enumerate(rows)}
+        return smoothed[[at[pair] for pair in pairs]]
 
     def nets(self, triples) -> list[float]:
         """Net profit of each (fast, slow, signal) triple, in order.
@@ -383,7 +410,7 @@ class BatchBacktest:
         if mode is StrategyMode.RAW:
             trade_dif, trade_dea = dif, dea
         else:
-            trade_dif = denoise_dif(dif)
+            trade_dif = self._smoothed(params, dif)
             trade_dea = _ema_by_row(trade_dif, signal)
         signals = cross_signals(SimpleNamespace(dif=trade_dif, dea=trade_dea)).signals
         forced = np.zeros(signals.shape, dtype=np.int8)

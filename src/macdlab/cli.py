@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
+import functools
 import io
 import json
 import sys
@@ -497,7 +499,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# mallopt's parameter number for M_TRIM_THRESHOLD in glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_TRIM_THRESHOLD_BYTES = 32 << 20
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let glibc keep up to 32 MiB of freed heap mapped, once per process.
+
+    By default glibc hands the free memory at the top of its heap back
+    to the OS once it passes a small threshold, so each of the GA's row
+    chunks (~256 KiB arrays) can fault its pages in anew. Where the C
+    library cannot be opened or has no mallopt (not glibc), nothing is
+    changed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

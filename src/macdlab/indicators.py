@@ -126,8 +126,9 @@ class SignalSeries:
 def ema(values, n: int) -> np.ndarray:
     """Exponential moving average with alpha = 2/(n+1), along the last axis.
 
-    Seeded with the first value: e[0] = values[0],
-    e[t] = alpha * values[t] + (1 - alpha) * e[t-1].
+    Seeded from the first value: e[0] = (1 - alpha) * x0 + alpha * x0
+    with x0 = values[0], which rounds to x0 or to a float 1 ulp from it,
+    and e[t] = alpha * values[t] + (1 - alpha) * e[t-1].
 
     This is scipy.signal.lfilter([alpha], [1, alpha - 1], x, axis=-1,
     zi=(1 - alpha) * x[..., :1]), bit for bit: the same compiled kernel
@@ -142,7 +143,8 @@ def ema(values, n: int) -> np.ndarray:
     if x.size == 0:
         raise ValueError("ema of empty input")
     alpha = 2.0 / (n + 1.0)
-    # First-order IIR; the initial condition makes e[0] == x[0] exactly.
+    # First-order IIR. The initial condition gives e[0] = (1 - alpha) *
+    # x[0] + alpha * x[0], within 1 ulp of x[0] but not always equal to it.
     out, _ = _linear_filter(np.array([alpha]), np.array([1.0, alpha - 1.0]), x, -1,
                             (1.0 - alpha) * x[..., :1])
     return out

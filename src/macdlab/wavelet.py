@@ -5,6 +5,13 @@ Coiflet-5 filter pair, zero every detail band, and invert. With periodic
 boundary handling the analysis matrix is orthogonal, so the full inverse
 is exact and energy is preserved, which keeps both properties testable
 to machine precision.
+
+denoise_dif is the composition of two halves: denoise_analysis, which
+pads the curve and keeps its level-4 trend (1/16 of its length), and
+denoise_synthesis, which rebuilds the smoothed curve from that trend.
+The trend depends on the curve alone, so BatchBacktest analyses each
+(fast, slow) pair's DIF once per series and synthesises it wherever a
+triple needs it.
 """
 
 from __future__ import annotations
@@ -215,10 +222,21 @@ def denoise_dif(dif) -> np.ndarray:
     input is a stack of curves along its last axis; each row comes out
     exactly as it would alone.
 
+    This is denoise_synthesis(denoise_analysis(dif), n), so a caller that
+    smooths one curve many times can keep the trend and run only the
+    synthesis.
+
     Note this transforms the whole series at once: values near the start
     are influenced by later samples, so a backtest on the result carries
     look-ahead. That is inherent to the procedure, not corrected here.
     """
+    x = np.asarray(dif, dtype=float)
+    return denoise_synthesis(denoise_analysis(x), x.shape[-1])
+
+
+def denoise_analysis(dif) -> np.ndarray:
+    """The analysis half of denoise_dif: the level-4 Coiflet-5 trend of
+    the edge-padded curve, ceil(n / 16) values per row."""
     x = np.asarray(dif, dtype=float)
     if x.size == 0:
         raise ValueError("cannot denoise an empty series")
@@ -229,6 +247,14 @@ def denoise_dif(dif) -> np.ndarray:
     filt = coif5_filters()
     for _ in range(DENOISE_LEVELS):
         cur = _analysis(cur, filt.lowpass)
+    return cur
+
+
+def denoise_synthesis(trend, n: int) -> np.ndarray:
+    """The synthesis half of denoise_dif: rebuild a curve of n days from
+    its trend (as denoise_analysis makes it), every detail band zero."""
+    cur = np.asarray(trend, dtype=float)
+    filt = coif5_filters()
     for _ in range(DENOISE_LEVELS):
         cur = _idwt_step(cur, None, filt)
     return cur[..., :n]

@@ -298,6 +298,53 @@ class TestBatchBacktest:
         assert BatchBacktest(series, mode).nets(triples) == expected
 
 
+class TestTrendCache:
+    """A BatchBacktest keeps each (fast, slow) pair's wavelet trend across
+    calls, as the GA's generations make them: nets stay those of a fresh
+    instance and of run_backtest."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return series_from_closes(random_walk_closes(np.random.default_rng(1001), 600, vol=0.015))
+
+    @staticmethod
+    def generations():
+        """Three overlapping triple sets: repeated triples, pairs met
+        before under another signal, and new slows for a fast already seen."""
+        grid = stride_sample(1)
+        rng = np.random.default_rng(8)
+        calls = []
+        for k in range(3):
+            triples = [grid[i] for i in rng.choice(len(grid), 40, replace=False)]
+            triples += [(12, 26, 9 + k), (12, 26 + k, 9), (5, 20 + k, 5 + k)]
+            if calls:
+                triples += calls[-1][:10]
+            calls.append(triples)
+        return calls
+
+    @pytest.mark.parametrize("mode", [StrategyMode.DENOISED, StrategyMode.DENOISED_WITH_DIVERGENCE])
+    def test_reused_batch_matches_fresh_and_run_backtest(self, series, mode):
+        batch = BatchBacktest(series, mode)
+        for triples in self.generations():
+            nets = batch.nets(triples)
+            assert nets == BatchBacktest(series, mode).nets(triples)
+            assert nets == [run_backtest(series, MacdParams(*genes), mode).net for genes in triples]
+
+    def test_one_trend_row_per_pair(self, series):
+        batch = BatchBacktest(series, StrategyMode.DENOISED)
+        calls = self.generations()
+        for triples in calls:
+            batch.nets(triples)
+        pairs = {genes[:2] for triples in calls for genes in triples}
+        assert set(batch._trends) == pairs
+        assert all(trend.shape == (-(-len(series) // 16),) for trend in batch._trends.values())
+
+    def test_raw_mode_keeps_no_trend(self, series):
+        batch = BatchBacktest(series, StrategyMode.RAW)
+        batch.nets(self.generations()[0])
+        assert batch._trends == {}
+
+
 def naive_logs(closes, signals, forced, capital):
     """Each row's trades and equity bytes, traded by the day-by-day oracle."""
     logs = []

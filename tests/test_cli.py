@@ -1,9 +1,11 @@
 import csv
+import ctypes
 import json
 
 import numpy as np
 import pytest
 
+from macdlab import cli
 from macdlab.cli import main
 
 from conftest import random_walk_closes
@@ -312,3 +314,61 @@ class TestAnalyzeAndDenoise:
         table = read_csv(out / "denoise_AAA.X.csv")
         assert table[0] == ["date", "dif", "dif_denoised"]
         assert len(table) - 1 == 220
+
+
+def tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestFreedHeap:
+    """main asks glibc's mallopt, once per process, to keep freed heap
+    mapped; where the C library cannot be reached or has no mallopt, the
+    command runs and writes the same artifacts."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        cli._keep_freed_heap.cache_clear()
+        yield
+        cli._keep_freed_heap.cache_clear()
+
+    @staticmethod
+    def optimize(data, out, capsys):
+        rc = main(["optimize", "--mode", "divergence", "--data", str(data), "--out", str(out),
+                   "--pop", "24", "--max-gen", "4", "--seed", "11"])
+        printed = capsys.readouterr()
+        return rc, printed.out.replace(str(out), "OUT"), printed.err, tree(out)
+
+    @pytest.mark.parametrize("no_mallopt", ["no_library", "no_symbol"])
+    def test_without_mallopt_outputs_are_identical(self, data_file, tmp_path, capsys,
+                                                   monkeypatch, no_mallopt):
+        normal = self.optimize(data_file, tmp_path / "normal", capsys)
+        cli._keep_freed_heap.cache_clear()
+        opened = []
+
+        def cdll(name, *args, **kwargs):
+            opened.append(name)
+            if no_mallopt == "no_library":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert self.optimize(data_file, tmp_path / "bare", capsys) == normal
+        assert normal[0] == 0 and opened == [None]
+
+    def test_set_once_per_process(self, data_file, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        class Libc:
+            def __init__(self, name, *args, **kwargs):
+                def mallopt(param, value):
+                    calls.append((param, value))
+                    return 1
+
+                self.mallopt = mallopt
+
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        first = self.optimize(data_file, tmp_path / "a", capsys)
+        second = self.optimize(data_file, tmp_path / "b", capsys)
+        assert first == second and first[0] == 0
+        assert calls == [(-1, 32 << 20)]

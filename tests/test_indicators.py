@@ -58,6 +58,18 @@ class TestEma:
         x = [3.0, 1.0, 4.0, 1.5]
         assert np.array_equal(ema(x, 1), x)
 
+    @pytest.mark.parametrize("period", [9, 12, 26])
+    def test_seed_is_within_one_ulp_of_first_value(self, period):
+        # The filter's initial condition makes e[0] the rounded sum
+        # (1 - alpha) * x0 + alpha * x0, not x0 itself.
+        x = np.random.default_rng(period).uniform(1.0, 200.0, size=(2000, 3))
+        alpha = 2.0 / (period + 1.0)
+        x0, e0 = x[:, 0], ema(x, period)[:, 0]
+        assert np.array_equal(e0, (1.0 - alpha) * x0 + alpha * x0)
+        assert np.all(np.abs(e0 - x0) <= np.spacing(x0))
+        assert np.any(e0 != x0)
+        assert np.array_equal(ema(x[0], period)[0], e0[0])
+
     def test_matches_naive_recurrence(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 300))

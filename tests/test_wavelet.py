@@ -6,7 +6,9 @@ from macdlab.wavelet import (
     WaveletFilter,
     coif5_filters,
     decompose,
+    denoise_analysis,
     denoise_dif,
+    denoise_synthesis,
     dwt_step,
     haar_filters,
     reconstruct,
@@ -201,3 +203,25 @@ class TestDenoiseExactness:
         for i in range(len(x)):
             a, d = dwt_step(x[i], coif5_filters())
             assert np.array_equal(approx[i], a) and np.array_equal(detail[i], d)
+
+
+class TestDenoiseHalves:
+    """denoise_dif is its analysis half followed by its synthesis half,
+    byte for byte, so a cached trend smooths exactly as a fresh call."""
+
+    @pytest.mark.parametrize("n", list(range(1, 41)) + [1000])
+    def test_composition_is_byte_identical(self, rng, n):
+        for x in (rng.normal(size=n).cumsum(), rng.normal(size=(3, n)).cumsum(axis=1)):
+            trend = denoise_analysis(x)
+            assert trend.shape == x.shape[:-1] + (-(-n // 16),)
+            assert denoise_synthesis(trend, n).tobytes() == denoise_dif(x).tobytes()
+
+    def test_signed_zero_row(self, rng):
+        x = np.vstack([np.where(np.arange(37) % 3, 0.0, -0.0), rng.normal(size=37)])
+        out = denoise_synthesis(denoise_analysis(x), 37)
+        assert out.tobytes() == denoise_dif(x).tobytes()
+        assert out[0].tobytes() == denoise_dif(x[0]).tobytes()
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            denoise_analysis([])
