@@ -499,20 +499,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# mallopt's parameter number for M_TRIM_THRESHOLD in glibc's malloc.h.
+# mallopt's parameter numbers in glibc's malloc.h, and the values set.
 _M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 _TRIM_THRESHOLD_BYTES = 32 << 20
+_MMAP_THRESHOLD_BYTES = 4 << 20
 
 
 @functools.cache
 def _keep_freed_heap() -> None:
-    """Let glibc keep up to 32 MiB of freed heap mapped, once per process.
+    """Keep the GA's chunk arrays on glibc's heap, and the heap a chunk
+    frees mapped for the next, once per process.
 
-    By default glibc hands the free memory at the top of its heap back
-    to the OS once it passes a small threshold, so each of the GA's row
-    chunks (~256 KiB arrays) can fault its pages in anew. Where the C
-    library cannot be opened or has no mallopt (not glibc), nothing is
-    changed.
+    By default glibc serves each of the GA's row-chunk arrays (~256 KiB)
+    with its own mmap until a freed one raises its mmap threshold, and
+    hands the free top of the heap back to the OS past a small trim
+    threshold, so a chunk can fault its pages in anew. Setting the trim
+    threshold also freezes the mmap threshold, so both are pinned:
+    allocations under 4 MiB come from the heap, and up to 32 MiB of it
+    stays mapped once freed. Where the C library cannot be opened or has
+    no mallopt (not glibc), nothing is changed.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -521,6 +527,7 @@ def _keep_freed_heap() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,11 @@
 import csv
 import ctypes
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,9 +327,10 @@ def tree(root):
 
 
 class TestFreedHeap:
-    """main asks glibc's mallopt, once per process, to keep freed heap
-    mapped; where the C library cannot be reached or has no mallopt, the
-    command runs and writes the same artifacts."""
+    """main asks glibc's mallopt, once per process, to keep chunk-sized
+    arrays on the heap and freed heap mapped; where the C library cannot
+    be reached or has no mallopt, the command runs and writes the same
+    artifacts."""
 
     @pytest.fixture(autouse=True)
     def fresh_process(self):
@@ -371,4 +377,33 @@ class TestFreedHeap:
         first = self.optimize(data_file, tmp_path / "a", capsys)
         second = self.optimize(data_file, tmp_path / "b", capsys)
         assert first == second and first[0] == 0
-        assert calls == [(-1, 32 << 20)]
+        assert calls == [(-1, 32 << 20), (-3, 4 << 20)]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_chunk_sized_arrays_reuse_the_heap(self):
+        """After the setting, 100 rounds of allocating and freeing two
+        256 KiB arrays (the GA's chunk size) fault their pages in about
+        once; without it, most rounds fault them in anew (thousands of
+        faults, as with the trim threshold alone). Run in a fresh
+        interpreter, whose malloc state no earlier test has touched."""
+        probe = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from macdlab import cli\n"
+            "if sys.argv[1] == 'set':\n"
+            "    cli._keep_freed_heap()\n"
+            "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(100):\n"
+            "    a = np.ones(32768)\n"
+            "    b = a * 2\n"
+            "    del a, b\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+        def faults(setting):
+            run = subprocess.run([sys.executable, "-c", probe, setting], env=env,
+                                 capture_output=True, text=True, check=True)
+            return int(run.stdout)
+
+        assert faults("set") < 1000 < faults("default")
