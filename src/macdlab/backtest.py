@@ -22,6 +22,7 @@ reference both are tested against.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
@@ -120,8 +121,8 @@ def _check_run(n: int, params: MacdParams, initial_capital: float) -> None:
     """Reject a run on fewer days than the slow period, or without capital."""
     if n < params.slow:
         raise DataError(f"series too short: {n} rows < slow period {params.slow}")
-    if initial_capital <= 0:
-        raise ValueError(f"initial capital must be positive, got {initial_capital}")
+    if not (math.isfinite(initial_capital) and initial_capital > 0):
+        raise ValueError(f"initial capital must be positive and finite, got {initial_capital}")
 
 
 def _trade_log(closes: np.ndarray, signals: np.ndarray, forced: np.ndarray,

@@ -2,9 +2,16 @@
 
 Subcommands mirror the workflow: ingest -> analyze/denoise -> backtest
 -> compare -> optimize. Every run writes its artifacts plus a
-manifest.json under --out; outputs carry no timestamps or other
-run-varying content, so re-running a command reproduces them
+manifest.json under --out, and deletes the files the previous manifest
+there listed that it did not write again; outputs carry no timestamps
+or other run-varying content, so re-running a command reproduces them
 byte-for-byte.
+
+denoise, analyze and backtest process each instrument on its own. One
+they cannot process (unusable after cleaning, or too short) is skipped:
+no file is written for it, and its reason goes to stderr and to the
+manifest's "skipped". The run fails only when no instrument was
+processed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -17,6 +24,7 @@ import ctypes
 import functools
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -52,6 +60,16 @@ def _parse_params(text: str) -> MacdParams:
         raise argparse.ArgumentTypeError(f"bad --params {text!r}: {exc}") from None
 
 
+def _parse_capital(text: str) -> float:
+    try:
+        capital = float(text)
+        if math.isfinite(capital) and capital > 0:
+            return capital
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad --capital {text!r}: must be a finite number > 0")
+
+
 def _fmt(value) -> str:
     """Deterministic cell formatting: full-precision floats, explicit None."""
     if value is None:
@@ -64,8 +82,9 @@ def _fmt(value) -> str:
 
 
 def _write_json(path: Path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"  # no file if obj cannot be encoded
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(text)
     print(f"wrote {path}")
 
 
@@ -130,7 +149,22 @@ def _write_manifest(out: Path, command: str, args: argparse.Namespace,
     }
     if skipped:
         manifest["skipped"] = skipped
+    _remove_stale(out, artifacts)
     _write_json(out / "manifest.json", manifest)
+
+
+def _remove_stale(out: Path, artifacts: list[str]) -> None:
+    """Delete the files the previous manifest in `out` listed that this run
+    did not write. Only plain file names directly inside `out` count; a
+    file no manifest listed is left alone."""
+    try:
+        listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+        stale = {name for name in listed if isinstance(name, str)} - set(artifacts)
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    for name in sorted(stale):
+        if Path(name).name == name and (out / name).is_file():
+            (out / name).unlink()
 
 
 def _out_dir(args) -> Path:
@@ -170,12 +204,6 @@ def _load_skipping(path, skipped: dict) -> list:
     return usable
 
 
-def _nothing_done(path, done: str, skipped: dict) -> DataError:
-    """The data error of a command that processed no instrument, with every reason."""
-    return DataError(f"no instrument in {path} could be {done}: "
-                     + "; ".join(f"{code}: {why}" for code, why in skipped.items()))
-
-
 class _IsoDates(dict):
     """Date -> ISO text, each date formatted once per command: a panel's
     instruments mostly share their trading days."""
@@ -186,6 +214,28 @@ class _IsoDates(dict):
 
     def column(self, series) -> list[str]:
         return list(map(self.__getitem__, series.dates))
+
+
+def _each_instrument(args, command: str, done: str, options: dict, write) -> int:
+    """Run `write(series, out, iso)` on each usable instrument: it writes
+    the instrument's artifacts and returns their names, computing all
+    before it writes, so an instrument it raises a data error on is
+    skipped with its reason and leaves no file. A data error, with every
+    reason, when no instrument could be `done`; else the manifest."""
+    out = _out_dir(args)
+    skipped = {}
+    iso = _IsoDates()
+    artifacts = []
+    for series in _load_skipping(args.data, skipped):
+        try:
+            artifacts += write(series, out, iso)
+        except (DataError, ValueError) as exc:
+            _skip(skipped, series.code, exc)
+    if not artifacts:
+        raise DataError(f"no instrument in {args.data} could be {done}: "
+                        + "; ".join(f"{code}: {why}" for code, why in skipped.items()))
+    _write_manifest(out, command, args, options, artifacts, skipped)
+    return 0
 
 
 def _metrics_row(report: MetricsReport) -> list:
@@ -217,45 +267,28 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_denoise(args) -> int:
-    out = _out_dir(args)
-    artifacts = []
-    skipped = {}
-    usable = _load_skipping(args.data, skipped)
-    iso = _IsoDates()
-    for series in usable:
+    def write(series, out, iso) -> list[str]:
         ind = compute_indicators(series, args.params)
         smooth = denoise_dif(ind.dif)
         name = f"denoise_{series.code}.csv"
         _write_csv(out / name, ["date", "dif", "dif_denoised"],
                    [iso.column(series), ind.dif, smooth])
-        artifacts.append(name)
-    _write_manifest(out, "denoise", args,
-                    {"params": list(args.params.as_tuple())}, artifacts, skipped)
-    return 0
+        return [name]
+
+    return _each_instrument(args, "denoise", "denoised",
+                            {"params": list(args.params.as_tuple())}, write)
 
 
 def cmd_analyze(args) -> int:
-    out = _out_dir(args)
-    artifacts = []
-    skipped = {}
-    usable = _load_skipping(args.data, skipped)
-    iso = _IsoDates()
-    for series in usable:
-        try:
-            osc = detect_oscillation(series)
-            events = detect_divergences(series, compute_indicators(series, args.params))
-        except ValueError as exc:  # too few days
-            _skip(skipped, series.code, exc)
-            continue
-        name = f"oscillation_{series.code}.csv"
-        _write_csv(out / name,
+    def write(series, out, iso) -> list[str]:
+        osc = detect_oscillation(series)  # both raise ValueError on too few days
+        events = detect_divergences(series, compute_indicators(series, args.params))
+        code = series.code
+        _write_csv(out / f"oscillation_{code}.csv",
                    ["date", "close", "mean10", "inband", "pairflag", "mask"],
                    [iso.column(series), series.closes, osc.mean10, osc.inband, osc.pairflag,
                     osc.mask])
-        artifacts.append(name)
-
-        name = f"divergences_{series.code}.json"
-        _write_json(out / name, [
+        _write_json(out / f"divergences_{code}.json", [
             {
                 "kind": e.kind,
                 "current_extreme_index": e.current_extreme_index,
@@ -267,36 +300,26 @@ def cmd_analyze(args) -> int:
             }
             for e in events
         ])
-        artifacts.append(name)
-    if not artifacts:
-        raise _nothing_done(args.data, "analyzed", skipped)
-    _write_manifest(out, "analyze", args,
-                    {"params": list(args.params.as_tuple())}, artifacts, skipped)
-    return 0
+        return [f"oscillation_{code}.csv", f"divergences_{code}.json"]
+
+    return _each_instrument(args, "analyze", "analyzed",
+                            {"params": list(args.params.as_tuple())}, write)
 
 
 def cmd_backtest(args) -> int:
-    out = _out_dir(args)
-    artifacts = []
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
-    skipped = {}
-    usable = _load_skipping(args.data, skipped)
-    iso = _IsoDates()
-    for series in usable:
-        try:
-            log = run_backtest(series, args.params, mode, args.capital)
-        except DataError as exc:
-            _skip(skipped, series.code, exc)
-            continue
+
+    def write(series, out, iso) -> list[str]:
+        log = run_backtest(series, args.params, mode, args.capital)  # DataError when too short
         report = compute_metrics(log, series.span_days, risk)
-
-        name = f"metrics_{series.code}.json"
-        _write_json(out / name, report.as_dict())
-        artifacts.append(name)
-
-        name = f"trades_{series.code}.json"
-        _write_json(out / name, [
+        # The lines the run traded on; signal is the crossover tag before
+        # divergence overrides. Raw mode trades on no smoothed DIF.
+        lines = log.lines
+        smooth = denoise_dif(lines.dif) if mode is StrategyMode.RAW else lines.trade_dif
+        code = series.code
+        _write_json(out / f"metrics_{code}.json", report.as_dict())
+        _write_json(out / f"trades_{code}.json", [
             {
                 "buy_index": t.buy_index,
                 "sell_index": t.sell_index,
@@ -310,30 +333,20 @@ def cmd_backtest(args) -> int:
             }
             for t in log.trades
         ])
-        artifacts.append(name)
-
         dates = iso.column(series)
-        name = f"equity_{series.code}.csv"
-        _write_csv(out / name, ["date", "equity"], [dates, log.equity])
-        artifacts.append(name)
-
-        # The lines the run traded on; signal is the crossover tag before
-        # divergence overrides. Raw mode trades on no smoothed DIF.
-        lines = log.lines
-        smooth = denoise_dif(lines.dif) if mode is StrategyMode.RAW else lines.trade_dif
-        name = f"chart_{series.code}.csv"
-        _write_csv(out / name, ["date", "close", "dif", "dif_denoised", "dea", "signal"],
+        _write_csv(out / f"equity_{code}.csv", ["date", "equity"], [dates, log.equity])
+        _write_csv(out / f"chart_{code}.csv",
+                   ["date", "close", "dif", "dif_denoised", "dea", "signal"],
                    [dates, series.closes, lines.dif, smooth, lines.dea, lines.signals])
-        artifacts.append(name)
-    if not artifacts:
-        raise _nothing_done(args.data, "backtested", skipped)
-    _write_manifest(out, "backtest", args, {
+        return [f"metrics_{code}.json", f"trades_{code}.json", f"equity_{code}.csv",
+                f"chart_{code}.csv"]
+
+    return _each_instrument(args, "backtest", "backtested", {
         "mode": mode.value,
         "params": list(args.params.as_tuple()),
         "capital": args.capital,
         "risk_free": args.risk_free,
-    }, artifacts, skipped)
-    return 0
+    }, write)
 
 
 def cmd_compare(args) -> int:
@@ -468,14 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("backtest", help="run one strategy mode and emit its reports")
     _add_common(p)
     p.add_argument("--mode", choices=MODE_CHOICES, default="raw")
-    p.add_argument("--capital", type=float, default=DEFAULT_CAPITAL)
+    p.add_argument("--capital", type=_parse_capital, default=DEFAULT_CAPITAL)
     p.add_argument("--risk-free", type=float, default=RiskConfig().risk_free_rate,
                    help="annual risk-free rate in percent")
     p.set_defaults(func=cmd_backtest)
 
     p = subs.add_parser("compare", help="run all three modes over every instrument")
     _add_common(p)
-    p.add_argument("--capital", type=float, default=DEFAULT_CAPITAL)
+    p.add_argument("--capital", type=_parse_capital, default=DEFAULT_CAPITAL)
     p.add_argument("--risk-free", type=float, default=RiskConfig().risk_free_rate)
     p.set_defaults(func=cmd_compare)
 
@@ -492,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="accepted (must be >= 1) but unused: candidates are evaluated in "
                         "batches in one thread, so it changes neither speed nor results")
-    p.add_argument("--capital", type=float, default=DEFAULT_CAPITAL)
+    p.add_argument("--capital", type=_parse_capital, default=DEFAULT_CAPITAL)
     p.add_argument("--risk-free", type=float, default=RiskConfig().risk_free_rate)
     p.set_defaults(func=cmd_optimize)
 

@@ -68,8 +68,9 @@ def compute_metrics(log: TradeLog, series_span_days: int, cfg: RiskConfig = Risk
     profit over average losing loss, 0 by convention when there are no
     losing (or no winning) trades. trade_frequency: executions per
     trading day. annual_return: geometric, with the year count taken as
-    span/252. sharpe_ratio: annualized mean daily equity return minus
-    the risk-free rate, over annualized daily volatility.
+    span/252, and -100 at a total loss (final equity <= 0). sharpe_ratio:
+    annualized mean daily equity return minus the risk-free rate, over
+    annualized daily volatility.
     """
     v_initial = log.initial_capital
     if v_initial <= 0:
@@ -94,7 +95,10 @@ def compute_metrics(log: TradeLog, series_span_days: int, cfg: RiskConfig = Risk
     total_return = v_final - v_initial
 
     years = series_span_days / cfg.trading_days_per_year
-    annual_return = ((v_final / v_initial) ** (1.0 / years) - 1.0) * 100.0
+    if v_final <= 0.0:
+        annual_return = -100.0  # a total loss; a negative ratio has no real root
+    else:
+        annual_return = ((v_final / v_initial) ** (1.0 / years) - 1.0) * 100.0
 
     sharpe_ratio = None
     if equity.size >= 2:

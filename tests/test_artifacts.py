@@ -70,13 +70,15 @@ def check_backtest(data, tmp_path, mode):
 
 
 def check_denoise_and_analyze(data, tmp_path):
-    out = tmp_path / "dn"
-    assert main(["denoise", "--data", str(data), "--out", str(out)]) == 0
+    # Each command gets its own --out: a run deletes the files the
+    # previous manifest in its directory listed.
+    out, dn = tmp_path / "an", tmp_path / "dn"
+    assert main(["denoise", "--data", str(data), "--out", str(dn)]) == 0
     assert main(["analyze", "--data", str(data), "--out", str(out)]) == 0
     osc_cells = set()
     for series in cleaned_series(data):
         ind = compute_indicators(series, PARAMS)
-        assert (out / f"denoise_{series.code}.csv").read_bytes() == expected_bytes(
+        assert (dn / f"denoise_{series.code}.csv").read_bytes() == expected_bytes(
             tmp_path, ["date", "dif", "dif_denoised"],
             zip(iso(series), ind.dif, denoise_dif(ind.dif)))
         osc = detect_oscillation(series)

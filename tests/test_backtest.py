@@ -77,6 +77,14 @@ class TestRunBacktestBasics:
         with pytest.raises(ValueError):
             run_backtest(make_series(np.full(60, 100.0)), MacdParams(), StrategyMode.RAW, 0.0)
 
+    @pytest.mark.parametrize("capital", [0.0, -5.0, float("nan"), float("inf")])
+    def test_capital_must_be_finite_and_positive(self, make_series, capital):
+        series = make_series(np.full(60, 100.0))
+        for run in (lambda: run_backtest(series, MacdParams(), StrategyMode.RAW, capital),
+                    lambda: BatchBacktest(series, StrategyMode.RAW, capital).nets([(12, 26, 9)])):
+            with pytest.raises(ValueError, match="initial capital must be positive and finite"):
+                run()
+
 
 class TestConservation:
     @pytest.mark.parametrize("mode", list(StrategyMode))

@@ -12,6 +12,7 @@ import pytest
 
 from macdlab import cli
 from macdlab.cli import main
+from macdlab.errors import DataError
 
 from conftest import random_walk_closes
 
@@ -90,6 +91,15 @@ class TestExitCodes:
         assert main(["backtest", "--data", str(data_file), "--out", str(tmp_path / "o"),
                      "--params", "26,12,9"]) == 1
 
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["backtest", "compare", "optimize"])
+    def test_bad_capital_is_usage_error(self, data_file, tmp_path, capsys, command, value):
+        out = tmp_path / "o"
+        assert main([command, "--data", str(data_file), "--out", str(out),
+                     f"--capital={value}"]) == 1
+        assert f"argument --capital: bad --capital {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_date_is_data_error(self, tmp_path):
         data = write_csv(tmp_path / "bad.csv", ["A,2014-13-40,100\n"])
         assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
@@ -153,23 +163,24 @@ class TestBacktest:
         assert all("LONG" in name for name in manifest["artifacts"])
         assert "skipped SHORT" in capsys.readouterr().err
 
-    def test_unusable_instrument_skipped_and_recorded(self, tmp_path, capsys):
-        rng = np.random.default_rng(13)
-        rows = synthetic_rows("GOOD", random_walk_closes(rng, 120))
-        rows += synthetic_rows("BAD", [0.0] * 100)
-        data = write_csv(tmp_path / "mix.csv", rows)
-        out = tmp_path / "out"
-        assert main(["backtest", "--data", str(data), "--out", str(out)]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["skipped"] == {
-            "BAD": "instrument 'BAD' unusable: 100 of 100 rows dropped by cleaning"}
-        assert all("GOOD" in name for name in manifest["artifacts"])
-        assert "skipped BAD: instrument 'BAD' unusable" in capsys.readouterr().err
-
     def test_manifest_without_skips_has_no_skipped_key(self, data_file, tmp_path):
         out = tmp_path / "out"
         assert main(["backtest", "--data", str(data_file), "--out", str(out)]) == 0
         assert "skipped" not in json.loads((out / "manifest.json").read_text())
+
+    def test_total_loss_is_reported(self, tmp_path):
+        # The one trade holds a 1e20 price down to 1.0: the final equity
+        # rounds below zero, annual_return is a total loss, not complex.
+        closes = np.concatenate([1e20 * np.linspace(1.0, 0.9, 40),
+                                 1e20 * np.linspace(0.9, 1.0, 20), np.ones(60)])
+        data = write_csv(tmp_path / "ruin.csv", synthetic_rows("RUIN", closes))
+        assert main(["backtest", "--data", str(data), "--out", str(tmp_path / "b")]) == 0
+        metrics = json.loads((tmp_path / "b" / "metrics_RUIN.json").read_text())
+        assert metrics["annual_return"] == -100.0 and metrics["max_drawdown"] == 100.0
+        assert main(["compare", "--data", str(data), "--out", str(tmp_path / "c")]) == 0
+        table = read_csv(tmp_path / "c" / "comparison.csv")
+        column = table[0].index("annual_return")
+        assert [(r[1], r[column], r[-1]) for r in table[1:]][0] == ("raw", "-100.0", "ok")
 
     @pytest.mark.parametrize("mode", ["raw", "denoised", "divergence"])
     def test_all_modes_run(self, data_file, tmp_path, mode):
@@ -319,6 +330,120 @@ class TestAnalyzeAndDenoise:
         table = read_csv(out / "denoise_AAA.X.csv")
         assert table[0] == ["date", "dif", "dif_denoised"]
         assert len(table) - 1 == 220
+
+
+# The per-instrument commands: the artifacts each writes for instrument {0},
+# and its reason for skipping an 8-day instrument (None: it processes one).
+PER_INSTRUMENT = {
+    "denoise": (["denoise_{0}.csv"], None),
+    "analyze": (["divergences_{0}.json", "oscillation_{0}.csv"], "need at least 10 days, got 8"),
+    "backtest": (["chart_{0}.csv", "equity_{0}.csv", "metrics_{0}.json", "trades_{0}.json"],
+                 "series too short: 8 rows < slow period 26"),
+}
+DONE = {"denoise": "denoised", "analyze": "analyzed", "backtest": "backtested"}
+
+
+def artifacts_of(command, *codes):
+    return sorted(name.format(code) for code in codes for name in PER_INSTRUMENT[command][0])
+
+
+def listing(out):
+    return sorted(p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize("command", PER_INSTRUMENT)
+def test_skip_rule(command, good_bad_file, tmp_path, capsys):
+    """denoise, analyze and backtest skip an instrument they cannot
+    process, with its reason in the manifest and on stderr, and write no
+    file for it; they exit 2, with no manifest, when none was processed."""
+    short_reason = PER_INSTRUMENT[command][1]
+    short_rows = synthetic_rows("SHORT", random_walk_closes(np.random.default_rng(8), 8))
+    with open(good_bad_file, "a", encoding="utf-8") as fh:
+        fh.write("".join(short_rows))
+    out = tmp_path / "out"
+    assert main([command, "--data", str(good_bad_file), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    reasons = {"BAD": BAD_REASON} | ({"SHORT": short_reason} if short_reason else {})
+    assert manifest["skipped"] == reasons
+    processed = ["GOOD"] + ([] if short_reason else ["SHORT"])
+    assert manifest["artifacts"] == artifacts_of(command, *processed)
+    assert listing(out) == sorted(manifest["artifacts"] + ["manifest.json"])
+    err = capsys.readouterr().err
+    assert all(f"skipped {code}: {why}\n" in err for code, why in reasons.items())
+
+    bad = write_csv(tmp_path / "bad.csv", synthetic_rows("BAD", [0.0] * 100)
+                    + (short_rows if short_reason else []))
+    out = tmp_path / "nothing"
+    assert main([command, "--data", str(bad), "--out", str(out)]) == 2
+    if short_reason:
+        why = f"could be {DONE[command]}: BAD: {BAD_REASON}; SHORT: {short_reason}\n"
+    else:
+        why = f"no usable instrument in {bad}\n"
+    assert capsys.readouterr().err.endswith(why)
+    assert listing(out) == []
+
+
+# The library call each per-instrument command makes first for an instrument.
+FIRST_CALL = {"denoise": "compute_indicators", "analyze": "detect_oscillation",
+              "backtest": "run_backtest"}
+
+
+@pytest.mark.parametrize("error", [DataError, ValueError])
+@pytest.mark.parametrize("command", PER_INSTRUMENT)
+def test_instrument_that_fails_is_skipped(command, error, two_instrument_file, tmp_path,
+                                          capsys, monkeypatch):
+    """Whatever data error a command's work raises on one instrument,
+    that instrument alone is skipped."""
+    call = getattr(cli, FIRST_CALL[command])
+
+    def failing(series, *args, **kwargs):
+        if series.code == "AAA.X":
+            raise error("cannot process")
+        return call(series, *args, **kwargs)
+
+    monkeypatch.setattr(cli, FIRST_CALL[command], failing)
+    out = tmp_path / "out"
+    assert main([command, "--data", str(two_instrument_file), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["skipped"] == {"AAA.X": "cannot process"}
+    assert manifest["artifacts"] == artifacts_of(command, "BBB.Y")
+    assert listing(out) == sorted(manifest["artifacts"] + ["manifest.json"])
+    assert "skipped AAA.X: cannot process\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", PER_INSTRUMENT)
+def test_rerun_deletes_stale_artifacts(command, two_instrument_file, tmp_path):
+    one = write_csv(tmp_path / "one.csv", [line for line in two_instrument_file.read_text()
+                                           .splitlines(keepends=True) if line.startswith("AAA.X,")])
+    out = tmp_path / "out"
+    assert main([command, "--data", str(two_instrument_file), "--out", str(out)]) == 0
+    assert main([command, "--data", str(one), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == artifacts_of(command, "AAA.X")
+    assert listing(out) == sorted(manifest["artifacts"] + ["manifest.json"])
+
+
+def test_stale_artifacts_are_only_plain_names_inside_out(data_file, tmp_path):
+    """Only files the previous manifest listed by a plain name directly
+    inside --out are deleted; nothing else is touched."""
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    (out / "dir").mkdir()
+    for path in (tmp_path / "outside.txt", out / "sub" / "inner.txt", out / "old.csv",
+                 out / "mine.txt"):
+        path.write_text("x")
+    listed = ["../outside.txt", str(tmp_path / "outside.txt"), "sub/inner.txt", "sub", "dir",
+              "old.csv", "gone.csv"]
+    (out / "manifest.json").write_text(json.dumps({"artifacts": listed}))
+    assert main(["denoise", "--data", str(data_file), "--out", str(out)]) == 0
+    assert (tmp_path / "outside.txt").exists() and (out / "sub" / "inner.txt").exists()
+    assert listing(out) == ["denoise_AAA.X.csv", "dir", "manifest.json", "mine.txt", "sub"]
+
+
+def test_json_that_cannot_be_encoded_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        cli._write_json(tmp_path / "x.json", {"annual_return": 1j})
+    assert listing(tmp_path) == []
 
 
 def tree(root):

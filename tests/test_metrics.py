@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macdlab import MetricsReport, RiskConfig, compute_metrics
+from macdlab import (MacdParams, MetricsReport, RiskConfig, StrategyMode, compute_metrics,
+                     run_backtest)
 from macdlab.backtest import Trade, TradeLog
 from macdlab.errors import ConfigError
 from macdlab.metrics import max_drawdown_pct
@@ -95,6 +96,24 @@ class TestSevenMetrics:
     def test_constant_equity_sharpe_undefined(self):
         log = make_log([], np.full(50, 500_000.0))
         assert compute_metrics(log, 50).sharpe_ratio is None
+
+    def test_total_loss_annual_return_is_minus_100(self):
+        # Final equity rounded below zero: a fractional power of the
+        # negative ratio would be complex.
+        log = make_log([-500_000.0], np.linspace(500_000.0, -5.8e-11, 10))
+        annual_return = compute_metrics(log, 10).annual_return
+        assert type(annual_return) is float and annual_return == -100.0
+
+    def test_crash_to_ruin_reports_real_annual_return(self, make_series):
+        # A 1e20 price falling to 1.0 while held: the one trade loses the
+        # capital to a cash of about -5.8e-11.
+        closes = np.concatenate([1e20 * np.linspace(1.0, 0.9, 40),
+                                 1e20 * np.linspace(0.9, 1.0, 20), np.ones(60)])
+        series = make_series(closes)
+        log = run_backtest(series, MacdParams(), StrategyMode.RAW)
+        assert len(log.trades) == 1 and log.equity[-1] < 0
+        report = compute_metrics(log, series.span_days)
+        assert type(report.annual_return) is float and report.annual_return == -100.0
 
     def test_nonpositive_capital_rejected(self):
         log = make_log([], np.full(10, 500_000.0), initial=0.0)
