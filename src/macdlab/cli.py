@@ -5,13 +5,15 @@ Subcommands mirror the workflow: ingest -> analyze/denoise -> backtest
 manifest.json under --out, and deletes the files the previous manifest
 there listed that it did not write again; outputs carry no timestamps
 or other run-varying content, so re-running a command reproduces them
-byte-for-byte.
+byte-for-byte. The manifest's options are the parsed arguments, and the
+JSON artifacts the library's records, not restated field by field.
 
-denoise, analyze and backtest process each instrument on its own. One
-they cannot process (unusable after cleaning, or too short) is skipped:
-no file is written for it, and its reason goes to stderr and to the
-manifest's "skipped". The run fails only when no instrument was
-processed.
+denoise, analyze and backtest process each instrument on its own, through
+one runner, `_each_instrument(args, done, write)`. One they cannot
+process (unusable after cleaning, or too short) is skipped: no file is
+written for it, and its reason goes to stderr and to the manifest's
+"skipped". compare and optimize skip by the same rule. The run fails
+only when no instrument was processed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -36,7 +38,7 @@ from .backtest import DEFAULT_CAPITAL, StrategyMode, run_backtest
 from .errors import ConfigError, DataError, UnusableSeriesError
 from .indicators import MacdParams, compute_indicators
 from .ingest import clean, load_csv, save_csv
-from .metrics import REPORT_COLUMNS, MetricsReport, RiskConfig, compute_metrics
+from .metrics import REPORT_COLUMNS, RiskConfig, compute_metrics
 from .optimizer import GaConfig, optimize
 from .wavelet import denoise_dif
 
@@ -138,10 +140,15 @@ def _write_csv(path: Path, header, columns) -> None:
     print(f"wrote {path}")
 
 
-def _write_manifest(out: Path, command: str, args: argparse.Namespace,
-                    options: dict, artifacts: list[str], skipped: dict | None = None) -> None:
+def _write_manifest(out: Path, args: argparse.Namespace, artifacts: list[str],
+                    skipped: dict | None = None) -> None:
+    """The manifest records every option the command was given but --data
+    and --out, a MacdParams as its list."""
+    options = {name: list(value.as_tuple()) if isinstance(value, MacdParams) else value
+               for name, value in vars(args).items()
+               if name not in ("command", "func", "data", "out")}
     manifest = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "data": str(args.data),
         "options": options,
@@ -191,10 +198,12 @@ def _skip(skipped: dict, code: str, reason) -> None:
     print(f"skipped {code}: {reason}", file=sys.stderr)
 
 
-def _load_skipping(path, skipped: dict) -> list:
-    """The usable instruments in `path`; each unusable one is skipped.
-    A data error when none is usable."""
-    screened = _screen(path)
+def _load_skipping(path, skipped: dict, screened: list | None = None) -> list:
+    """The usable instruments in `path` (`screened`: its `_screen`, if
+    already read); each unusable one is skipped. A data error when none
+    is usable."""
+    if screened is None:
+        screened = _screen(path)
     usable = [cleaned for _, cleaned, _ in screened if cleaned is not None]
     if not usable:
         raise DataError(f"no usable instrument in {path}")
@@ -202,6 +211,12 @@ def _load_skipping(path, skipped: dict) -> list:
         if unusable is not None:
             _skip(skipped, series.code, unusable)
     return usable
+
+
+def _none_done(path, done: str, skipped: dict) -> DataError:
+    """The data error when no instrument in `path` could be `done`, with every reason."""
+    return DataError(f"no instrument in {path} could be {done}: "
+                     + "; ".join(f"{code}: {why}" for code, why in skipped.items()))
 
 
 class _IsoDates(dict):
@@ -216,12 +231,12 @@ class _IsoDates(dict):
         return list(map(self.__getitem__, series.dates))
 
 
-def _each_instrument(args, command: str, done: str, options: dict, write) -> int:
+def _each_instrument(args, done: str, write) -> int:
     """Run `write(series, out, iso)` on each usable instrument: it writes
     the instrument's artifacts and returns their names, computing all
     before it writes, so an instrument it raises a data error on is
-    skipped with its reason and leaves no file. A data error, with every
-    reason, when no instrument could be `done`; else the manifest."""
+    skipped with its reason and leaves no file. `_none_done` when no
+    instrument could be `done`; else the manifest."""
     out = _out_dir(args)
     skipped = {}
     iso = _IsoDates()
@@ -232,14 +247,9 @@ def _each_instrument(args, command: str, done: str, options: dict, write) -> int
         except (DataError, ValueError) as exc:
             _skip(skipped, series.code, exc)
     if not artifacts:
-        raise DataError(f"no instrument in {args.data} could be {done}: "
-                        + "; ".join(f"{code}: {why}" for code, why in skipped.items()))
-    _write_manifest(out, command, args, options, artifacts, skipped)
+        raise _none_done(args.data, done, skipped)
+    _write_manifest(out, args, artifacts, skipped)
     return 0
-
-
-def _metrics_row(report: MetricsReport) -> list:
-    return [getattr(report, name) for name in REPORT_COLUMNS]
 
 
 # ---------------------------------------------------------------- commands
@@ -262,7 +272,7 @@ def cmd_ingest(args) -> int:
     save_csv(usable, out / "cleaned.csv")
     print(f"wrote {out / 'cleaned.csv'}")
     artifacts.append("cleaned.csv")
-    _write_manifest(out, "ingest", args, {}, artifacts)
+    _write_manifest(out, args, artifacts)
     return 0
 
 
@@ -275,35 +285,23 @@ def cmd_denoise(args) -> int:
                    [iso.column(series), ind.dif, smooth])
         return [name]
 
-    return _each_instrument(args, "denoise", "denoised",
-                            {"params": list(args.params.as_tuple())}, write)
+    return _each_instrument(args, "denoised", write)
 
 
 def cmd_analyze(args) -> int:
     def write(series, out, iso) -> list[str]:
         osc = detect_oscillation(series)  # both raise ValueError on too few days
         events = detect_divergences(series, compute_indicators(series, args.params))
-        code = series.code
+        code, dates = series.code, iso.column(series)
         _write_csv(out / f"oscillation_{code}.csv",
                    ["date", "close", "mean10", "inband", "pairflag", "mask"],
-                   [iso.column(series), series.closes, osc.mean10, osc.inband, osc.pairflag,
-                    osc.mask])
+                   [dates, series.closes, osc.mean10, osc.inband, osc.pairflag, osc.mask])
         _write_json(out / f"divergences_{code}.json", [
-            {
-                "kind": e.kind,
-                "current_extreme_index": e.current_extreme_index,
-                "previous_extreme_index": e.previous_extreme_index,
-                "current_date": series.dates[e.current_extreme_index].isoformat(),
-                "previous_date": series.dates[e.previous_extreme_index].isoformat(),
-                "price_at_extremes": list(e.price_at_extremes),
-                "macd_at_extremes": list(e.macd_at_extremes),
-            }
-            for e in events
-        ])
+            {**vars(e), "current_date": dates[e.current_extreme_index],
+             "previous_date": dates[e.previous_extreme_index]} for e in events])
         return [f"oscillation_{code}.csv", f"divergences_{code}.json"]
 
-    return _each_instrument(args, "analyze", "analyzed",
-                            {"params": list(args.params.as_tuple())}, write)
+    return _each_instrument(args, "analyzed", write)
 
 
 def cmd_backtest(args) -> int:
@@ -317,23 +315,11 @@ def cmd_backtest(args) -> int:
         # divergence overrides. Raw mode trades on no smoothed DIF.
         lines = log.lines
         smooth = denoise_dif(lines.dif) if mode is StrategyMode.RAW else lines.trade_dif
-        code = series.code
+        code, dates = series.code, iso.column(series)
         _write_json(out / f"metrics_{code}.json", report.as_dict())
         _write_json(out / f"trades_{code}.json", [
-            {
-                "buy_index": t.buy_index,
-                "sell_index": t.sell_index,
-                "buy_date": series.dates[t.buy_index].isoformat(),
-                "sell_date": series.dates[t.sell_index].isoformat(),
-                "buy_price": t.buy_price,
-                "sell_price": t.sell_price,
-                "quantity": t.quantity,
-                "pnl": t.pnl,
-                "trigger": t.trigger,
-            }
-            for t in log.trades
-        ])
-        dates = iso.column(series)
+            {**vars(t), "buy_date": dates[t.buy_index], "sell_date": dates[t.sell_index]}
+            for t in log.trades])
         _write_csv(out / f"equity_{code}.csv", ["date", "equity"], [dates, log.equity])
         _write_csv(out / f"chart_{code}.csv",
                    ["date", "close", "dif", "dif_denoised", "dea", "signal"],
@@ -341,19 +327,18 @@ def cmd_backtest(args) -> int:
         return [f"metrics_{code}.json", f"trades_{code}.json", f"equity_{code}.csv",
                 f"chart_{code}.csv"]
 
-    return _each_instrument(args, "backtest", "backtested", {
-        "mode": mode.value,
-        "params": list(args.params.as_tuple()),
-        "capital": args.capital,
-        "risk_free": args.risk_free,
-    }, write)
+    return _each_instrument(args, "backtested", write)
 
 
 def cmd_compare(args) -> int:
+    """A row per instrument and mode, an unusable or failing instrument's
+    marked so; each such instrument is also skipped, once, with its first
+    reason. A data error when no row could be compared."""
     out = _out_dir(args)
     risk = RiskConfig(risk_free_rate=args.risk_free)
-    rows = []
-    for series, cleaned, unusable in _screen(args.data):
+    screened, skipped, rows = _screen(args.data), {}, []
+    _load_skipping(args.data, skipped, screened)
+    for series, cleaned, unusable in screened:
         if unusable is not None:
             for mode in StrategyMode:
                 rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["unusable"])
@@ -362,16 +347,16 @@ def cmd_compare(args) -> int:
             try:
                 log = run_backtest(cleaned, args.params, mode, args.capital)
                 report = compute_metrics(log, cleaned.span_days, risk)
-                rows.append([series.code, mode.value] + _metrics_row(report) + ["ok"])
-            except (DataError, ValueError):
+                rows.append([series.code, mode.value, *report.as_dict().values(), "ok"])
+            except (DataError, ValueError) as exc:
                 rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["error"])
+                if series.code not in skipped:
+                    _skip(skipped, series.code, exc)
+    if all(row[-1] != "ok" for row in rows):
+        raise _none_done(args.data, "compared", skipped)
     _write_csv(out / "comparison.csv",
                ["name", "mode", *REPORT_COLUMNS, "status"], zip(*rows))
-    _write_manifest(out, "compare", args, {
-        "params": list(args.params.as_tuple()),
-        "capital": args.capital,
-        "risk_free": args.risk_free,
-    }, ["comparison.csv"])
+    _write_manifest(out, args, ["comparison.csv"], skipped)
     return 0
 
 
@@ -389,6 +374,7 @@ def cmd_optimize(args) -> int:
         series = matches[0]
     elif len(usable) == 1:
         series = usable[0]
+        args.code = series.code
     else:
         raise ConfigError(
             f"{args.data} holds {len(usable)} instruments; pick one with --code"
@@ -428,24 +414,13 @@ def cmd_optimize(args) -> int:
     for label, params in (("default", MacdParams()), ("optimized", best)):
         log = run_backtest(series, params, mode, args.capital)
         report = compute_metrics(log, series.span_days, risk)
-        comparison.append([label, "{},{},{}".format(*params.as_tuple())] + _metrics_row(report))
+        comparison.append([label, "{},{},{}".format(*params.as_tuple()),
+                           *report.as_dict().values()])
     _write_csv(out / "comparison.csv",
                ["run", "params", *REPORT_COLUMNS], zip(*comparison))
     artifacts.append("comparison.csv")
 
-    _write_manifest(out, "optimize", args, {
-        "mode": mode.value,
-        "code": series.code,
-        "pop": args.pop,
-        "pc": args.pc,
-        "pm": args.pm,
-        "patience": args.patience,
-        "max_gen": args.max_gen,
-        "seed": args.seed,
-        "workers": args.workers,
-        "capital": args.capital,
-        "risk_free": args.risk_free,
-    }, artifacts, skipped)
+    _write_manifest(out, args, artifacts, skipped)
     return 0
 
 

@@ -1,6 +1,8 @@
 """Byte parity of the CLI's column-wise CSV artifacts with the row-wise
-csv.writer reference in oracles.write_csv_rows."""
+csv.writer reference in oracles.write_csv_rows, and of its JSON
+artifacts with records whose keys are written out here."""
 
+import json
 from datetime import date, timedelta
 
 import numpy as np
@@ -14,6 +16,7 @@ from macdlab import (
     compute_indicators,
     cross_signals,
     denoise_dif,
+    detect_divergences,
     detect_oscillation,
     load_csv,
     optimize,
@@ -212,3 +215,64 @@ class TestQuotedCells:
         got = (out / "comparison.csv").read_bytes()
         assert b'"12,26,9"' in got
         assert got == expected_bytes(tmp_path, ["run", "params", *REPORT_COLUMNS], rows)
+
+
+def json_bytes(obj) -> bytes:
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def two_instrument_data(tmp_path):
+    rng = np.random.default_rng(99)
+    return write_csv(tmp_path / "p.csv",
+                     synthetic_rows("AAA.X", random_walk_closes(rng, 220))
+                     + synthetic_rows("BBB", random_walk_closes(rng, 300, vol=0.03)))
+
+
+class TestJsonArtifacts:
+    def test_backtest_metrics_and_trades(self, tmp_path):
+        data = two_instrument_data(tmp_path)
+        triggers = set()
+        for mode in StrategyMode:
+            out = tmp_path / mode.value
+            assert main(["backtest", "--data", str(data), "--out", str(out),
+                         "--mode", mode.value]) == 0
+            for series in cleaned_series(data):
+                log = run_backtest(series, PARAMS, mode)
+                report = compute_metrics(log, series.span_days, RiskConfig())
+                metrics = {name: getattr(report, name) for name in (
+                    "win_rate", "odds_ratio", "trade_frequency", "total_return",
+                    "annual_return", "sharpe_ratio", "max_drawdown")}
+                assert (out / f"metrics_{series.code}.json").read_bytes() == json_bytes(metrics)
+                trades = [{
+                    "buy_index": t.buy_index,
+                    "sell_index": t.sell_index,
+                    "buy_date": series.dates[t.buy_index].isoformat(),
+                    "sell_date": series.dates[t.sell_index].isoformat(),
+                    "buy_price": t.buy_price,
+                    "sell_price": t.sell_price,
+                    "quantity": t.quantity,
+                    "pnl": t.pnl,
+                    "trigger": t.trigger,
+                } for t in log.trades]
+                triggers |= {t["trigger"] for t in trades}
+                assert (out / f"trades_{series.code}.json").read_bytes() == json_bytes(trades)
+        assert {"cross", "final_liquidation"} <= triggers
+
+    def test_analyze_divergences(self, tmp_path):
+        data = two_instrument_data(tmp_path)
+        out = tmp_path / "an"
+        assert main(["analyze", "--data", str(data), "--out", str(out)]) == 0
+        kinds = set()
+        for series in cleaned_series(data):
+            events = [{
+                "kind": e.kind,
+                "current_extreme_index": e.current_extreme_index,
+                "previous_extreme_index": e.previous_extreme_index,
+                "current_date": series.dates[e.current_extreme_index].isoformat(),
+                "previous_date": series.dates[e.previous_extreme_index].isoformat(),
+                "price_at_extremes": list(e.price_at_extremes),
+                "macd_at_extremes": list(e.macd_at_extremes),
+            } for e in detect_divergences(series, compute_indicators(series, PARAMS))]
+            kinds |= {e["kind"] for e in events}
+            assert (out / f"divergences_{series.code}.json").read_bytes() == json_bytes(events)
+        assert kinds == {"top", "bottom"}

@@ -383,6 +383,71 @@ def test_skip_rule(command, good_bad_file, tmp_path, capsys):
     assert listing(out) == []
 
 
+def test_compare_skip_rule(good_bad_file, tmp_path, capsys):
+    """compare keeps a row per instrument and mode, and records each
+    instrument it cannot compare once, in the manifest and on stderr; it
+    exits 2, with no file, when no row could be compared."""
+    short_reason = "series too short: 8 rows < slow period 26"
+    short_rows = synthetic_rows("SHORT", random_walk_closes(np.random.default_rng(8), 8))
+    with open(good_bad_file, "a", encoding="utf-8") as fh:
+        fh.write("".join(short_rows))
+    out = tmp_path / "out"
+    assert main(["compare", "--data", str(good_bad_file), "--out", str(out)]) == 0
+    statuses = [(row[0], row[1], row[-1]) for row in read_csv(out / "comparison.csv")[1:]]
+    assert statuses == [(code, mode, status) for code, status in (
+        ("BAD", "unusable"), ("GOOD", "ok"), ("SHORT", "error"))
+                        for mode in ("raw", "denoised", "divergence")]
+    manifest = json.loads((out / "manifest.json").read_text())
+    reasons = {"BAD": BAD_REASON, "SHORT": short_reason}
+    assert manifest["skipped"] == reasons
+    assert manifest["artifacts"] == ["comparison.csv"]
+    err = capsys.readouterr().err
+    assert all(err.count(f"skipped {code}: {why}\n") == 1 for code, why in reasons.items())
+
+    for rows, why in (
+        (synthetic_rows("BAD", [0.0] * 100), "no usable instrument in {}\n"),
+        (short_rows, "no instrument in {} could be compared: SHORT: " + short_reason + "\n"),
+        (synthetic_rows("BAD", [0.0] * 100) + short_rows,
+         "no instrument in {} could be compared: BAD: " + BAD_REASON
+         + "; SHORT: " + short_reason + "\n"),
+    ):
+        bad = write_csv(tmp_path / "bad.csv", rows)
+        out = tmp_path / "nothing"
+        assert main(["compare", "--data", str(bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(why.format(bad))
+        assert listing(out) == []
+
+
+# Each command with options, and the options its manifest records: every
+# one it was given except --data and --out, optimize's --code resolved.
+GA_DEFAULTS = {"pc": 0.8, "pm": 0.1, "patience": 8, "workers": 1, "capital": 500000.0,
+               "risk_free": 2.653}
+MANIFEST_OPTIONS = {
+    "ingest": ([], {}),
+    "denoise": (["--params", "10,30,7"], {"params": [10, 30, 7]}),
+    "analyze": (["--params", "10,30,7"], {"params": [10, 30, 7]}),
+    "backtest": (["--mode", "denoised", "--params", "10,30,7", "--capital", "1000",
+                  "--risk-free", "1.5"],
+                 {"mode": "denoised", "params": [10, 30, 7], "capital": 1000.0, "risk_free": 1.5}),
+    "compare": (["--capital", "1000"],
+                {"params": [12, 26, 9], "capital": 1000.0, "risk_free": 2.653}),
+    "optimize": (["--mode", "divergence", "--pop", "24", "--max-gen", "2", "--seed", "11"],
+                 {"mode": "divergence", "code": "AAA.X", "pop": 24, "max_gen": 2, "seed": 11,
+                  **GA_DEFAULTS}),
+}
+
+
+@pytest.mark.parametrize("command", MANIFEST_OPTIONS)
+def test_manifest_records_options(command, data_file, tmp_path):
+    argv, options = MANIFEST_OPTIONS[command]
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data_file), "--out", str(out), *argv]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["data"] == str(data_file)
+    assert manifest["options"] == options
+
+
 # The library call each per-instrument command makes first for an instrument.
 FIRST_CALL = {"denoise": "compute_indicators", "analyze": "detect_oscillation",
               "backtest": "run_backtest"}
