@@ -13,7 +13,7 @@ from .ingest import PriceSeries, load_csv, save_csv, clean
 from .indicators import MacdParams, IndicatorSeries, SignalSeries, ema, compute_indicators, cross_signals
 from .wavelet import WaveletFilter, Decomposition, coif5_filters, haar_filters, dwt_step, decompose, reconstruct, reconstruct_approx, denoise_dif
 from .analysis import OscillationMask, DivergenceEvent, detect_oscillation, find_local_extrema, detect_divergences
-from .backtest import StrategyMode, Trade, TradeLog, run_backtest, recompute_dea_from_denoised
+from .backtest import SeriesCache, StrategyMode, Trade, TradeLog, run_backtest, recompute_dea_from_denoised
 from .metrics import RiskConfig, MetricsReport, compute_metrics
 from .optimizer import GaConfig, Individual, GaState, OptimizeResult, optimize, evaluate_fitness
 
@@ -23,7 +23,7 @@ __all__ = [
     "WaveletFilter", "Decomposition", "coif5_filters", "haar_filters", "dwt_step",
     "decompose", "reconstruct", "reconstruct_approx", "denoise_dif",
     "OscillationMask", "DivergenceEvent", "detect_oscillation", "find_local_extrema", "detect_divergences",
-    "StrategyMode", "Trade", "TradeLog", "run_backtest", "recompute_dea_from_denoised",
+    "SeriesCache", "StrategyMode", "Trade", "TradeLog", "run_backtest", "recompute_dea_from_denoised",
     "RiskConfig", "MetricsReport", "compute_metrics",
     "GaConfig", "Individual", "GaState", "OptimizeResult", "optimize", "evaluate_fitness",
 ]

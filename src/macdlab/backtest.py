@@ -12,9 +12,11 @@ and sell day of every round trip of a whole batch of rows. run_backtest
 is the one-row case of both: it logs each trade's quantity, pnl and
 trigger and the daily equity. For the optimizer, BatchBacktest.nets
 computes only each row's net profit, for a whole batch at once. A
-BatchBacktest keeps what a part of the triple decides (each period's
-EMA, each (fast, slow) pair's wavelet trend) across its calls, so a GA
-generation analyses only the pairs no earlier one has.
+SeriesCache keeps what the series or a part of the triple decides (each
+period's EMA, each (fast, slow) pair's wavelet trend, the divergence
+pairs of the closes) across calls and modes: it is mode-free, so a GA
+generation analyses only the pairs no earlier one has, and the modes of
+one series share one cache.
 tests/oracles.py's backtest_naive, trading one day at a time, is the
 reference both are tested against.
 """
@@ -173,12 +175,13 @@ def _tallies(pnls: list[float]) -> tuple[int, float, float, float]:
 
 
 def run_backtest(
-    prices: PriceSeries,
+    prices: PriceSeries | SeriesCache,
     params: MacdParams,
     mode: StrategyMode,
     initial_capital: float = DEFAULT_CAPITAL,
 ) -> TradeLog:
-    """Run one strategy over a cleaned series and log every execution.
+    """Run one strategy over a cleaned series (or a SeriesCache of one,
+    to share its work with other runs) and log every execution.
 
     Buys invest the whole cash balance at that day's close; sells
     liquidate the whole position. Signals that would repeat the current
@@ -191,7 +194,7 @@ def run_backtest(
     _check_run(n, params, initial_capital)
     batch = BatchBacktest(prices, mode, initial_capital)
     lines = batch.prepare([params]).row(0)
-    logged, equity = _trade_log(batch.closes, lines.signals, lines.forced,
+    logged, equity = _trade_log(batch.cache.closes, lines.signals, lines.forced,
                                 float(initial_capital))
     trades = [Trade(*trade) for trade in logged]
     wins, gross_profit, gross_loss, net = _tallies([trade.pnl for trade in trades])
@@ -309,39 +312,31 @@ def _ema_by_row(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
     return out
 
 
-class BatchBacktest:
-    """Trading lines and net profits of many parameter triples on one
-    series and mode.
+class SeriesCache:
+    """What one price series decides for every mode and parameter triple,
+    each part computed the first time it is asked for and kept for the
+    life of the cache: the closes, the EMA of each period, each (fast,
+    slow) pair's wavelet trend of its DIF (one row of ceil(days / 16)
+    values per pair), and the price half of divergence detection. It
+    holds no mode, so run_backtest and BatchBacktest in every mode can
+    share one cache per series."""
 
-    What depends only on the prices (the EMA of each period, the price
-    half of divergence detection) is computed once per series, and so is
-    what depends only on the (fast, slow) pair: the wavelet trend of its
-    DIF, one row of ceil(days / 16) values per pair, kept for the life of
-    the instance. `prepare` turns triples into their trading lines and
-    actions, one row each, through kernels that run along the day axis;
-    run_backtest is its one-row case, so
-    `nets(triples)[i] == run_backtest(...).net` exactly.
-    """
-
-    def __init__(self, prices: PriceSeries, mode: StrategyMode,
-                 initial_capital: float = DEFAULT_CAPITAL):
+    def __init__(self, prices: PriceSeries):
         self.closes = np.asarray(prices.closes, dtype=float)
-        self.mode = mode
-        self.initial_capital = initial_capital
         self._emas: dict[int, np.ndarray] = {}
         # Each (fast, slow) pair's level-4 DIF trend (denoise_analysis).
         self._trends: dict[tuple[int, int], np.ndarray] = {}
-        self._pairs = {}
-        divergence = mode is StrategyMode.DENOISED_WITH_DIVERGENCE
-        if divergence and len(self.closes) >= PROMINENCE_WINDOW + 2:
-            self._pairs = divergence_pairs(self.closes)
+        self._pairs = None
 
-    def _ema(self, period: int) -> np.ndarray:
+    def __len__(self) -> int:
+        return len(self.closes)
+
+    def ema(self, period: int) -> np.ndarray:
         if period not in self._emas:
             self._emas[period] = ema(self.closes, period)
         return self._emas[period]
 
-    def _smoothed(self, params: list[MacdParams], dif: np.ndarray) -> np.ndarray:
+    def smoothed(self, params: list[MacdParams], dif: np.ndarray) -> np.ndarray:
         """denoise_dif(dif), row for row, from each (fast, slow) pair's
         trend: the pairs not seen before are analysed in one call, and
         each distinct pair of the batch is synthesised once."""
@@ -360,12 +355,39 @@ class BatchBacktest:
         at = {pair: i for i, pair in enumerate(rows)}
         return smoothed[[at[pair] for pair in pairs]]
 
+    def pairs(self) -> dict:
+        """divergence_pairs of the closes; none on a series too short for them."""
+        if self._pairs is None:
+            enough = len(self.closes) >= PROMINENCE_WINDOW + 2
+            self._pairs = divergence_pairs(self.closes) if enough else {}
+        return self._pairs
+
+
+class BatchBacktest:
+    """Trading lines and net profits of many parameter triples on one
+    series and mode.
+
+    The instance keeps only the mode, the capital and a SeriesCache:
+    `prices` itself when it is one, else a new cache of it. So a GA's
+    generations, and the modes of a series, share its EMAs, trends and
+    divergence pairs. `prepare` turns triples into their trading lines
+    and actions, one row each, through kernels that run along the day
+    axis; run_backtest is its one-row case, so
+    `nets(triples)[i] == run_backtest(...).net` exactly.
+    """
+
+    def __init__(self, prices: PriceSeries | SeriesCache, mode: StrategyMode,
+                 initial_capital: float = DEFAULT_CAPITAL):
+        self.cache = prices if isinstance(prices, SeriesCache) else SeriesCache(prices)
+        self.mode = mode
+        self.initial_capital = initial_capital
+
     def nets(self, triples) -> list[float]:
         """Net profit of each (fast, slow, signal) triple, in order.
 
         Raises what run_backtest would for the first triple it rejects.
         """
-        n = len(self.closes)
+        n = len(self.cache)
         params = []
         for genes in triples:
             params.append(MacdParams(*(int(g) for g in genes)))
@@ -384,7 +406,7 @@ class BatchBacktest:
         counts, buys, sells = map(np.concatenate, zip(*trips))
         del trips
         nets = [0.0] * len(params)
-        walked = _walk_nets(self.closes, counts, buys, sells, float(self.initial_capital))
+        walked = _walk_nets(self.cache.closes, counts, buys, sells, float(self.initial_capital))
         for i, net in zip(order, walked):
             nets[i] = net
         return nets
@@ -401,23 +423,24 @@ class BatchBacktest:
         bottom a buy. Divergences are read off the raw histogram, not the
         smoothed one.
         """
-        mode = self.mode
+        mode, cache = self.mode, self.cache
         signal = np.array([p.signal for p in params])
-        dif = np.empty((len(params), len(self.closes)))
+        dif = np.empty((len(params), len(cache)))
         for row, p in zip(dif, params):
-            np.subtract(self._ema(p.fast), self._ema(p.slow), out=row)
+            np.subtract(cache.ema(p.fast), cache.ema(p.slow), out=row)
         if mode is not StrategyMode.DENOISED:
             dea = _ema_by_row(dif, signal)
         if mode is StrategyMode.RAW:
             trade_dif, trade_dea = dif, dea
         else:
-            trade_dif = self._smoothed(params, dif)
+            trade_dif = cache.smoothed(params, dif)
             trade_dea = _ema_by_row(trade_dif, signal)
         signals = cross_signals(SimpleNamespace(dif=trade_dif, dea=trade_dea)).signals
         forced = np.zeros(signals.shape, dtype=np.int8)
-        if self._pairs:
+        pairs = cache.pairs() if mode is StrategyMode.DENOISED_WITH_DIVERGENCE else {}
+        if pairs:
             macd = 2.0 * (dif - dea)
-        for kind, (cur, prev) in self._pairs.items():
+        for kind, (cur, prev) in pairs.items():
             rows, j = np.nonzero(macd_disagrees(macd, kind, cur, prev))
             forced[rows, cur[j] + 1] = SIGNAL_SELL if kind == "top" else SIGNAL_BUY
         return SignalLines(dif, trade_dif, trade_dea, signals, forced)

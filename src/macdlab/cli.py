@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import detect_divergences, detect_oscillation
-from .backtest import DEFAULT_CAPITAL, StrategyMode, run_backtest
+from .backtest import DEFAULT_CAPITAL, SeriesCache, StrategyMode, run_backtest
 from .errors import ConfigError, DataError, UnusableSeriesError
 from .indicators import MacdParams, compute_indicators
 from .ingest import clean, load_csv, save_csv
@@ -334,8 +334,8 @@ def cmd_compare(args) -> int:
     """A row per instrument and mode, an unusable or failing instrument's
     marked so; each such instrument is also skipped, once, with its first
     reason. A data error when no row could be compared."""
-    out = _out_dir(args)
     risk = RiskConfig(risk_free_rate=args.risk_free)
+    out = _out_dir(args)
     screened, skipped, rows = _screen(args.data), {}, []
     _load_skipping(args.data, skipped, screened)
     for series, cleaned, unusable in screened:
@@ -343,9 +343,10 @@ def cmd_compare(args) -> int:
             for mode in StrategyMode:
                 rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["unusable"])
             continue
+        cache = SeriesCache(cleaned)  # the modes share its EMAs, trends and divergence pairs
         for mode in StrategyMode:
             try:
-                log = run_backtest(cleaned, args.params, mode, args.capital)
+                log = run_backtest(cache, args.params, mode, args.capital)
                 report = compute_metrics(log, cleaned.span_days, risk)
                 rows.append([series.code, mode.value, *report.as_dict().values(), "ok"])
             except (DataError, ValueError) as exc:
@@ -361,7 +362,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    out = _out_dir(args)
     artifacts = []
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
@@ -388,7 +388,9 @@ def cmd_optimize(args) -> int:
         max_generations=args.max_gen,
         seed=args.seed,
     )
-    result = optimize(series, mode, cfg, workers=args.workers, initial_capital=args.capital)
+    cache = SeriesCache(series)  # shared by the GA and the comparison rows
+    result = optimize(cache, mode, cfg, workers=args.workers, initial_capital=args.capital)
+    out = _out_dir(args)
 
     best = MacdParams(*result.best_genes)
     _write_json(out / "best.json", {
@@ -412,7 +414,7 @@ def cmd_optimize(args) -> int:
 
     comparison = []
     for label, params in (("default", MacdParams()), ("optimized", best)):
-        log = run_backtest(series, params, mode, args.capital)
+        log = run_backtest(cache, params, mode, args.capital)
         report = compute_metrics(log, series.span_days, risk)
         comparison.append([label, "{},{},{}".format(*params.as_tuple()),
                            *report.as_dict().values()])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backtest import DEFAULT_CAPITAL, BatchBacktest, StrategyMode, run_backtest
+from .backtest import DEFAULT_CAPITAL, BatchBacktest, SeriesCache, StrategyMode, run_backtest
 from .errors import ConfigError
 from .indicators import MacdParams
 from .ingest import PriceSeries
@@ -206,7 +206,7 @@ def _evaluate(population, evaluate_many, cache) -> list[float]:
 
 
 def optimize(
-    prices: PriceSeries | None,
+    prices: PriceSeries | SeriesCache | None,
     mode: StrategyMode,
     cfg: GaConfig,
     *,
@@ -217,9 +217,10 @@ def optimize(
     """Search the bounded integer triple space for maximal fitness.
 
     By default fitness is the net backtest profit on `prices` under
-    `mode`, each generation's new triples evaluated together in batches;
-    pass `fitness_fn(genes) -> float` to substitute any other pure
-    objective (prices may then be None), called once per new triple.
+    `mode`, each generation's new triples evaluated together in batches
+    (a SeriesCache as `prices` keeps its work for later runs); pass
+    `fitness_fn(genes) -> float` to substitute any other pure objective
+    (prices may then be None), called once per new triple.
     `workers` must be >= 1 and is otherwise unused: evaluation runs in
     this thread. Fully deterministic for a given config seed.
     """

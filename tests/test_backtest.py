@@ -15,7 +15,8 @@ from macdlab import (
 )
 from macdlab.analysis import PROMINENCE_WINDOW
 from macdlab import backtest
-from macdlab.backtest import BatchBacktest, _round_trips, _tallies, _trade_log, _walk_nets
+from macdlab.backtest import (BatchBacktest, SeriesCache, _round_trips, _tallies, _trade_log,
+                              _walk_nets)
 from macdlab.errors import ConfigError, DataError
 from macdlab.indicators import SIGNAL_BUY
 
@@ -344,13 +345,50 @@ class TestTrendCache:
         for triples in calls:
             batch.nets(triples)
         pairs = {genes[:2] for triples in calls for genes in triples}
-        assert set(batch._trends) == pairs
-        assert all(trend.shape == (-(-len(series) // 16),) for trend in batch._trends.values())
+        assert set(batch.cache._trends) == pairs
+        assert all(trend.shape == (-(-len(series) // 16),) for trend in batch.cache._trends.values())
 
     def test_raw_mode_keeps_no_trend(self, series):
         batch = BatchBacktest(series, StrategyMode.RAW)
         batch.nets(self.generations()[0])
-        assert batch._trends == {}
+        assert batch.cache._trends == {}
+
+
+class TestSharedCache:
+    """One SeriesCache reused by every mode, in any order and around a
+    nets call that fills it with a batch's EMAs, trends and divergence
+    pairs, gives what a fresh PriceSeries gives each call, bit for bit.
+    A mode that runs first must not leave a later one without its part
+    (the divergence pairs are computed only when a divergence run asks)."""
+
+    @staticmethod
+    def logged(log):
+        return ([tuple(vars(t).values()) for t in log.trades], log.equity.tobytes(),
+                np.float64(log.net).tobytes())
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), days=st.integers(50, 260),
+           fast=st.integers(5, 20), slow=st.integers(21, 50), signal=st.integers(5, 25),
+           before=st.permutations(list(StrategyMode)), batched=st.sampled_from(list(StrategyMode)),
+           after=st.permutations(list(StrategyMode)))
+    def test_shared_cache_matches_fresh_series(self, seed, days, fast, slow, signal,
+                                               before, batched, after):
+        series = series_from_closes(random_walk_closes(np.random.default_rng(seed), days,
+                                                       vol=0.02))
+        params = MacdParams(fast, min(slow, days), signal)
+        triples = [params.as_tuple(), (fast, params.slow, 5), (5, 20, signal), (12, 26, 9)]
+        cache = SeriesCache(series)
+        for mode in before:
+            assert self.logged(run_backtest(cache, params, mode)) == \
+                self.logged(run_backtest(series, params, mode))
+        nets = BatchBacktest(cache, batched).nets(triples)
+        assert np.array(nets).tobytes() == \
+            np.array(BatchBacktest(series, batched).nets(triples)).tobytes()
+        for mode in after:
+            assert self.logged(run_backtest(cache, params, mode)) == \
+                self.logged(run_backtest(series, params, mode))
+            assert BatchBacktest(cache, mode).nets(triples) == \
+                BatchBacktest(series, mode).nets(triples)
 
 
 def naive_logs(closes, signals, forced, capital):

@@ -5,12 +5,13 @@ import os
 import platform
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macdlab import cli
+from macdlab import backtest, cli
 from macdlab.cli import main
 from macdlab.errors import DataError
 
@@ -98,6 +99,18 @@ class TestExitCodes:
         assert main([command, "--data", str(data_file), "--out", str(out),
                      f"--capital={value}"]) == 1
         assert f"argument --capital: bad --capital {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--risk-free", "nan"],
+        ["optimize", "--risk-free", "nan"],
+        ["optimize", "--pop", "1"],
+        ["optimize", "--workers", "0"],
+    ], ids=" ".join)
+    def test_config_error_leaves_no_out(self, data_file, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--data", str(data_file), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_date_is_data_error(self, tmp_path):
@@ -217,6 +230,49 @@ class TestCompare:
         a = (out1 / "comparison.csv").read_bytes()
         b = (out2 / "comparison.csv").read_bytes()
         assert a == b
+
+
+@pytest.fixture
+def series_work(monkeypatch):
+    """Counts of the work macdlab.backtest does per series: divergence_pairs
+    calls, rows analysed by denoise_analysis (one per (fast, slow) pair),
+    and EMAs of the closes (one-dimensional input) by period."""
+    work = {"pairs": 0, "analysed": 0, "emas": Counter()}
+    pairs, analysis, ema = backtest.divergence_pairs, backtest.denoise_analysis, backtest.ema
+
+    def count_pairs(closes):
+        work["pairs"] += 1
+        return pairs(closes)
+
+    def count_analysis(dif):
+        work["analysed"] += len(dif)
+        return analysis(dif)
+
+    def count_ema(x, period):
+        if np.ndim(x) == 1:
+            work["emas"][period] += 1
+        return ema(x, period)
+
+    monkeypatch.setattr(backtest, "divergence_pairs", count_pairs)
+    monkeypatch.setattr(backtest, "denoise_analysis", count_analysis)
+    monkeypatch.setattr(backtest, "ema", count_ema)
+    return work
+
+
+def test_compare_does_each_series_work_once(two_instrument_file, tmp_path, series_work):
+    """The three modes of an instrument share one cache: its divergence
+    pairs, its (fast, slow) pair's wavelet analysis and each EMA period
+    of its closes are computed once."""
+    assert main(["compare", "--data", str(two_instrument_file), "--out", str(tmp_path)]) == 0
+    assert series_work == {"pairs": 2, "analysed": 2, "emas": {12: 2, 26: 2}}
+
+
+def test_optimize_does_each_series_work_once(data_file, tmp_path, series_work):
+    """The GA and both comparison rows share one cache."""
+    assert main(["optimize", "--data", str(data_file), "--out", str(tmp_path), "--pop", "24",
+                 "--max-gen", "4", "--mode", "divergence"]) == 0
+    assert series_work["pairs"] == 1
+    assert set(series_work["emas"].values()) == {1}
 
 
 class TestOptimize:
@@ -575,12 +631,15 @@ class TestFreedHeap:
         256 KiB arrays (the GA's chunk size) fault their pages in about
         once; without it, most rounds fault them in anew (thousands of
         faults, as with the trim threshold alone). Run in a fresh
-        interpreter, whose malloc state no earlier test has touched."""
+        interpreter, whose malloc state no earlier test has touched. Only
+        the set run imports macdlab: the free heap its import leaves
+        varies with the size of the code and of the environment, and a
+        hole that fits both arrays spares the default run its faults."""
         probe = (
             "import resource, sys\n"
             "import numpy as np\n"
-            "from macdlab import cli\n"
             "if sys.argv[1] == 'set':\n"
+            "    from macdlab import cli\n"
             "    cli._keep_freed_heap()\n"
             "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "for _ in range(100):\n"
