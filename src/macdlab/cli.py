@@ -140,7 +140,7 @@ def _write_csv(path: Path, header, columns) -> None:
     print(f"wrote {path}")
 
 
-def _write_manifest(out: Path, args: argparse.Namespace, artifacts: list[str],
+def _write_manifest(out: _OutDir, args: argparse.Namespace, artifacts: list[str],
                     skipped: dict | None = None) -> None:
     """The manifest records every option the command was given but --data
     and --out, a MacdParams as its list."""
@@ -160,7 +160,7 @@ def _write_manifest(out: Path, args: argparse.Namespace, artifacts: list[str],
     _write_json(out / "manifest.json", manifest)
 
 
-def _remove_stale(out: Path, artifacts: list[str]) -> None:
+def _remove_stale(out: _OutDir, artifacts: list[str]) -> None:
     """Delete the files the previous manifest in `out` listed that this run
     did not write. Only plain file names directly inside `out` count; a
     file no manifest listed is left alone."""
@@ -174,10 +174,19 @@ def _remove_stale(out: Path, artifacts: list[str]) -> None:
             (out / name).unlink()
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _OutDir:
+    """The --out directory, created when the first artifact path in it is
+    formed, so a run that fails before it writes leaves no --out."""
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        self.made = False
+
+    def __truediv__(self, name: str) -> Path:
+        if not self.made:
+            self.path.mkdir(parents=True, exist_ok=True)
+            self.made = True
+        return self.path / name
 
 
 def _screen(path) -> list[tuple]:
@@ -237,7 +246,7 @@ def _each_instrument(args, done: str, write) -> int:
     before it writes, so an instrument it raises a data error on is
     skipped with its reason and leaves no file. `_none_done` when no
     instrument could be `done`; else the manifest."""
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     skipped = {}
     iso = _IsoDates()
     artifacts = []
@@ -256,7 +265,7 @@ def _each_instrument(args, done: str, write) -> int:
 
 
 def cmd_ingest(args) -> int:
-    out = _out_dir(args)
+    out = _OutDir(args.out)
     artifacts = []
     summary, usable = [], []
     for series, cleaned, unusable in _screen(args.data):
@@ -334,8 +343,8 @@ def cmd_compare(args) -> int:
     """A row per instrument and mode, an unusable or failing instrument's
     marked so; each such instrument is also skipped, once, with its first
     reason. A data error when no row could be compared."""
+    out = _OutDir(args.out)
     risk = RiskConfig(risk_free_rate=args.risk_free)
-    out = _out_dir(args)
     screened, skipped, rows = _screen(args.data), {}, []
     _load_skipping(args.data, skipped, screened)
     for series, cleaned, unusable in screened:
@@ -362,6 +371,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    out = _OutDir(args.out)
     artifacts = []
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
@@ -390,7 +400,6 @@ def cmd_optimize(args) -> int:
     )
     cache = SeriesCache(series)  # shared by the GA and the comparison rows
     result = optimize(cache, mode, cfg, workers=args.workers, initial_capital=args.capital)
-    out = _out_dir(args)
 
     best = MacdParams(*result.best_genes)
     _write_json(out / "best.json", {

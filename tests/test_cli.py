@@ -79,6 +79,7 @@ class TestExitCodes:
         data = write_csv(tmp_path / "short.csv", synthetic_rows("A", closes))
         assert main(["optimize", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
         assert "too short" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["ingest", "--data", str(tmp_path / "nope.csv"),
@@ -116,6 +117,14 @@ class TestExitCodes:
     def test_bad_date_is_data_error(self, tmp_path):
         data = write_csv(tmp_path / "bad.csv", ["A,2014-13-40,100\n"])
         assert main(["ingest", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("command", ["ingest", "denoise", "analyze", "backtest", "compare",
+                                         "optimize"])
+    def test_unreadable_data_leaves_no_out(self, tmp_path, command):
+        data = write_csv(tmp_path / "bad.csv", ["A,2014-13-40,100\n"])
+        out = tmp_path / "o"
+        assert main([command, "--data", str(data), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestIngest:
@@ -411,7 +420,7 @@ def listing(out):
 def test_skip_rule(command, good_bad_file, tmp_path, capsys):
     """denoise, analyze and backtest skip an instrument they cannot
     process, with its reason in the manifest and on stderr, and write no
-    file for it; they exit 2, with no manifest, when none was processed."""
+    file for it; they exit 2, with no --out, when none was processed."""
     short_reason = PER_INSTRUMENT[command][1]
     short_rows = synthetic_rows("SHORT", random_walk_closes(np.random.default_rng(8), 8))
     with open(good_bad_file, "a", encoding="utf-8") as fh:
@@ -436,13 +445,13 @@ def test_skip_rule(command, good_bad_file, tmp_path, capsys):
     else:
         why = f"no usable instrument in {bad}\n"
     assert capsys.readouterr().err.endswith(why)
-    assert listing(out) == []
+    assert not out.exists()
 
 
 def test_compare_skip_rule(good_bad_file, tmp_path, capsys):
     """compare keeps a row per instrument and mode, and records each
     instrument it cannot compare once, in the manifest and on stderr; it
-    exits 2, with no file, when no row could be compared."""
+    exits 2, with no --out, when no row could be compared."""
     short_reason = "series too short: 8 rows < slow period 26"
     short_rows = synthetic_rows("SHORT", random_walk_closes(np.random.default_rng(8), 8))
     with open(good_bad_file, "a", encoding="utf-8") as fh:
@@ -471,7 +480,7 @@ def test_compare_skip_rule(good_bad_file, tmp_path, capsys):
         out = tmp_path / "nothing"
         assert main(["compare", "--data", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err.endswith(why.format(bad))
-        assert listing(out) == []
+        assert not out.exists()
 
 
 # Each command with options, and the options its manifest records: every
@@ -631,16 +640,19 @@ class TestFreedHeap:
         256 KiB arrays (the GA's chunk size) fault their pages in about
         once; without it, most rounds fault them in anew (thousands of
         faults, as with the trim threshold alone). Run in a fresh
-        interpreter, whose malloc state no earlier test has touched. Only
-        the set run imports macdlab: the free heap its import leaves
-        varies with the size of the code and of the environment, and a
-        hole that fits both arrays spares the default run its faults."""
+        interpreter, whose malloc state no earlier test has touched. Both
+        runs import macdlab, then fill the free heap the import left with
+        64 blocks of 120 KiB (under either mmap threshold), so no hole
+        fits a 256 KiB array: the holes vary with the size of the code
+        and of the environment, and one that fits both arrays would spare
+        the default run its faults."""
         probe = (
             "import resource, sys\n"
             "import numpy as np\n"
+            "from macdlab import cli\n"
             "if sys.argv[1] == 'set':\n"
-            "    from macdlab import cli\n"
             "    cli._keep_freed_heap()\n"
+            "filler = [bytearray(120 << 10) for _ in range(64)]\n"
             "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "for _ in range(100):\n"
             "    a = np.ones(32768)\n"
