@@ -7,9 +7,11 @@ fills at the signal day's close, no fees, fractional quantities.
 
 BatchBacktest.prepare is the one place a mode becomes trading lines
 and actions, for many parameter triples on one series at once (a row
-each), and _round_trips the one place actions become trades, the buy
-and sell day of every round trip of a whole batch of rows. run_backtest
-is the one-row case of both: it logs each trade's quantity, pnl and
+each); _round_trips the one place actions become trades, the buy and
+sell day of every round trip of a whole batch of rows; _walk the one
+place trades get their quantities and pnls, and _tallies the one place
+pnls become wins, gross profit and gross loss. run_backtest is the
+one-row case of all four: it logs each trade's quantity, pnl and
 trigger and the daily equity. For the optimizer, BatchBacktest.nets
 computes only each row's net profit, for a whole batch at once. A
 SeriesCache keeps what the series or a part of the triple decides (each
@@ -128,50 +130,51 @@ def _check_run(n: int, params: MacdParams, initial_capital: float) -> None:
 
 
 def _trade_log(closes: np.ndarray, signals: np.ndarray, forced: np.ndarray,
-               capital: float) -> tuple[list[tuple], np.ndarray]:
-    """Trade field tuples of one row's round trips (as _round_trips
-    makes them) and the daily equity curve.
+               capital: float) -> tuple[list[tuple], np.ndarray, tuple[int, float, float]]:
+    """Trade field tuples of one row's round trips (as _round_trips makes
+    and _walk trades them), the daily equity curve and the row's (wins,
+    gross profit, gross loss).
 
-    Each buy invests the cash, telescoped as capital plus the pnls so far
-    so that equity[-1] == capital + sum of pnls holds exactly. At the
-    first buy whose quantity is not positive (only rounding to a zero or
-    negative cash brings that about), trading stops and that quantity is
-    held to the end.
+    The cash before each buy is capital plus the cumulative sum of the
+    pnls before it, the additions _walk makes, so equity[-1] == capital +
+    sum of pnls exactly. The buy a row stops at is held to the end.
     """
-    _, buys, sells = _round_trips(signals[None], forced[None])
+    counts, buys, sells = _round_trips(signals[None], forced[None])
+    quantity, pnl, made = _walk(closes, counts, buys, sells, capital)
+    made = int(made[0])
+    cash = capital + np.cumsum(np.append(0.0, pnl[:made]))  # before each buy, then at the end
+    ends = sells[:made].tolist() + [len(closes)] * (made < len(buys))
     equity = np.empty(len(closes))
-    trades = []
-    cum_pnl = 0.0
     flat_from = 0
-    for buy, sell, buy_price, sell_price, crossed, forced_tag in zip(
-            buys.tolist(), sells.tolist(), closes[buys].tolist(), closes[sells].tolist(),
-            signals[sells].tolist(), forced[sells].tolist()):
-        equity[flat_from:buy] = capital + cum_pnl
-        quantity = (capital + cum_pnl) / buy_price
-        if not quantity > 0.0:
-            equity[buy:] = 0.0 + quantity * closes[buy:]
-            return trades, equity
-        equity[buy:sell] = 0.0 + quantity * closes[buy:sell]
-        pnl = quantity * (sell_price - buy_price)
-        cum_pnl = cum_pnl + pnl
-        if (forced_tag or crossed) != SIGNAL_SELL:
-            trigger = "final_liquidation"
-        else:
-            trigger = "divergence" if forced_tag else "cross"
-        trades.append((buy, sell, buy_price, sell_price, quantity, pnl, trigger))
-        flat_from = sell
-    equity[flat_from:] = capital + cum_pnl
-    return trades, equity
+    for buy, end, held, flat in zip(buys.tolist(), ends, quantity.tolist(), cash.tolist()):
+        equity[flat_from:buy] = flat
+        equity[buy:end] = 0.0 + held * closes[buy:end]
+        flat_from = end
+    equity[flat_from:] = cash[-1]
+    buys, sells = buys[:made], sells[:made]
+    forced_tag = forced[sells]
+    tag = np.where(forced_tag != 0, forced_tag, signals[sells])
+    trigger = np.where(tag != SIGNAL_SELL, "final_liquidation",
+                       np.where(forced_tag != 0, "divergence", "cross"))
+    trades = list(zip(buys.tolist(), sells.tolist(), closes[buys].tolist(),
+                      closes[sells].tolist(), quantity[:made].tolist(), pnl[:made].tolist(),
+                      trigger.tolist()))
+    return trades, equity, tuple(tally[0] for tally in _tallies(counts, pnl))
 
 
-def _tallies(pnls: list[float]) -> tuple[int, float, float, float]:
-    """(wins, gross profit, gross loss, net) of the closed trades' pnls."""
-    if not pnls:
-        return 0, 0.0, 0.0, 0.0
-    pnls = np.array(pnls)
-    gross_profit = float(pnls[pnls > 0].sum())
-    gross_loss = float(-pnls[pnls < 0].sum())
-    return int((pnls > 0).sum()), gross_profit, gross_loss, gross_profit - gross_loss
+def _tallies(counts: np.ndarray, pnl: np.ndarray) -> tuple[list[int], list[float], list[float]]:
+    """Each row's wins, gross profit and gross loss, from its trades' pnls
+    (row by row, counts[r] of row r's, in order): a row's gains, and its
+    losses, are summed in trade order."""
+    rows = len(counts)
+    row = np.repeat(np.arange(rows), counts)
+    won, lost = pnl > 0, pnl < 0
+    wins = np.bincount(row[won], minlength=rows)
+    gain_at = np.append(0, np.cumsum(wins)).tolist()
+    loss_at = np.append(0, np.cumsum(np.bincount(row[lost], minlength=rows))).tolist()
+    gains, losses = pnl[won], -pnl[lost]
+    return (wins.tolist(), [float(gains[a:b].sum()) for a, b in zip(gain_at, gain_at[1:])],
+            [float(losses[a:b].sum()) for a, b in zip(loss_at, loss_at[1:])])
 
 
 def run_backtest(
@@ -190,14 +193,12 @@ def run_backtest(
     tagged final_liquidation. Divergence-forced actions take precedence
     over a crossover landing on the same day.
     """
-    n = len(prices)
-    _check_run(n, params, initial_capital)
+    _check_run(len(prices), params, initial_capital)
     batch = BatchBacktest(prices, mode, initial_capital)
     lines = batch.prepare([params]).row(0)
-    logged, equity = _trade_log(batch.cache.closes, lines.signals, lines.forced,
-                                float(initial_capital))
+    logged, equity, (wins, gross_profit, gross_loss) = _trade_log(
+        batch.cache.closes, lines.signals, lines.forced, float(initial_capital))
     trades = [Trade(*trade) for trade in logged]
-    wins, gross_profit, gross_loss, net = _tallies([trade.pnl for trade in trades])
     return TradeLog(
         trades=trades,
         equity=equity,
@@ -207,7 +208,7 @@ def run_backtest(
         n_wins=wins,
         gross_profit=gross_profit,
         gross_loss=gross_loss,
-        net=net,
+        net=gross_profit - gross_loss,
         lines=lines,
     )
 
@@ -221,9 +222,9 @@ def _round_trips(signals: np.ndarray, forced: np.ndarray):
     tag (forced where set, else the crossover) only when it differs from
     the last tag acted on. Last-day tags are left out: a buy there is
     ignored, and a sell there closes on the day the final liquidation
-    of a position still open does. The callers cut a row at the first
-    buy its cash cannot pay for. This is the only place tags become
-    trades; tests/oracles.py's backtest_naive is the day-by-day reference.
+    of a position still open does. _walk cuts a row at the first buy
+    its cash cannot pay for. This is the only place tags become trades;
+    tests/oracles.py's backtest_naive is the day-by-day reference.
     """
     rows, n = signals.shape
     tags = np.where(forced != 0, forced, signals) if forced.any() else signals
@@ -248,18 +249,19 @@ def _round_trips(signals: np.ndarray, forced: np.ndarray):
     return counts, day[buys].astype(np.int32), sells.astype(np.int32)
 
 
-def _walk_nets(closes: np.ndarray, counts: np.ndarray, buys: np.ndarray,
-               sells: np.ndarray, initial_capital: float) -> list[float]:
-    """Net profit of each row's round trips (as _round_trips returns
-    them), exactly as run_backtest computes it from _trade_log's pnls.
+def _walk(closes: np.ndarray, counts: np.ndarray, buys: np.ndarray,
+          sells: np.ndarray, capital: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each trade's quantity and pnl, and each row's number of trades
+    made, for the round trips _round_trips returns.
 
-    The pnl recursion runs once per trade index k, across every row that
-    has a k-th trade: ranked by trade count, those rows are a prefix of
-    the ranking, and step k gathers their k-th trades from the row-major
-    arrays and scatters the pnls back. A row stops trading, as _trade_log
-    does, at the first buy whose quantity is not positive (only rounding
-    to a zero or negative cash brings that about). Each row's gains and
-    losses are then summed in trade order, as _tallies sums them.
+    Each buy invests the row's cash, telescoped as capital plus the pnls
+    so far. The recursion runs once per trade index k, across every row
+    that has a k-th trade: ranked by trade count, those rows are a prefix
+    of the ranking, and step k gathers their k-th trades from the
+    row-major arrays and scatters the results back. A row stops trading
+    at its first buy whose quantity is not positive (only rounding to a
+    zero or negative cash brings that about): that buy's quantity is
+    kept, and its pnl and those of the row's later trades are 0.
     """
     rows = len(counts)
     by_count = np.argsort(-counts, kind="stable")
@@ -268,31 +270,25 @@ def _walk_nets(closes: np.ndarray, counts: np.ndarray, buys: np.ndarray,
     first = np.cumsum(counts) - counts
     ranked_first = first[by_count]
     buy_price = closes[buys]
+    quantity = np.empty(len(buys))
     pnl = closes[sells]
     pnl -= buy_price  # each trade's price gain, replaced by its pnl at its step
     cum = np.zeros(rows)
-    stop = counts.copy()
+    made = counts.copy()
     for k, m in enumerate(trading):
         at = ranked_first[:m] + k  # the k-th trade of each of the m rows that have one
-        quantity = (initial_capital + cum[:m]) / buy_price[at]
-        if not quantity.min() > 0.0:
-            stuck = by_count[np.flatnonzero(~(quantity > 0.0))]
-            stop[stuck] = np.minimum(stop[stuck], k)
+        held = (capital + cum[:m]) / buy_price[at]
+        quantity[at] = held
+        if not held.min() > 0.0:
+            stuck = by_count[np.flatnonzero(~(held > 0.0))]
+            made[stuck] = np.minimum(made[stuck], k)
         step = pnl[at]
-        step *= quantity
+        step *= held
         pnl[at] = step
         cum[:m] += step
-    del buy_price
-    row = np.repeat(np.arange(rows, dtype=np.int32), counts)
-    for r in np.flatnonzero(stop < counts).tolist():
-        pnl[first[r] + stop[r]:first[r] + counts[r]] = 0.0  # trades never made
-    # Each row's gains (and losses) in trade order, rows one after another.
-    won, lost = pnl > 0, pnl < 0
-    gains, losses = pnl[won], pnl[lost]
-    gain_at = np.append(0, np.cumsum(np.bincount(row[won], minlength=rows))).tolist()
-    loss_at = np.append(0, np.cumsum(np.bincount(row[lost], minlength=rows))).tolist()
-    return [float(gains[gain_at[r]:gain_at[r + 1]].sum())
-            - float(-losses[loss_at[r]:loss_at[r + 1]].sum()) for r in range(rows)]
+    for r in np.flatnonzero(made < counts).tolist():
+        pnl[first[r] + made[r]:first[r] + counts[r]] = 0.0  # trades never made
+    return quantity, pnl, made
 
 
 # A chunk of triples has as many rows as keep one (rows x days) float64
@@ -405,10 +401,10 @@ class BatchBacktest:
             return []
         counts, buys, sells = map(np.concatenate, zip(*trips))
         del trips
+        pnl = _walk(self.cache.closes, counts, buys, sells, float(self.initial_capital))[1]
         nets = [0.0] * len(params)
-        walked = _walk_nets(self.cache.closes, counts, buys, sells, float(self.initial_capital))
-        for i, net in zip(order, walked):
-            nets[i] = net
+        for i, gain, loss in zip(order, *_tallies(counts, pnl)[1:]):
+            nets[i] = gain - loss
         return nets
 
     def prepare(self, params: list[MacdParams]) -> SignalLines:

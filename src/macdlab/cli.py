@@ -176,13 +176,17 @@ def _remove_stale(out: _OutDir, artifacts: list[str]) -> None:
 
 class _OutDir:
     """The --out directory, created when the first artifact path in it is
-    formed, so a run that fails before it writes leaves no --out."""
+    formed, so a run that fails before it writes leaves no --out. An
+    artifact name that is not a plain file name (an instrument code with
+    a `/`) is a data error, raised before --out is made."""
 
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.made = False
 
     def __truediv__(self, name: str) -> Path:
+        if Path(name).name != name:
+            raise DataError(f"artifact name {name!r} is not a plain file name")
         if not self.made:
             self.path.mkdir(parents=True, exist_ok=True)
             self.made = True
@@ -446,6 +450,23 @@ def _add_common(sub: argparse.ArgumentParser, params: bool = True) -> None:
                          help="indicator periods X,Y,Z (default: 12,26,9)")
 
 
+# The options of the commands that run a strategy, each declared once.
+_RUN_OPTIONS = {
+    "--mode": dict(choices=MODE_CHOICES, default="raw",
+                   help="strategy mode (default: raw)"),
+    "--capital": dict(type=_parse_capital, default=DEFAULT_CAPITAL,
+                      help=f"initial capital, finite and positive (default: {DEFAULT_CAPITAL:g})"),
+    "--risk-free": dict(type=float, default=RiskConfig().risk_free_rate,
+                        help="annual risk-free rate in percent "
+                             f"(default: {RiskConfig().risk_free_rate:g})"),
+}
+
+
+def _add_run_options(sub: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        sub.add_argument(name, **_RUN_OPTIONS[name])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="macdlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -466,21 +487,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("backtest", help="run one strategy mode and emit its reports")
     _add_common(p)
-    p.add_argument("--mode", choices=MODE_CHOICES, default="raw")
-    p.add_argument("--capital", type=_parse_capital, default=DEFAULT_CAPITAL)
-    p.add_argument("--risk-free", type=float, default=RiskConfig().risk_free_rate,
-                   help="annual risk-free rate in percent")
+    _add_run_options(p, "--mode", "--capital", "--risk-free")
     p.set_defaults(func=cmd_backtest)
 
     p = subs.add_parser("compare", help="run all three modes over every instrument")
     _add_common(p)
-    p.add_argument("--capital", type=_parse_capital, default=DEFAULT_CAPITAL)
-    p.add_argument("--risk-free", type=float, default=RiskConfig().risk_free_rate)
+    _add_run_options(p, "--capital", "--risk-free")
     p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("optimize", help="search indicator periods with the genetic algorithm")
     _add_common(p, params=False)
-    p.add_argument("--mode", choices=MODE_CHOICES, default="raw")
+    _add_run_options(p, "--mode")
     p.add_argument("--code", default=None, help="instrument to optimize (required when several)")
     p.add_argument("--pop", type=int, default=GaConfig().population_size)
     p.add_argument("--pc", type=float, default=GaConfig().crossover_rate)
@@ -491,8 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1,
                    help="accepted (must be >= 1) but unused: candidates are evaluated in "
                         "batches in one thread, so it changes neither speed nor results")
-    p.add_argument("--capital", type=_parse_capital, default=DEFAULT_CAPITAL)
-    p.add_argument("--risk-free", type=float, default=RiskConfig().risk_free_rate)
+    _add_run_options(p, "--capital", "--risk-free")
     p.set_defaults(func=cmd_optimize)
 
     return parser

@@ -116,12 +116,6 @@ class SignalSeries:
     def __len__(self) -> int:
         return len(self.signals)
 
-    def buy_days(self) -> np.ndarray:
-        return np.flatnonzero(self.signals == SIGNAL_BUY)
-
-    def sell_days(self) -> np.ndarray:
-        return np.flatnonzero(self.signals == SIGNAL_SELL)
-
 
 def ema(values, n: int) -> np.ndarray:
     """Exponential moving average with alpha = 2/(n+1), along the last axis.

@@ -15,8 +15,7 @@ from macdlab import (
 )
 from macdlab.analysis import PROMINENCE_WINDOW
 from macdlab import backtest
-from macdlab.backtest import (BatchBacktest, SeriesCache, _round_trips, _tallies, _trade_log,
-                              _walk_nets)
+from macdlab.backtest import BatchBacktest, SeriesCache, _round_trips, _tallies, _trade_log, _walk
 from macdlab.errors import ConfigError, DataError
 from macdlab.indicators import SIGNAL_BUY
 
@@ -391,38 +390,51 @@ class TestSharedCache:
                 BatchBacktest(series, mode).nets(triples)
 
 
+def numpy_tallies(pnls):
+    """(wins, gross profit, gross loss) of one row's pnls, its gains and
+    its losses each summed in trade order by numpy."""
+    pnls = np.array(pnls, dtype=float)
+    return int((pnls > 0).sum()), float(pnls[pnls > 0].sum()), float(-pnls[pnls < 0].sum())
+
+
 def naive_logs(closes, signals, forced, capital):
-    """Each row's trades and equity bytes, traded by the day-by-day oracle."""
+    """Each row's trades, equity bytes and tallies, traded by the
+    day-by-day oracle."""
     logs = []
     for row_signals, row_forced in zip(signals, forced):
         days = np.flatnonzero(row_forced).tolist()
         trades, equity = backtest_naive(closes, row_signals,
                                         dict(zip(days, row_forced[days].tolist())), capital)
-        logs.append((trades, np.array(equity).tobytes()))
+        logs.append((trades, np.array(equity).tobytes(),
+                     numpy_tallies([trade[5] for trade in trades])))
     return logs
 
 
 def trade_logs(closes, signals, forced, capital):
-    """Each row's trades and equity bytes, from run_backtest's trade log."""
+    """Each row's trades, equity bytes and tallies, from run_backtest's
+    trade log."""
     closes = np.asarray(closes, dtype=float)
     logs = (_trade_log(closes, *row, capital) for row in zip(signals, forced))
-    return [(trades, equity.tobytes()) for trades, equity in logs]
+    return [(trades, equity.tobytes(), tallies) for trades, equity, tallies in logs]
 
 
 def naive(closes, signals, forced, capital):
     """Each row's round-trip days and net, traded by the day-by-day oracle."""
     logs = naive_logs(closes, signals, forced, capital)
-    return ([[trade[:2] for trade in trades] for trades, _ in logs],
-            [_tallies([trade[5] for trade in trades])[3] for trades, _ in logs])
+    return ([[trade[:2] for trade in trades] for trades, _, _ in logs],
+            [gain - loss for _, _, (_, gain, loss) in logs])
 
 
 def batched(closes, signals, forced, capital):
-    """Each row's round-trip days and net, from the batched walk."""
+    """Each row's round-trip days and net, walked and tallied as a batch,
+    as BatchBacktest.nets does."""
     counts, buys, sells = _round_trips(signals, forced)
     ends = np.cumsum(counts).tolist()
     trips = list(zip(buys.tolist(), sells.tolist()))
     days = [trips[end - count:end] for count, end in zip(counts.tolist(), ends)]
-    return days, _walk_nets(np.asarray(closes, dtype=float), counts, buys, sells, capital)
+    _, pnl, _ = _walk(np.asarray(closes, dtype=float), counts, buys, sells, capital)
+    _, gains, losses = _tallies(counts, pnl)
+    return days, [gain - loss for gain, loss in zip(gains, losses)]
 
 
 @st.composite
@@ -446,7 +458,7 @@ class TestBatchedWalk:
         ones = [1.0] * len(closes)  # no cash ever runs out: every state change trades
         assert batched(ones, signals, forced, capital)[0] == naive(ones, signals, forced, capital)[0]
         assert batched(*batch)[1] == naive(*batch)[1]
-        assert trade_logs(*batch) == naive_logs(*batch)
+        assert trade_logs(*batch) == naive_logs(*batch)  # trades, equity and tallies
 
     @pytest.mark.parametrize("signals, forced", [
         ([[1], [-1], [0]], [[0], [0], [-1]]),  # one day: nothing trades
@@ -478,8 +490,10 @@ class TestBatchedWalk:
         days, nets = naive(closes, signals, forced, 500_000.0)
         assert days == [[(0, 1)]]
         assert batched(closes, signals, forced, 500_000.0)[1] == nets
-        [(trades, equity)] = trade_logs(closes, signals, forced, 500_000.0)
+        [(trades, equity, tallies)] = trade_logs(closes, signals, forced, 500_000.0)
         assert len(trades) == 1
         assert np.frombuffer(equity)[1:] == pytest.approx(
             [-5.82e-11, -5.82e-11, -1.16e-10, -1.16e-10], rel=1e-2)
-        assert [(trades, equity)] == naive_logs(closes, signals, forced, 500_000.0)
+        # The one loss is all that is tallied: the buy the row stopped at made no trade.
+        assert tallies == (0, 0.0, -trades[0][5])
+        assert [(trades, equity, tallies)] == naive_logs(closes, signals, forced, 500_000.0)

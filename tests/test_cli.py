@@ -3,6 +3,7 @@ import ctypes
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -481,6 +482,41 @@ def test_compare_skip_rule(good_bad_file, tmp_path, capsys):
         assert main(["compare", "--data", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err.endswith(why.format(bad))
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", PER_INSTRUMENT)
+def test_code_that_cannot_name_a_file_is_skipped(command, tmp_path, capsys):
+    """An instrument code holding a `/` cannot name an artifact: the
+    instrument is skipped with that reason and nothing is written for it,
+    inside --out or out of it; alone in the file, it makes a data error
+    that leaves no --out."""
+    slash = synthetic_rows("A/B", random_walk_closes(np.random.default_rng(8), 120))
+    good = synthetic_rows("GOOD", random_walk_closes(np.random.default_rng(13), 120))
+    data = write_csv(tmp_path / "slash.csv", slash + good)
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["artifacts"] == artifacts_of(command, "GOOD")
+    [(code, reason)] = manifest["skipped"].items()
+    assert code == "A/B"
+    assert re.fullmatch(r"artifact name '[a-z]+_A/B\.(csv|json)' is not a plain file name", reason)
+    assert f"skipped A/B: {reason}\n" in capsys.readouterr().err
+    assert listing(out) == sorted(manifest["artifacts"] + ["manifest.json"])
+    assert listing(tmp_path) == ["out", "slash.csv"]
+
+    only = write_csv(tmp_path / "only.csv", slash)
+    out = tmp_path / "nothing"
+    assert main([command, "--data", str(only), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"could be {DONE[command]}: A/B: {reason}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["backtest", "compare", "optimize"])
+def test_run_options_have_help(command, capsys):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--capital CAPITAL initial capital, finite and positive (default: 500000)" in text
+    assert "--risk-free RISK_FREE annual risk-free rate in percent (default: 2.653)" in text
 
 
 # Each command with options, and the options its manifest records: every
