@@ -8,12 +8,15 @@ or other run-varying content, so re-running a command reproduces them
 byte-for-byte. The manifest's options are the parsed arguments, and the
 JSON artifacts the library's records, not restated field by field.
 
-denoise, analyze and backtest process each instrument on its own, through
-one runner, `_each_instrument(args, done, write)`. One they cannot
-process (unusable after cleaning, or too short) is skipped: no file is
-written for it, and its reason goes to stderr and to the manifest's
-"skipped". compare and optimize skip by the same rule. The run fails
-only when no instrument was processed.
+Each command keeps that state in one `_Run`: --out (made at the first
+write), the artifact names written, the instruments skipped, and the
+manifest step. denoise, analyze and backtest process each instrument on
+its own, through one runner, `_each_instrument(args, done, write)`, whose
+`write(run, series, iso)` writes one instrument's artifacts through the
+run. An instrument a command cannot process (unusable after cleaning, or
+too short) is skipped: no file is written for it, and its reason goes to
+stderr and to the manifest's "skipped". compare and optimize skip by the
+same rule. The run fails only when no instrument was processed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -37,7 +40,7 @@ from .analysis import detect_divergences, detect_oscillation
 from .backtest import DEFAULT_CAPITAL, SeriesCache, StrategyMode, run_backtest
 from .errors import ConfigError, DataError, UnusableSeriesError
 from .indicators import MacdParams, compute_indicators
-from .ingest import clean, load_csv, save_csv
+from .ingest import REQUIRED_COLUMNS, clean, load_csv
 from .metrics import REPORT_COLUMNS, RiskConfig, compute_metrics
 from .optimizer import GaConfig, optimize
 from .wavelet import denoise_dif
@@ -140,57 +143,93 @@ def _write_csv(path: Path, header, columns) -> None:
     print(f"wrote {path}")
 
 
-def _write_manifest(out: _OutDir, args: argparse.Namespace, artifacts: list[str],
-                    skipped: dict | None = None) -> None:
-    """The manifest records every option the command was given but --data
-    and --out, a MacdParams as its list."""
-    options = {name: list(value.as_tuple()) if isinstance(value, MacdParams) else value
-               for name, value in vars(args).items()
-               if name not in ("command", "func", "data", "out")}
-    manifest = {
-        "command": args.command,
-        "version": __version__,
-        "data": str(args.data),
-        "options": options,
-        "artifacts": sorted(artifacts),
-    }
-    if skipped:
-        manifest["skipped"] = skipped
-    _remove_stale(out, artifacts)
-    _write_json(out / "manifest.json", manifest)
+class _Run:
+    """One command's output: its --out directory, the names of the
+    artifacts it wrote, the instruments it skipped, and the manifest that
+    lists both.
 
+    --out is made when the first artifact path in it is formed, so a run
+    that fails before it writes leaves no --out. An artifact name that is
+    not a plain file name (an instrument code with a `/`) is a data error,
+    raised before --out is made. A name is recorded once its write
+    returns: a write that raises lists nothing.
+    """
 
-def _remove_stale(out: _OutDir, artifacts: list[str]) -> None:
-    """Delete the files the previous manifest in `out` listed that this run
-    did not write. Only plain file names directly inside `out` count; a
-    file no manifest listed is left alone."""
-    try:
-        listed = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
-        stale = {name for name in listed if isinstance(name, str)} - set(artifacts)
-    except (OSError, ValueError, KeyError, TypeError):
-        return
-    for name in sorted(stale):
-        if Path(name).name == name and (out / name).is_file():
-            (out / name).unlink()
-
-
-class _OutDir:
-    """The --out directory, created when the first artifact path in it is
-    formed, so a run that fails before it writes leaves no --out. An
-    artifact name that is not a plain file name (an instrument code with
-    a `/`) is a data error, raised before --out is made."""
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
+    def __init__(self, args) -> None:
+        self.args = args
+        self.out = Path(args.out)
         self.made = False
+        self.written: list[str] = []
+        self.skipped: dict[str, str] = {}
 
-    def __truediv__(self, name: str) -> Path:
+    def _path(self, name: str) -> Path:
         if Path(name).name != name:
             raise DataError(f"artifact name {name!r} is not a plain file name")
         if not self.made:
-            self.path.mkdir(parents=True, exist_ok=True)
+            self.out.mkdir(parents=True, exist_ok=True)
             self.made = True
-        return self.path / name
+        return self.out / name
+
+    def write_csv(self, name: str, header, columns) -> None:
+        _write_csv(self._path(name), header, columns)
+        self.written.append(name)
+
+    def write_json(self, name: str, obj) -> None:
+        _write_json(self._path(name), obj)
+        self.written.append(name)
+
+    def skip(self, code: str, reason) -> None:
+        """Record an instrument the command cannot process, for the manifest and stderr."""
+        self.skipped[code] = str(reason)
+        print(f"skipped {code}: {reason}", file=sys.stderr)
+
+    def usable(self, screened: list[tuple]) -> list:
+        """The usable instruments of `screened` (a `_screen`); each unusable
+        one is skipped. A data error when none is usable."""
+        usable = [cleaned for _, cleaned, _ in screened if cleaned is not None]
+        if not usable:
+            raise DataError(f"no usable instrument in {self.args.data}")
+        for series, _, unusable in screened:
+            if unusable is not None:
+                self.skip(series.code, unusable)
+        return usable
+
+    def none_done(self, done: str) -> DataError:
+        """The data error when no instrument could be `done`, with every reason."""
+        return DataError(f"no instrument in {self.args.data} could be {done}: "
+                         + "; ".join(f"{code}: {why}" for code, why in self.skipped.items()))
+
+    def finish(self) -> int:
+        """Delete the files the previous manifest in --out listed that this
+        run did not write, then write the manifest. Only a list's plain
+        file names directly inside --out count; a file no manifest listed
+        is left alone. The manifest records every option the command was
+        given but --data and --out, a MacdParams as its list."""
+        path = self._path("manifest.json")
+        try:
+            listed = json.loads(path.read_text(encoding="utf-8"))["artifacts"]
+        except (OSError, ValueError, KeyError, TypeError):
+            listed = []
+        if isinstance(listed, list):
+            stale = {name for name in listed if isinstance(name, str)} - set(self.written)
+            for name in sorted(stale):
+                if Path(name).name == name and (self.out / name).is_file():
+                    (self.out / name).unlink()
+        args = self.args
+        options = {name: list(value.as_tuple()) if isinstance(value, MacdParams) else value
+                   for name, value in vars(args).items()
+                   if name not in ("command", "func", "data", "out")}
+        manifest = {
+            "command": args.command,
+            "version": __version__,
+            "data": str(args.data),
+            "options": options,
+            "artifacts": sorted(self.written),
+        }
+        if self.skipped:
+            manifest["skipped"] = self.skipped
+        _write_json(path, manifest)
+        return 0
 
 
 def _screen(path) -> list[tuple]:
@@ -203,33 +242,6 @@ def _screen(path) -> list[tuple]:
         except UnusableSeriesError as exc:
             screened.append((series, None, exc))
     return screened
-
-
-def _skip(skipped: dict, code: str, reason) -> None:
-    """Record an instrument a command cannot process, for the manifest and stderr."""
-    skipped[code] = str(reason)
-    print(f"skipped {code}: {reason}", file=sys.stderr)
-
-
-def _load_skipping(path, skipped: dict, screened: list | None = None) -> list:
-    """The usable instruments in `path` (`screened`: its `_screen`, if
-    already read); each unusable one is skipped. A data error when none
-    is usable."""
-    if screened is None:
-        screened = _screen(path)
-    usable = [cleaned for _, cleaned, _ in screened if cleaned is not None]
-    if not usable:
-        raise DataError(f"no usable instrument in {path}")
-    for series, _, unusable in screened:
-        if unusable is not None:
-            _skip(skipped, series.code, unusable)
-    return usable
-
-
-def _none_done(path, done: str, skipped: dict) -> DataError:
-    """The data error when no instrument in `path` could be `done`, with every reason."""
-    return DataError(f"no instrument in {path} could be {done}: "
-                     + "; ".join(f"{code}: {why}" for code, why in skipped.items()))
 
 
 class _IsoDates(dict):
@@ -245,74 +257,63 @@ class _IsoDates(dict):
 
 
 def _each_instrument(args, done: str, write) -> int:
-    """Run `write(series, out, iso)` on each usable instrument: it writes
-    the instrument's artifacts and returns their names, computing all
-    before it writes, so an instrument it raises a data error on is
-    skipped with its reason and leaves no file. `_none_done` when no
-    instrument could be `done`; else the manifest."""
-    out = _OutDir(args.out)
-    skipped = {}
-    iso = _IsoDates()
-    artifacts = []
-    for series in _load_skipping(args.data, skipped):
+    """Run `write(run, series, iso)` on each usable instrument: it writes
+    the instrument's artifacts through the `_Run`, computing all before
+    it writes, so an instrument it raises a data error on is skipped with
+    its reason and leaves no file. A data error when no instrument could
+    be `done`; else the manifest."""
+    run, iso = _Run(args), _IsoDates()
+    for series in run.usable(_screen(args.data)):
         try:
-            artifacts += write(series, out, iso)
+            write(run, series, iso)
         except (DataError, ValueError) as exc:
-            _skip(skipped, series.code, exc)
-    if not artifacts:
-        raise _none_done(args.data, done, skipped)
-    _write_manifest(out, args, artifacts, skipped)
-    return 0
+            run.skip(series.code, exc)
+    if not run.written:
+        raise run.none_done(done)
+    return run.finish()
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_ingest(args) -> int:
-    out = _OutDir(args.out)
-    artifacts = []
-    summary, usable = [], []
+    run, iso = _Run(args), _IsoDates()
+    summary, cleaned_rows = [], []
     for series, cleaned, unusable in _screen(args.data):
         if unusable is not None:
             summary.append([series.code, len(series), "", unusable.dropped, "unusable"])
             continue
-        usable.append(cleaned)
+        cleaned_rows += zip([cleaned.code] * len(cleaned), iso.column(cleaned),
+                            cleaned.closes.tolist())
         summary.append([series.code, len(series), len(cleaned),
                         len(series) - len(cleaned), "ok"])
-    _write_csv(out / "instruments.csv",
-               ["code", "rows", "rows_kept", "rows_dropped", "status"], zip(*summary))
-    artifacts.append("instruments.csv")
-    save_csv(usable, out / "cleaned.csv")
-    print(f"wrote {out / 'cleaned.csv'}")
-    artifacts.append("cleaned.csv")
-    _write_manifest(out, args, artifacts)
-    return 0
+    run.write_csv("instruments.csv",
+                  ["code", "rows", "rows_kept", "rows_dropped", "status"], zip(*summary))
+    run.write_csv("cleaned.csv", REQUIRED_COLUMNS, zip(*cleaned_rows))
+    return run.finish()
 
 
 def cmd_denoise(args) -> int:
-    def write(series, out, iso) -> list[str]:
+    def write(run, series, iso) -> None:
         ind = compute_indicators(series, args.params)
         smooth = denoise_dif(ind.dif)
-        name = f"denoise_{series.code}.csv"
-        _write_csv(out / name, ["date", "dif", "dif_denoised"],
-                   [iso.column(series), ind.dif, smooth])
-        return [name]
+        run.write_csv(f"denoise_{series.code}.csv", ["date", "dif", "dif_denoised"],
+                      [iso.column(series), ind.dif, smooth])
 
     return _each_instrument(args, "denoised", write)
 
 
 def cmd_analyze(args) -> int:
-    def write(series, out, iso) -> list[str]:
+    def write(run, series, iso) -> None:
         osc = detect_oscillation(series)  # both raise ValueError on too few days
         events = detect_divergences(series, compute_indicators(series, args.params))
         code, dates = series.code, iso.column(series)
-        _write_csv(out / f"oscillation_{code}.csv",
-                   ["date", "close", "mean10", "inband", "pairflag", "mask"],
-                   [dates, series.closes, osc.mean10, osc.inband, osc.pairflag, osc.mask])
-        _write_json(out / f"divergences_{code}.json", [
+        run.write_csv(f"oscillation_{code}.csv",
+                      ["date", "close", "mean10", "inband", "pairflag", "mask"],
+                      [dates, series.closes, osc.mean10, osc.inband, osc.pairflag, osc.mask])
+        run.write_json(f"divergences_{code}.json", [
             {**vars(e), "current_date": dates[e.current_extreme_index],
              "previous_date": dates[e.previous_extreme_index]} for e in events])
-        return [f"oscillation_{code}.csv", f"divergences_{code}.json"]
 
     return _each_instrument(args, "analyzed", write)
 
@@ -321,7 +322,7 @@ def cmd_backtest(args) -> int:
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
 
-    def write(series, out, iso) -> list[str]:
+    def write(run, series, iso) -> None:
         log = run_backtest(series, args.params, mode, args.capital)  # DataError when too short
         report = compute_metrics(log, series.span_days, risk)
         # The lines the run traded on; signal is the crossover tag before
@@ -329,16 +330,14 @@ def cmd_backtest(args) -> int:
         lines = log.lines
         smooth = denoise_dif(lines.dif) if mode is StrategyMode.RAW else lines.trade_dif
         code, dates = series.code, iso.column(series)
-        _write_json(out / f"metrics_{code}.json", report.as_dict())
-        _write_json(out / f"trades_{code}.json", [
+        run.write_json(f"metrics_{code}.json", report.as_dict())
+        run.write_json(f"trades_{code}.json", [
             {**vars(t), "buy_date": dates[t.buy_index], "sell_date": dates[t.sell_index]}
             for t in log.trades])
-        _write_csv(out / f"equity_{code}.csv", ["date", "equity"], [dates, log.equity])
-        _write_csv(out / f"chart_{code}.csv",
-                   ["date", "close", "dif", "dif_denoised", "dea", "signal"],
-                   [dates, series.closes, lines.dif, smooth, lines.dea, lines.signals])
-        return [f"metrics_{code}.json", f"trades_{code}.json", f"equity_{code}.csv",
-                f"chart_{code}.csv"]
+        run.write_csv(f"equity_{code}.csv", ["date", "equity"], [dates, log.equity])
+        run.write_csv(f"chart_{code}.csv",
+                      ["date", "close", "dif", "dif_denoised", "dea", "signal"],
+                      [dates, series.closes, lines.dif, smooth, lines.dea, lines.signals])
 
     return _each_instrument(args, "backtested", write)
 
@@ -347,10 +346,10 @@ def cmd_compare(args) -> int:
     """A row per instrument and mode, an unusable or failing instrument's
     marked so; each such instrument is also skipped, once, with its first
     reason. A data error when no row could be compared."""
-    out = _OutDir(args.out)
+    run = _Run(args)
     risk = RiskConfig(risk_free_rate=args.risk_free)
-    screened, skipped, rows = _screen(args.data), {}, []
-    _load_skipping(args.data, skipped, screened)
+    screened, rows = _screen(args.data), []
+    run.usable(screened)
     for series, cleaned, unusable in screened:
         if unusable is not None:
             for mode in StrategyMode:
@@ -364,23 +363,19 @@ def cmd_compare(args) -> int:
                 rows.append([series.code, mode.value, *report.as_dict().values(), "ok"])
             except (DataError, ValueError) as exc:
                 rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["error"])
-                if series.code not in skipped:
-                    _skip(skipped, series.code, exc)
+                if series.code not in run.skipped:
+                    run.skip(series.code, exc)
     if all(row[-1] != "ok" for row in rows):
-        raise _none_done(args.data, "compared", skipped)
-    _write_csv(out / "comparison.csv",
-               ["name", "mode", *REPORT_COLUMNS, "status"], zip(*rows))
-    _write_manifest(out, args, ["comparison.csv"], skipped)
-    return 0
+        raise run.none_done("compared")
+    run.write_csv("comparison.csv", ["name", "mode", *REPORT_COLUMNS, "status"], zip(*rows))
+    return run.finish()
 
 
 def cmd_optimize(args) -> int:
-    out = _OutDir(args.out)
-    artifacts = []
+    run = _Run(args)
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
-    skipped = {}
-    usable = _load_skipping(args.data, skipped)
+    usable = run.usable(_screen(args.data))
     if args.code:
         matches = [s for s in usable if s.code == args.code]
         if not matches:
@@ -406,7 +401,7 @@ def cmd_optimize(args) -> int:
     result = optimize(cache, mode, cfg, workers=args.workers, initial_capital=args.capital)
 
     best = MacdParams(*result.best_genes)
-    _write_json(out / "best.json", {
+    run.write_json("best.json", {
         "code": series.code,
         "mode": mode.value,
         "fast": best.fast,
@@ -416,14 +411,12 @@ def cmd_optimize(args) -> int:
         "generations": result.generations,
         "converged": result.converged,
     })
-    artifacts.append("best.json")
 
-    _write_csv(out / "history.csv",
-               ["generation", "best_fitness", "mean_fitness",
-                "best_fast", "best_slow", "best_signal"],
-               zip(*([g.generation, g.best_fitness, g.mean_fitness, *g.best_genes]
-                     for g in result.history)))
-    artifacts.append("history.csv")
+    run.write_csv("history.csv",
+                  ["generation", "best_fitness", "mean_fitness",
+                   "best_fast", "best_slow", "best_signal"],
+                  zip(*([g.generation, g.best_fitness, g.mean_fitness, *g.best_genes]
+                        for g in result.history)))
 
     comparison = []
     for label, params in (("default", MacdParams()), ("optimized", best)):
@@ -431,12 +424,8 @@ def cmd_optimize(args) -> int:
         report = compute_metrics(log, series.span_days, risk)
         comparison.append([label, "{},{},{}".format(*params.as_tuple()),
                            *report.as_dict().values()])
-    _write_csv(out / "comparison.csv",
-               ["run", "params", *REPORT_COLUMNS], zip(*comparison))
-    artifacts.append("comparison.csv")
-
-    _write_manifest(out, args, artifacts, skipped)
-    return 0
+    run.write_csv("comparison.csv", ["run", "params", *REPORT_COLUMNS], zip(*comparison))
+    return run.finish()
 
 
 # ------------------------------------------------------------------ parser

@@ -64,13 +64,18 @@ def load_csv(path: str | Path) -> list[PriceSeries]:
     ignored. Dates are ISO-8601, in any order within an instrument; two
     rows with the same code and date are an error. An empty close field
     is kept as NaN for ``clean`` to drop; anything else unparsable is an
-    error naming the offending row.
+    error naming the offending row. A path that cannot be opened (missing,
+    a directory, unreadable) is an error naming it.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"data file not found: {path}")
+    try:
+        fh = open(path, newline="", encoding="utf-8-sig")
+    except FileNotFoundError:
+        raise DataError(f"data file not found: {path}") from None
+    except OSError as exc:  # a directory, or no permission to read
+        raise DataError(f"cannot read data file {path}: {exc.strerror or exc}") from None
 
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

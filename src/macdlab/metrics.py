@@ -68,7 +68,8 @@ def compute_metrics(log: TradeLog, series_span_days: int, cfg: RiskConfig = Risk
     profit over average losing loss, 0 by convention when there are no
     losing (or no winning) trades. trade_frequency: executions per
     trading day. annual_return: geometric, with the year count taken as
-    span/252, and -100 at a total loss (final equity <= 0). sharpe_ratio:
+    span/252, -100 at a total loss (final equity <= 0) and inf at a gain
+    past the float range. sharpe_ratio:
     annualized mean daily equity return minus the risk-free rate, over
     annualized daily volatility.
     """
@@ -98,7 +99,10 @@ def compute_metrics(log: TradeLog, series_span_days: int, cfg: RiskConfig = Risk
     if v_final <= 0.0:
         annual_return = -100.0  # a total loss; a negative ratio has no real root
     else:
-        annual_return = ((v_final / v_initial) ** (1.0 / years) - 1.0) * 100.0
+        try:
+            annual_return = ((v_final / v_initial) ** (1.0 / years) - 1.0) * 100.0
+        except OverflowError:  # float ** raises where * and / give inf
+            annual_return = math.inf
 
     sharpe_ratio = None
     if equity.size >= 2:

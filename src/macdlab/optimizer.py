@@ -235,42 +235,28 @@ def optimize(
             return [fitness_fn(genes) for genes in pending]
 
     cache: dict[tuple[int, int, int], float] = {}
-    init_rng = _substream(cfg.seed, 0, _INIT)
-    raw = init_rng.integers(cfg.lows, cfg.highs + 1, size=(cfg.population_size, 3))
-    population = [repair(Individual(tuple(int(g) for g in row)), cfg.bounds) for row in raw]
-
-    fitness = _evaluate(population, evaluate_many, cache)
-    best_i = int(np.argmax(fitness))
-    state = GaState(
-        population=population,
-        fitness=fitness,
-        generation=0,
-        best=Individual(population[best_i].genes, fitness[best_i]),
-        stale_generations=0,
-    )
-    history = [GenerationStats(0, state.best.fitness, float(np.mean(fitness)), state.best.genes)]
-
-    converged = False
-    for generation in range(1, cfg.max_generations + 1):
-        population = select(state, _substream(cfg.seed, generation, _SELECT))
-        population = crossover(population, cfg.crossover_rate, _substream(cfg.seed, generation, _CROSSOVER))
-        population = mutate(population, cfg.mutation_rate, cfg.bounds, _substream(cfg.seed, generation, _MUTATE))
-        population = [repair(ind, cfg.bounds) for ind in population]
+    history: list[GenerationStats] = []
+    for generation in range(cfg.max_generations + 1):
+        if generation == 0:
+            raw = _substream(cfg.seed, 0, _INIT).integers(cfg.lows, cfg.highs + 1,
+                                                          size=(cfg.population_size, 3))
+            population = [repair(Individual(tuple(int(g) for g in row)), cfg.bounds)
+                          for row in raw]
+        else:
+            population = select(state, _substream(cfg.seed, generation, _SELECT))
+            population = crossover(population, cfg.crossover_rate, _substream(cfg.seed, generation, _CROSSOVER))
+            population = mutate(population, cfg.mutation_rate, cfg.bounds, _substream(cfg.seed, generation, _MUTATE))
+            population = [repair(ind, cfg.bounds) for ind in population]
 
         fitness = _evaluate(population, evaluate_many, cache)
         best_i = int(np.argmax(fitness))
-        if fitness[best_i] > state.best.fitness:
-            state.best = Individual(population[best_i].genes, fitness[best_i])
-            state.stale_generations = 0
+        if generation == 0 or fitness[best_i] > state.best.fitness:
+            best, stale = Individual(population[best_i].genes, fitness[best_i]), 0
         else:
-            state.stale_generations += 1
-        state.population = population
-        state.fitness = fitness
-        state.generation = generation
-        history.append(GenerationStats(generation, state.best.fitness,
-                                       float(np.mean(fitness)), state.best.genes))
-        if state.stale_generations >= cfg.convergence_patience:
-            converged = True
+            best, stale = state.best, state.stale_generations + 1
+        state = GaState(population, fitness, generation, best, stale)
+        history.append(GenerationStats(generation, best.fitness, float(np.mean(fitness)), best.genes))
+        if stale >= cfg.convergence_patience:
             break
 
     return OptimizeResult(
@@ -278,5 +264,5 @@ def optimize(
         best_fitness=state.best.fitness,
         history=history,
         generations=state.generation,
-        converged=converged,
+        converged=state.stale_generations >= cfg.convergence_patience,
     )

@@ -127,6 +127,15 @@ class TestExitCodes:
         assert main([command, "--data", str(data), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "denoise", "analyze", "backtest", "compare",
+                                         "optimize"])
+    def test_directory_data_leaves_no_out(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert main([command, "--data", str(tmp_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"macdlab: data error: cannot read data file {tmp_path}: Is a directory\n"
+        assert not out.exists()
+
 
 class TestIngest:
     def test_summary_and_cleaned(self, tmp_path):
@@ -204,6 +213,22 @@ class TestBacktest:
         table = read_csv(tmp_path / "c" / "comparison.csv")
         column = table[0].index("annual_return")
         assert [(r[1], r[column], r[-1]) for r in table[1:]][0] == ("raw", "-100.0", "ok")
+
+    def test_gain_past_float_range_is_reported(self, tmp_path):
+        # The one raw trade rides a rise to 1e200: the annual return is
+        # past the float range, so it is inf, not an OverflowError.
+        closes = np.concatenate([np.ones(30), np.geomspace(1.0, 1e200, 30),
+                                 1e200 * np.linspace(1.0, 0.95, 10)])
+        data = write_csv(tmp_path / "up.csv", synthetic_rows("UP", closes))
+        assert main(["backtest", "--data", str(data), "--out", str(tmp_path / "b")]) == 0
+        text = (tmp_path / "b" / "metrics_UP.json").read_text()
+        assert '"annual_return": Infinity,' in text
+        assert json.loads(text)["annual_return"] == float("inf")
+        assert main(["compare", "--data", str(data), "--out", str(tmp_path / "c")]) == 0
+        table = read_csv(tmp_path / "c" / "comparison.csv")
+        column = table[0].index("annual_return")
+        assert [(r[1], r[column], r[-1]) for r in table[1:]] == [
+            (mode, "inf", "ok") for mode in ("raw", "denoised", "divergence")]
 
     @pytest.mark.parametrize("mode", ["raw", "denoised", "divergence"])
     def test_all_modes_run(self, data_file, tmp_path, mode):
@@ -604,6 +629,64 @@ def test_stale_artifacts_are_only_plain_names_inside_out(data_file, tmp_path):
     assert main(["denoise", "--data", str(data_file), "--out", str(out)]) == 0
     assert (tmp_path / "outside.txt").exists() and (out / "sub" / "inner.txt").exists()
     assert listing(out) == ["denoise_AAA.X.csv", "dir", "manifest.json", "mine.txt", "sub"]
+
+    # Only a JSON list names files: a string's characters, or an
+    # object's keys, name none.
+    for listed in ("ab", {"a": 1, "b": 2}):
+        for name in ("a", "b"):
+            (out / name).write_text("x")
+        (out / "manifest.json").write_text(json.dumps({"artifacts": listed}))
+        assert main(["denoise", "--data", str(data_file), "--out", str(out)]) == 0
+        assert listing(out) == ["a", "b", "denoise_AAA.X.csv", "dir", "manifest.json",
+                                "mine.txt", "sub"]
+
+
+# What ingest, compare and optimize write into --out besides manifest.json.
+WHOLE_FILE = {
+    "ingest": (["cleaned.csv", "instruments.csv"], []),
+    "compare": (["comparison.csv"], []),
+    "optimize": (["best.json", "comparison.csv", "history.csv"], ["--pop", "24", "--max-gen", "2"]),
+}
+
+
+@pytest.mark.parametrize("command", WHOLE_FILE)
+def test_manifest_names_every_artifact(command, data_file, tmp_path):
+    artifacts, argv = WHOLE_FILE[command]
+    out = tmp_path / "out"
+    assert main([command, "--data", str(data_file), "--out", str(out), *argv]) == 0
+    assert json.loads((out / "manifest.json").read_text())["artifacts"] == artifacts
+    assert listing(out) == sorted(artifacts + ["manifest.json"])
+
+
+def test_rerun_of_another_command_deletes_stale_artifacts(data_file, tmp_path):
+    """compare into the --out of an optimize run leaves only its own files."""
+    out = tmp_path / "out"
+    assert main(["optimize", "--data", str(data_file), "--out", str(out),
+                 *WHOLE_FILE["optimize"][1]]) == 0
+    assert main(["compare", "--data", str(data_file), "--out", str(out)]) == 0
+    assert listing(out) == ["comparison.csv", "manifest.json"]
+
+
+def test_write_that_raises_lists_nothing(two_instrument_file, tmp_path, capsys, monkeypatch):
+    """An artifact write that raises skips its instrument and lists no file
+    for itself; the files written before it stay listed, so the manifest
+    still names exactly what --out holds."""
+    write_csv = cli._write_csv
+
+    def failing(path, header, columns):
+        if path.name == "chart_AAA.X.csv":
+            raise ValueError("cannot write")
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", failing)
+    out = tmp_path / "out"
+    assert main(["backtest", "--data", str(two_instrument_file), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["skipped"] == {"AAA.X": "cannot write"}
+    assert manifest["artifacts"] == sorted(
+        artifacts_of("backtest", "BBB.Y")
+        + ["equity_AAA.X.csv", "metrics_AAA.X.json", "trades_AAA.X.json"])
+    assert listing(out) == sorted(manifest["artifacts"] + ["manifest.json"])
 
 
 def test_json_that_cannot_be_encoded_leaves_no_file(tmp_path):

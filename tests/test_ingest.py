@@ -47,6 +47,10 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "nope.csv")
 
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match=f"cannot read data file {tmp_path}: "):
+            load_csv(tmp_path)
+
     def test_missing_column(self, tmp_path):
         with pytest.raises(DataError, match="close"):
             load_csv(write(tmp_path, "code,date,price\nA,2014-01-01,10\n"))

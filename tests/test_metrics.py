@@ -104,6 +104,12 @@ class TestSevenMetrics:
         annual_return = compute_metrics(log, 10).annual_return
         assert type(annual_return) is float and annual_return == -100.0
 
+    def test_gain_past_float_range_annual_return_is_inf(self):
+        # (1e200) ** (252 / 10) is past the float range: float ** raises
+        # OverflowError where * and / give inf.
+        log = make_log([5e205], np.geomspace(500_000.0, 5e205, 10))
+        assert compute_metrics(log, 10).annual_return == np.inf
+
     def test_crash_to_ruin_reports_real_annual_return(self, make_series):
         # A 1e20 price falling to 1.0 while held: the one trade loses the
         # capital to a cash of about -5.8e-11.
