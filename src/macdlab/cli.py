@@ -13,10 +13,11 @@ write), the artifact names written, the instruments skipped, and the
 manifest step. denoise, analyze and backtest process each instrument on
 its own, through one runner, `_each_instrument(args, done, write)`, whose
 `write(run, series, iso)` writes one instrument's artifacts through the
-run. An instrument a command cannot process (unusable after cleaning, or
-too short) is skipped: no file is written for it, and its reason goes to
-stderr and to the manifest's "skipped". compare and optimize skip by the
-same rule. The run fails only when no instrument was processed.
+run. An instrument a command cannot process (unusable after cleaning,
+too short, or one of its writes raised a data error) is skipped: no file
+of it is left in --out, and its reason goes to stderr and to the
+manifest's "skipped". compare and optimize skip by the same rule. The
+run fails only when no instrument was processed.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -178,6 +179,12 @@ class _Run:
         _write_json(self._path(name), obj)
         self.written.append(name)
 
+    def discard(self, mark: int) -> None:
+        """Delete and unlist the artifacts written since `len(self.written)` was `mark`."""
+        for name in self.written[mark:]:
+            (self.out / name).unlink(missing_ok=True)
+        del self.written[mark:]
+
     def skip(self, code: str, reason) -> None:
         """Record an instrument the command cannot process, for the manifest and stderr."""
         self.skipped[code] = str(reason)
@@ -258,15 +265,17 @@ class _IsoDates(dict):
 
 def _each_instrument(args, done: str, write) -> int:
     """Run `write(run, series, iso)` on each usable instrument: it writes
-    the instrument's artifacts through the `_Run`, computing all before
-    it writes, so an instrument it raises a data error on is skipped with
-    its reason and leaves no file. A data error when no instrument could
-    be `done`; else the manifest."""
+    the instrument's artifacts through the `_Run`. An instrument it raises
+    a data error on is skipped with its reason, and the files written for
+    it are deleted and unlisted, so it leaves no file. A data error when
+    no instrument could be `done`; else the manifest."""
     run, iso = _Run(args), _IsoDates()
     for series in run.usable(_screen(args.data)):
+        mark = len(run.written)
         try:
             write(run, series, iso)
         except (DataError, ValueError) as exc:
+            run.discard(mark)
             run.skip(series.code, exc)
     if not run.written:
         raise run.none_done(done)

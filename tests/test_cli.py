@@ -668,9 +668,10 @@ def test_rerun_of_another_command_deletes_stale_artifacts(data_file, tmp_path):
 
 
 def test_write_that_raises_lists_nothing(two_instrument_file, tmp_path, capsys, monkeypatch):
-    """An artifact write that raises skips its instrument and lists no file
-    for itself; the files written before it stay listed, so the manifest
-    still names exactly what --out holds."""
+    """An artifact write that raises skips its instrument: the files
+    already written for it are deleted and unlisted, so only the other
+    instrument's artifacts remain and the manifest names exactly what
+    --out holds."""
     write_csv = cli._write_csv
 
     def failing(path, header, columns):
@@ -683,9 +684,7 @@ def test_write_that_raises_lists_nothing(two_instrument_file, tmp_path, capsys, 
     assert main(["backtest", "--data", str(two_instrument_file), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["skipped"] == {"AAA.X": "cannot write"}
-    assert manifest["artifacts"] == sorted(
-        artifacts_of("backtest", "BBB.Y")
-        + ["equity_AAA.X.csv", "metrics_AAA.X.json", "trades_AAA.X.json"])
+    assert manifest["artifacts"] == sorted(artifacts_of("backtest", "BBB.Y"))
     assert listing(out) == sorted(manifest["artifacts"] + ["manifest.json"])
 
 
