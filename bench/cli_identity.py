@@ -28,7 +28,10 @@ manifest lists its artifacts as a string, and two reruns into one --out
 
 --smoke compares the checkout this script is in with itself on a small
 corpus (two data files, `optimize --pop 10 --max-gen 1`), to show that
-the tool runs and that the CLI's outputs are deterministic.
+the tool runs and that the CLI's outputs are deterministic. Its third
+file, the 12 pool instruments, is large enough for denoise, analyze and
+backtest to run in several processes wherever more than one CPU is
+available, so the smoke run also shows that path deterministic.
 
 Prints one line per run that differs, naming what differs, then a
 summary line; exits with status 1 when any run differs.
@@ -100,7 +103,7 @@ def corpus(data_dir: Path, smoke: bool) -> list[tuple[str, list[list[str]], dict
     """Every run as (label, commands, files placed in --out before it)."""
     files = data_files()
     if smoke:
-        files = {name: files[name] for name in ("good_bad", "quote")}
+        files = {name: files[name] for name in ("good_bad", "quote", "pool")}
     ga = ["--pop", "10", "--max-gen", "1"] if smoke else ["--pop", "40", "--max-gen", "3"]
     runs = []
     for name, instruments in files.items():

@@ -17,7 +17,9 @@ run. An instrument a command cannot process (unusable after cleaning,
 too short, or one of its writes raised a data error) is skipped: no file
 of it is left in --out, and its reason goes to stderr and to the
 manifest's "skipped". compare and optimize skip by the same rule. The
-run fails only when no instrument was processed.
+run fails only when no instrument was processed. On large inputs the
+runner spreads the instruments over up to one process per CPU, with the
+outputs of one process (`_each_instrument`).
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -25,13 +27,19 @@ Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
 import ctypes
 import functools
 import io
+import itertools
 import json
 import math
+import os
+import pickle
+import signal
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -263,20 +271,174 @@ class _IsoDates(dict):
         return list(map(self.__getitem__, series.dates))
 
 
-def _each_instrument(args, done: str, write) -> int:
-    """Run `write(run, series, iso)` on each usable instrument: it writes
-    the instrument's artifacts through the `_Run`. An instrument it raises
-    a data error on is skipped with its reason, and the files written for
-    it are deleted and unlisted, so it leaves no file. A data error when
-    no instrument could be `done`; else the manifest."""
-    run, iso = _Run(args), _IsoDates()
-    for series in run.usable(_screen(args.data)):
+def _run_block(run, iso, write, block) -> None:
+    """Run `write(run, series, iso)` on each series of `block`. A data
+    error skips the instrument; any other exception is raised. Either way
+    the files written for the instrument are first deleted and unlisted,
+    so it leaves none."""
+    for series in block:
         mark = len(run.written)
         try:
             write(run, series, iso)
         except (DataError, ValueError) as exc:
             run.discard(mark)
             run.skip(series.code, exc)
+        except BaseException:
+            run.discard(mark)
+            raise
+
+
+# The fewest usable days a process is given. A forked child costs 5-10
+# ms (the fork of a ~35 MB process, copy-on-write faults, the reaping);
+# on a 2-core x86_64 host, denoise, the cheapest command per day, ran no
+# faster in two processes than in one on 4 x 1,500 days, and ~20%
+# faster on 8 x 1,500.
+DAYS_PER_PROCESS = 6000
+
+
+def _processes(usable: list) -> int:
+    """How many processes run `usable`: one per CPU this process may run
+    on, at most one per instrument and per DAYS_PER_PROCESS days. One
+    where os.fork or os.sched_getaffinity is missing, or where another
+    thread runs (a forked child would hold only the calling thread)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    days = sum(map(len, usable))
+    return max(1, min(len(os.sched_getaffinity(0)), len(usable), days // DAYS_PER_PROCESS))
+
+
+def _blocks(usable: list, count: int) -> list[list]:
+    """`usable` cut into `count` (at most len(usable)) contiguous,
+    non-empty blocks of about equal days each."""
+    ends = list(itertools.accumulate(map(len, usable)))
+    cuts = [0]
+    for k in range(1, count):
+        cut = bisect.bisect_left(ends, ends[-1] * k / count) + 1
+        cuts.append(min(max(cut, cuts[-1] + 1), len(usable) - count + k))
+    cuts.append(len(usable))
+    return [usable[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _block_reply(run: _Run, iso: _IsoDates, write, block: list) -> bytes:
+    """Run `block` in a forked child, on its copy of `run`, and return
+    what the parent needs to carry on as if it had run the block itself:
+    the artifact names written, the instruments skipped, the stdout and
+    stderr text, and the exception that ended the block, if one did (the
+    parent raises it, whatever it is)."""
+    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
+    run.written, run.skipped, error = [], {}, None
+    try:
+        _run_block(run, iso, write, block)
+    except BaseException as exc:
+        error = exc
+    return pickle.dumps((run.written, run.skipped, sys.stdout.getvalue(),
+                         sys.stderr.getvalue(), error))
+
+
+class _Child:
+    """A forked process that runs one block of instruments and sends its
+    `_block_reply` through a pipe.
+
+    The child never returns into its caller: whatever happens, it ends
+    with os._exit, exit status 0 once its reply is sent. The parent reads
+    the reply with `merge` (or `drop`), and kills and reaps a child it has
+    not read with `reap`.
+    """
+
+    def __init__(self, run: _Run, iso: _IsoDates, write, block: list) -> None:
+        parent = os.getpid()
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                os.close(read_fd)
+                with open(write_fd, "wb") as fh:
+                    fh.write(_block_reply(run, iso, write, block))
+                os._exit(0)
+        except BaseException:
+            if os.getpid() == parent:  # the fork failed
+                os.close(read_fd)
+            raise
+        finally:
+            if os.getpid() != parent:
+                os._exit(1)
+            os.close(write_fd)
+        self.reply = open(read_fd, "rb")
+
+    def _result(self) -> tuple:
+        """The child's reply, once it has ended and been reaped."""
+        with self.reply:
+            data = self.reply.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status or not data:
+            raise RuntimeError(f"a worker process ended without its result "
+                               f"(exit status {os.waitstatus_to_exitcode(status)})")
+        return pickle.loads(data)
+
+    def merge(self, run: _Run) -> None:
+        """Add the child's artifacts and skips to `run`, print what it
+        printed, and raise the exception that ended its block, if any."""
+        written, skipped, out, err, error = self._result()
+        run.written += written
+        run.skipped.update(skipped)
+        sys.stdout.write(out)
+        sys.stderr.write(err)
+        if error is not None:
+            raise error
+
+    def drop(self, run: _Run) -> None:
+        """Delete the artifacts of a child not merged: the run failed
+        before its block."""
+        if self.pid is not None:
+            for name in self._result()[0]:
+                (run.out / name).unlink(missing_ok=True)
+
+    def reap(self) -> None:
+        """Kill and reap the child if it has not been reaped."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self.reply.close()
+
+
+def _each_instrument(args, done: str, write) -> int:
+    """Run `write(run, series, iso)` on each usable instrument: it writes
+    the instrument's artifacts through the `_Run`. An instrument it raises
+    a data error on is skipped with its reason, and the files written for
+    it are deleted and unlisted, so it leaves no file. Any other exception
+    deletes the instrument's files too, then ends the command. A data
+    error when no instrument could be `done`; else the manifest.
+
+    The usable instruments are cut into `_processes` blocks: this process
+    runs the first, a forked `_Child` each other one, all at once. The
+    children's results are merged in instrument order, so --out, the
+    manifest, stdout, stderr and the outcome are those of one process
+    running every block in turn; when a block fails, the artifacts of the
+    blocks after it are deleted, as they would never have been written.
+    """
+    run, iso = _Run(args), _IsoDates()
+    usable = run.usable(_screen(args.data))
+    first, *rest = _blocks(usable, _processes(usable))
+    children = []
+    try:
+        if rest:
+            sys.stdout.flush()  # a child must inherit no unwritten text
+            sys.stderr.flush()  # that it could write a second time
+        for block in rest:
+            children.append(_Child(run, iso, write, block))
+        _run_block(run, iso, write, first)
+        for child in children:
+            child.merge(run)
+    except BaseException:
+        for child in children:
+            child.drop(run)
+        raise
+    finally:
+        for child in children:
+            child.reap()
     if not run.written:
         raise run.none_done(done)
     return run.finish()

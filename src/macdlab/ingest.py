@@ -221,5 +221,5 @@ def clean(series: PriceSeries) -> PriceSeries:
         raise UnusableSeriesError(series.code, dropped, len(series))
     if dropped == 0:
         return series
-    dates = [d for d, k in zip(series.dates, keep) if k]
+    dates = list(itertools.compress(series.dates, keep.tolist()))
     return PriceSeries(series.code, dates, series.closes[keep])

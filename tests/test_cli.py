@@ -1,11 +1,14 @@
 import csv
 import ctypes
+import errno
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -786,3 +789,241 @@ class TestFreedHeap:
             return int(run.stdout)
 
         assert faults("set") < 1000 < faults("default")
+
+
+# ------------------------------------------------------- one process per CPU
+
+
+@pytest.fixture
+def panel_file(tmp_path):
+    """Instruments sorting as 600000, 600001, A/B, BAD, SHORT, ZZZ. Cut
+    in two by days, the first block is 600000 and 600001, and the second
+    holds the bad code and the too-short instrument; BAD is screened out
+    before the cut."""
+    rng = np.random.default_rng(21)
+    rows = []
+    for code, days in (("600000", 150), ("600001", 150), ("A/B", 120), ("SHORT", 8),
+                       ("ZZZ", 150)):
+        rows += synthetic_rows(code, random_walk_closes(rng, days))
+    return write_csv(tmp_path / "panel.csv", rows + synthetic_rows("BAD", [0.0] * 100))
+
+
+# Label -> CPUs this process may run on; every usable day is enough for
+# one process of its own.
+CPUS = {"one process": 1, "two processes": 2, "more CPUs than instruments": 16}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) lets the per-instrument commands use n CPUs; returns the
+    pids of the children forked since."""
+    forked = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def allow(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        forked.clear()
+        return forked
+
+    monkeypatch.setattr(cli, "DAYS_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "fork", counted)
+    return allow
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def outcome(argv, data, out, capsys):
+    """What a command leaves: its exit code, stdout (--out as OUT),
+    stderr and --out's files (None when there is no --out)."""
+    rc = main([*argv, "--data", str(data), "--out", str(out)])
+    printed = capsys.readouterr()
+    assert no_child_left()
+    return rc, printed.out.replace(str(out), "OUT"), printed.err, tree(out) if out.exists() else None
+
+
+@pytest.mark.parametrize("argv", [["denoise"], ["analyze"],
+                                  *(["backtest", "--mode", mode] for mode in cli.MODE_CHOICES)],
+                         ids=" ".join)
+def test_processes_change_no_output(argv, panel_file, tmp_path, capsys, cpus):
+    """Run in one process, in two, or with more CPUs than instruments, a
+    command leaves the same --out, manifest, stdout, stderr and exit
+    code; the skips of the child's block keep their place."""
+    runs = {}
+    for label, count in CPUS.items():
+        forked = cpus(count)
+        runs[label] = outcome(argv, panel_file, tmp_path / label, capsys)
+        runs[label] += (len(forked),)
+    assert [run[-1] for run in runs.values()] == [0, 1, 4]
+    reference = runs["one process"][:-1]
+    assert all(run[:-1] == reference for run in runs.values())
+    rc, _, err, files = reference
+    manifest = json.loads(files["manifest.json"])
+    short = PER_INSTRUMENT[argv[0]][1]
+    skipped = ["BAD", "A/B"] + (["SHORT"] if short else [])
+    assert rc == 0 and sorted(manifest["skipped"]) == sorted(skipped)
+    assert [line.split(":")[0] for line in err.splitlines()] == [f"skipped {code}"
+                                                                 for code in skipped]
+    done = ["600000", "600001", "ZZZ"] + ([] if short else ["SHORT"])
+    assert manifest["artifacts"] == artifacts_of(argv[0], *done)
+
+
+@pytest.mark.parametrize("command", PER_INSTRUMENT)
+def test_nothing_done_in_any_process_leaves_no_out(command, tmp_path, capsys, cpus):
+    """No usable instrument, or none that any process could do: the same
+    data error in one process as in several, and no --out."""
+    bad = synthetic_rows("BAD", [0.0] * 100)
+    rng = np.random.default_rng(8)
+    slashes = synthetic_rows("A/B", random_walk_closes(rng, 120))
+    slashes += synthetic_rows("C/D", random_walk_closes(rng, 120))
+    for rows, forks in ((bad, [0, 0, 0]), (bad + slashes, [0, 1, 1])):
+        data = write_csv(tmp_path / "nothing.csv", rows)
+        runs = []
+        for count in CPUS.values():
+            forked = cpus(count)
+            runs.append(outcome([command], data, tmp_path / "out", capsys) + (len(forked),))
+        assert [run[-1] for run in runs] == forks
+        assert all(run[:-1] == runs[0][:-1] for run in runs)
+        assert runs[0][0] == 2 and runs[0][3] is None
+
+
+@pytest.mark.parametrize("failing", ["600001", "ZZZ"],
+                         ids=["in this process's block", "in a child's block"])
+def test_write_error_ends_the_command(failing, panel_file, tmp_path, capsys, cpus, monkeypatch):
+    """A write that raises something other than a data error (a full
+    disk) deletes the files of its instrument, and of every instrument
+    after it, and ends the command with that exception and no manifest,
+    in whichever process it ran (named for the two-process case): --out,
+    stdout and stderr are those of one process."""
+    write_csv = cli._write_csv
+
+    def full_disk(path, header, columns):
+        if path.name == f"chart_{failing}.csv":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_csv(path, header, columns)
+
+    monkeypatch.setattr(cli, "_write_csv", full_disk)
+    runs = []
+    for label, count in CPUS.items():
+        forked, out = cpus(count), tmp_path / label
+        with pytest.raises(OSError) as raised:
+            main(["backtest", "--data", str(panel_file), "--out", str(out)])
+        printed = capsys.readouterr()
+        assert no_child_left() and raised.value.errno == errno.ENOSPC
+        runs.append((str(raised.value), printed.out.replace(str(out), "OUT"), printed.err,
+                     tree(out), len(forked)))
+    assert [run[-1] for run in runs] == [0, 1, 4]
+    assert all(run[:-1] == runs[0][:-1] for run in runs)
+    done = ["600000", "600001", "ZZZ"]
+    assert list(runs[0][3]) == artifacts_of("backtest", *done[:done.index(failing)])
+
+
+@pytest.mark.parametrize("code", ["600000", "ZZZ"],
+                         ids=["in this process's block", "in a child's block"])
+def test_interrupt_reaps_every_child(code, panel_file, tmp_path, cpus, monkeypatch):
+    call = cli.run_backtest
+
+    def interrupted(series, *args, **kwargs):
+        if series.code == code:
+            raise KeyboardInterrupt
+        return call(series, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_backtest", interrupted)
+    forked = cpus(2)
+    with pytest.raises(KeyboardInterrupt):
+        main(["backtest", "--data", str(panel_file), "--out", str(tmp_path / "out")])
+    assert len(forked) == 1 and no_child_left()
+    assert "manifest.json" not in tree(tmp_path / "out")
+
+
+def test_interrupt_while_dropping_kills_the_children(panel_file, tmp_path, cpus, monkeypatch):
+    """A second interrupt, while the command waits to delete the files of
+    the children after its failed block, kills and reaps the children."""
+    call, parent = cli.run_backtest, os.getpid()
+
+    def stuck(series, *args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif series.code == "600001":
+            raise KeyboardInterrupt
+        return call(series, *args, **kwargs)
+
+    def interrupted(self, run):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_backtest", stuck)
+    monkeypatch.setattr(cli._Child, "drop", interrupted)
+    forked = cpus(2)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        main(["backtest", "--data", str(panel_file), "--out", str(tmp_path / "out")])
+    assert len(forked) == 1 and no_child_left()
+    assert time.perf_counter() - start < 30
+
+
+def test_child_that_ends_without_its_result_is_an_error(panel_file, tmp_path, cpus, monkeypatch):
+    call, parent = cli.run_backtest, os.getpid()
+
+    def dying(series, *args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return call(series, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_backtest", dying)
+    cpus(2)
+    with pytest.raises(RuntimeError, match=r"ended without its result \(exit status 3\)"):
+        main(["backtest", "--data", str(panel_file), "--out", str(tmp_path / "out")])
+    assert no_child_left()
+    assert "manifest.json" not in tree(tmp_path / "out")
+
+
+@pytest.mark.parametrize("lacking", ["os.fork", "os.sched_getaffinity", "a single thread"])
+def test_one_process_where_fork_is_missing_or_unsafe(lacking, panel_file, tmp_path, capsys,
+                                                     cpus, monkeypatch):
+    cpus(1)
+    reference = outcome(["backtest"], panel_file, tmp_path / "one", capsys)
+    forked = cpus(2)
+    stop = threading.Event()
+    threads = [threading.Thread(target=stop.wait)] if lacking == "a single thread" else []
+    for thread in threads:
+        thread.start()
+    if not threads:
+        monkeypatch.delattr(os, lacking.removeprefix("os."))
+    try:
+        assert outcome(["backtest"], panel_file, tmp_path / "two", capsys) == reference
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+    assert forked == [] and not any(thread.is_alive() for thread in threads)
+
+
+def test_blocks_are_contiguous_and_balanced_by_days():
+    usable = [[0] * days for days in (150, 150, 120, 8, 150)]
+    for count in range(1, len(usable) + 1):
+        blocks = cli._blocks(usable, count)
+        assert len(blocks) == count and all(blocks)
+        assert [id(s) for block in blocks for s in block] == list(map(id, usable))
+    assert [list(map(len, block)) for block in cli._blocks(usable, 2)] == [[150, 150],
+                                                                          [120, 8, 150]]
+    lopsided = [[0] * days for days in (1000, 1, 1, 1)]
+    assert list(map(len, cli._blocks(lopsided, 3))) == [1, 1, 2]
+
+
+def test_processes_follow_cpus_instruments_and_days(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    days = cli.DAYS_PER_PROCESS
+    assert cli._processes([[0] * days]) == 1
+    assert cli._processes([[0] * days] * 2) == 2
+    assert cli._processes([[0] * (days - 1)] * 2) == 1
+    assert cli._processes([[0] * (2 * days)] * 3) == 3
+    assert cli._processes([[0] * days] * 9) == 4
