@@ -4,7 +4,10 @@ Fitness is the net profit of a backtest with those periods. Selection is
 softmax-weighted sampling with elitism, crossover is single-point over
 the three genes, mutation redraws a gene uniformly within its bounds.
 Evolution stops once the best fitness has not improved for a fixed
-number of consecutive generations.
+number of consecutive generations. The population is one (n, 3) integer
+gene array for the whole run, and each operator is one function of it;
+tests/oracles.py `optimize_naive` is the same search one individual at a
+time.
 
 Randomness discipline: every stochastic operator draws from its own
 substream derived from (seed, generation, operator), and fitness
@@ -57,6 +60,10 @@ class GaConfig:
         if len(self.bounds) != 3 or any(len(b) != 2 for b in self.bounds):
             raise ConfigError(f"bounds must be three (low, high) pairs, got {self.bounds!r}")
         for lo, hi in self.bounds:
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+                       for v in (lo, hi)):
+                # the genes are periods, and the GA keeps them in an integer array
+                raise ConfigError(f"bounds must be integers >= 1, got ({lo!r}, {hi!r})")
             if lo > hi:
                 raise ConfigError(f"bound low {lo} exceeds high {hi}")
         if self.bounds[0][1] >= self.bounds[1][1]:
@@ -65,11 +72,11 @@ class GaConfig:
 
     @property
     def lows(self) -> np.ndarray:
-        return np.array([b[0] for b in self.bounds])
+        return np.array([b[0] for b in self.bounds], dtype=np.int64)
 
     @property
     def highs(self) -> np.ndarray:
-        return np.array([b[1] for b in self.bounds])
+        return np.array([b[1] for b in self.bounds], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -133,76 +140,69 @@ def selection_probabilities(fitness) -> np.ndarray:
     return exp_v / exp_v.sum()
 
 
-def select(state: GaState, rng: np.random.Generator) -> list[Individual]:
+def select(genes: np.ndarray, fitness, rng: np.random.Generator) -> np.ndarray:
     """Sample the next pool softmax-weighted, then append the elites.
 
-    Draws population_size - elite_count individuals with replacement
-    from the full population, and concatenates the highest-fitness
-    individuals unchanged so the best genes always survive.
+    Draws len(genes) - elite_count rows with replacement from the whole
+    (n, 3) gene array, and concatenates the highest-fitness rows
+    unchanged so the best genes always survive.
     """
-    population, fitness = state.population, state.fitness
-    if not population:
+    if len(genes) == 0:
         raise ValueError("empty population")
     prob = selection_probabilities(fitness)
-    n_elite = elite_count(len(population))
-    chosen = rng.choice(len(population), size=len(population) - n_elite, replace=True, p=prob)
+    n_elite = elite_count(len(genes))
+    chosen = rng.choice(len(genes), size=len(genes) - n_elite, replace=True, p=prob)
     elite_idx = np.argsort(fitness, kind="stable")[-n_elite:]
-    return [population[i] for i in chosen] + [population[i] for i in elite_idx]
+    return genes[np.concatenate([chosen, elite_idx])]
 
 
-def crossover(population: list[Individual], pc: float, rng: np.random.Generator) -> list[Individual]:
-    """Single-point crossover over consecutive pairs (0,1), (2,3), ...
+def crossover(genes: np.ndarray, pc: float, rng: np.random.Generator) -> np.ndarray:
+    """Single-point crossover over consecutive rows (0,1), (2,3), ...
 
     With probability pc a pair swaps its gene tails at a point drawn
-    uniformly from {1, 2}; an odd trailing individual is left alone.
+    uniformly from {1, 2}; an odd trailing row is left alone. The draws
+    are scalar and in pair order (a point only for a pair that crosses),
+    then all crossing pairs swap at once.
     """
-    out = list(population)
-    for i in range(0, len(out) - 1, 2):
-        if rng.random() < pc:
-            point = int(rng.integers(1, 3))
-            a, b = out[i].genes, out[i + 1].genes
-            out[i] = Individual(a[:point] + b[point:])
-            out[i + 1] = Individual(b[:point] + a[point:])
+    n_pairs = len(genes) // 2
+    random, integers = rng.random, rng.integers
+    # 0 marks a pair that does not cross
+    points = [integers(1, 3) if random() < pc else 0 for _ in range(n_pairs)]
+    points = np.array(points, dtype=np.int64).reshape(n_pairs, 1)
+    swap = (points > 0) & (np.arange(3) >= points)
+    out = genes.copy()
+    first, second = genes[0:2 * n_pairs:2], genes[1:2 * n_pairs:2]
+    out[0:2 * n_pairs:2] = np.where(swap, second, first)
+    out[1:2 * n_pairs:2] = np.where(swap, first, second)
     return out
 
 
-def mutate(population: list[Individual], pm: float, bounds, rng: np.random.Generator) -> list[Individual]:
+def mutate(genes: np.ndarray, pm: float, bounds, rng: np.random.Generator) -> np.ndarray:
     """Redraw each gene uniformly within its bounds with probability pm."""
-    if not population:
-        return []
-    genes = np.array([ind.genes for ind in population], dtype=int)
-    lows = np.array([b[0] for b in bounds])
-    highs = np.array([b[1] for b in bounds])
+    lows, highs = np.array(bounds, dtype=np.int64).T
     hit = rng.random(genes.shape) < pm
     draws = rng.integers(lows, highs + 1, size=genes.shape)
-    return [Individual(tuple(row)) for row in np.where(hit, draws, genes).tolist()]
+    return np.where(hit, draws, genes)
 
 
-def repair(individual: Individual, bounds=DEFAULT_BOUNDS) -> Individual:
-    """Restore fast < slow after the operators break it.
+def repair(genes: np.ndarray, bounds=DEFAULT_BOUNDS) -> np.ndarray:
+    """Restore fast < slow in every row the operators broke it in.
 
     Clamps the fast gene to its upper bound and lifts the slow gene just
-    above it, within the slow gene's range.
+    above it, within the slow gene's range; valid rows are unchanged.
     """
-    x, y, z = individual.genes
-    if x < y:
-        return individual
-    x = min(x, bounds[0][1])
-    y = min(max(y, x + 1, bounds[1][0]), bounds[1][1])
-    return Individual((x, y, z))
+    fast, slow = genes[:, 0], genes[:, 1]
+    broken = fast >= slow
+    fixed_fast = np.minimum(fast, bounds[0][1])
+    fixed_slow = np.clip(np.maximum(slow, fixed_fast + 1), bounds[1][0], bounds[1][1])
+    out = genes.copy()
+    out[:, 0] = np.where(broken, fixed_fast, fast)
+    out[:, 1] = np.where(broken, fixed_slow, slow)
+    return out
 
 
 def _substream(seed: int, generation: int, operator: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, generation, operator]))
-
-
-def _evaluate(population, evaluate_many, cache) -> list[float]:
-    """Fitness for every individual, gathered in population order; the
-    triples not seen before go to `evaluate_many` at once, in first-seen order."""
-    pending = list(dict.fromkeys(ind.genes for ind in population if ind.genes not in cache))
-    if pending:
-        cache.update(zip(pending, evaluate_many(pending)))
-    return [cache[ind.genes] for ind in population]
 
 
 def optimize(
@@ -238,31 +238,35 @@ def optimize(
     history: list[GenerationStats] = []
     for generation in range(cfg.max_generations + 1):
         if generation == 0:
-            raw = _substream(cfg.seed, 0, _INIT).integers(cfg.lows, cfg.highs + 1,
-                                                          size=(cfg.population_size, 3))
-            population = [repair(Individual(tuple(int(g) for g in row)), cfg.bounds)
-                          for row in raw]
+            genes = _substream(cfg.seed, 0, _INIT).integers(cfg.lows, cfg.highs + 1,
+                                                            size=(cfg.population_size, 3))
         else:
-            population = select(state, _substream(cfg.seed, generation, _SELECT))
-            population = crossover(population, cfg.crossover_rate, _substream(cfg.seed, generation, _CROSSOVER))
-            population = mutate(population, cfg.mutation_rate, cfg.bounds, _substream(cfg.seed, generation, _MUTATE))
-            population = [repair(ind, cfg.bounds) for ind in population]
+            genes = select(genes, fitness, _substream(cfg.seed, generation, _SELECT))
+            genes = crossover(genes, cfg.crossover_rate, _substream(cfg.seed, generation, _CROSSOVER))
+            genes = mutate(genes, cfg.mutation_rate, cfg.bounds, _substream(cfg.seed, generation, _MUTATE))
+        genes = repair(genes, cfg.bounds)
 
-        fitness = _evaluate(population, evaluate_many, cache)
-        best_i = int(np.argmax(fitness))
-        if generation == 0 or fitness[best_i] > state.best.fitness:
-            best, stale = Individual(population[best_i].genes, fitness[best_i]), 0
+        # The triples not seen before go to evaluate_many at once, in first-seen order.
+        keys = list(map(tuple, genes.tolist()))
+        pending = [k for k in dict.fromkeys(keys) if k not in cache]
+        if pending:
+            cache.update(zip(pending, evaluate_many(pending)))
+        # best_fitness keeps the objective's own number; the array serves the numpy calls
+        values = list(map(cache.__getitem__, keys))
+        fitness = np.asarray(values)
+        best_i = int(fitness.argmax())
+        if generation == 0 or values[best_i] > best_fitness:
+            best_genes, best_fitness, stale = keys[best_i], values[best_i], 0
         else:
-            best, stale = state.best, state.stale_generations + 1
-        state = GaState(population, fitness, generation, best, stale)
-        history.append(GenerationStats(generation, best.fitness, float(np.mean(fitness)), best.genes))
+            stale += 1
+        history.append(GenerationStats(generation, best_fitness, float(fitness.mean()), best_genes))
         if stale >= cfg.convergence_patience:
             break
 
     return OptimizeResult(
-        best_genes=state.best.genes,
-        best_fitness=state.best.fitness,
+        best_genes=best_genes,
+        best_fitness=best_fitness,
         history=history,
-        generations=state.generation,
-        converged=state.stale_generations >= cfg.convergence_patience,
+        generations=generation,
+        converged=stale >= cfg.convergence_patience,
     )

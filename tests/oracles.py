@@ -311,3 +311,79 @@ def load_csv_naive(path):
                     f"instrument {code!r}: dates not strictly increasing at {pairs[i][0]}")
         out.append((code, [p[0] for p in pairs], [p[1] for p in pairs]))
     return out
+
+
+def optimize_naive(cfg, fitness_fn):
+    """The GA one individual at a time: a list of gene tuples per
+    generation, each operator a Python loop over them.
+
+    Makes exactly the draws optimize makes, from the same per-(seed,
+    generation, operator) substreams, and calls fitness_fn once per new
+    triple in first-seen order. Returns a dict: best_genes, best_fitness,
+    generations, converged, and history as (generation, best_fitness,
+    mean_fitness, best_genes) tuples.
+    """
+    import numpy as np
+
+    (lo0, hi0), (lo1, hi1), _ = cfg.bounds
+    lows = np.array([b[0] for b in cfg.bounds])
+    highs = np.array([b[1] for b in cfg.bounds])
+    n = cfg.population_size
+
+    def substream(generation, operator):
+        return np.random.default_rng(np.random.SeedSequence([cfg.seed, generation, operator]))
+
+    def repair(genes):
+        x, y, z = genes
+        if x < y:
+            return genes
+        x = min(x, hi0)
+        return (x, min(max(y, x + 1, lo1), hi1), z)
+
+    def select(population, fitness, rng):
+        f = np.asarray(fitness, dtype=float)
+        exp_v = np.exp(f - f.max())
+        n_elite = max(1, n // 10)
+        chosen = rng.choice(n, size=n - n_elite, replace=True, p=exp_v / exp_v.sum())
+        elite_idx = np.argsort(fitness, kind="stable")[-n_elite:]
+        return [population[i] for i in chosen] + [population[i] for i in elite_idx]
+
+    def crossover(population, rng):
+        out = list(population)
+        for i in range(0, len(out) - 1, 2):
+            if rng.random() < cfg.crossover_rate:
+                point = int(rng.integers(1, 3))
+                a, b = out[i], out[i + 1]
+                out[i], out[i + 1] = a[:point] + b[point:], b[:point] + a[point:]
+        return out
+
+    def mutate(population, rng):
+        genes = np.array(population, dtype=int)
+        hit = rng.random(genes.shape) < cfg.mutation_rate
+        draws = rng.integers(lows, highs + 1, size=genes.shape)
+        return [tuple(row) for row in np.where(hit, draws, genes).tolist()]
+
+    cache, history = {}, []
+    for generation in range(cfg.max_generations + 1):
+        if generation == 0:
+            raw = substream(0, 0).integers(lows, highs + 1, size=(n, 3))
+            population = [tuple(int(g) for g in row) for row in raw]
+        else:
+            population = select(population, fitness, substream(generation, 1))
+            population = crossover(population, substream(generation, 2))
+            population = mutate(population, substream(generation, 3))
+        population = [repair(genes) for genes in population]
+        for genes in population:
+            if genes not in cache:
+                cache[genes] = fitness_fn(genes)
+        fitness = [cache[genes] for genes in population]
+        best_i = int(np.argmax(fitness))
+        if generation == 0 or fitness[best_i] > best_fitness:
+            best_genes, best_fitness, stale = population[best_i], fitness[best_i], 0
+        else:
+            stale += 1
+        history.append((generation, best_fitness, float(np.mean(fitness)), best_genes))
+        if stale >= cfg.convergence_patience:
+            break
+    return {"best_genes": best_genes, "best_fitness": best_fitness, "generations": generation,
+            "converged": stale >= cfg.convergence_patience, "history": history}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macdlab import GaConfig, GaState, Individual, StrategyMode, optimize
+from macdlab import GaConfig, StrategyMode, optimize
 from macdlab.errors import ConfigError, DataError
 from macdlab.optimizer import (
     crossover,
@@ -15,6 +15,7 @@ from macdlab.optimizer import (
 )
 
 from conftest import random_walk_closes, series_from_closes
+from oracles import optimize_naive
 
 
 def surrogate(genes):
@@ -46,10 +47,23 @@ class TestGaConfig:
         dict(seed=-1),
         dict(bounds=((5, 20), (20, 50))),
         dict(bounds=((5, 60), (20, 50), (5, 25))),
+        dict(bounds=((5.5, 20), (20, 50), (5, 25))),
+        dict(bounds=((5, 20.0), (20, 50), (5, 25))),
+        dict(bounds=((0, 20), (20, 50), (5, 25))),
+        dict(bounds=((5, 20), (20, 50), (-3, 25))),
+        dict(bounds=((True, 20), (20, 50), (5, 25))),
+        dict(bounds=((5, 20), (20, 50), ("5", 25))),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             GaConfig(**kw)
+
+    def test_numpy_integer_bounds_accepted(self):
+        bounds = tuple((np.int32(lo), np.int64(hi)) for lo, hi in ((5, 20), (20, 50), (5, 25)))
+        result = optimize(None, None, small_cfg(bounds=bounds, max_generations=3),
+                          fitness_fn=surrogate)
+        assert result.history == optimize(None, None, small_cfg(max_generations=3),
+                                          fitness_fn=surrogate).history
 
 
 class TestEliteCount:
@@ -89,61 +103,60 @@ class TestSelectionProbabilities:
 
 
 class TestSelect:
-    def make_state(self, fitness):
-        population = [Individual((5 + i % 15, 26, 9)) for i in range(len(fitness))]
-        return GaState(population=population, fitness=list(fitness),
-                       generation=0, best=population[0], stale_generations=0)
+    @staticmethod
+    def make_genes(n):
+        return np.array([(5 + i % 15, 26, 9) for i in range(n)], dtype=np.int64)
 
     def test_population_size_preserved(self, rng):
-        state = self.make_state(rng.normal(0, 10, 50))
-        out = select(state, np.random.default_rng(0))
-        assert len(out) == 50
+        out = select(self.make_genes(50), rng.normal(0, 10, 50), np.random.default_rng(0))
+        assert out.shape == (50, 3)
 
     def test_best_individual_always_survives(self, rng):
+        genes = self.make_genes(50)
         fitness = list(rng.normal(0, 10, 50))
         best = int(np.argmax(fitness))
-        state = self.make_state(fitness)
-        out = select(state, np.random.default_rng(1))
-        assert state.population[best] in out
+        out = select(genes, fitness, np.random.default_rng(1))
+        assert genes[best].tolist() in out.tolist()
 
     def test_elites_occupy_the_tail(self, rng):
+        genes = self.make_genes(50)
         fitness = list(range(50))
-        state = self.make_state(fitness)
-        out = select(state, np.random.default_rng(2))
+        out = select(genes, fitness, np.random.default_rng(2))
         n_elite = elite_count(50)
-        tail = out[-n_elite:]
-        want = [state.population[i] for i in np.argsort(fitness)[-n_elite:]]
-        assert tail == want
+        want = genes[np.argsort(fitness)[-n_elite:]]
+        assert np.array_equal(out[-n_elite:], want)
 
     def test_empty_population_rejected(self):
-        state = GaState([], [], 0, Individual((5, 20, 5)), 0)
         with pytest.raises(ValueError):
-            select(state, np.random.default_rng(0))
+            select(np.empty((0, 3), dtype=np.int64), [], np.random.default_rng(0))
 
 
 class TestCrossover:
+    PAIR = np.array([(1, 2, 3), (4, 5, 6)])
+
     def test_point_one_swaps_two_genes(self):
-        pop = [Individual((1, 2, 3)), Individual((4, 5, 6))]
-        rng = np.random.default_rng(0)
         # force the pair to cross at point 1
-        out = crossover(pop, 1.0, _PointRng(point=1))
-        assert out[0].genes == (1, 5, 6)
-        assert out[1].genes == (4, 2, 3)
+        out = crossover(self.PAIR, 1.0, _PointRng(point=1))
+        assert out.tolist() == [[1, 5, 6], [4, 2, 3]]
 
     def test_point_two_swaps_last_gene(self):
-        pop = [Individual((1, 2, 3)), Individual((4, 5, 6))]
-        out = crossover(pop, 1.0, _PointRng(point=2))
-        assert out[0].genes == (1, 2, 6)
-        assert out[1].genes == (4, 5, 3)
+        out = crossover(self.PAIR, 1.0, _PointRng(point=2))
+        assert out.tolist() == [[1, 2, 6], [4, 5, 3]]
 
     def test_zero_rate_is_identity(self, rng):
-        pop = [Individual((int(a), int(a) + 10, 7)) for a in rng.integers(5, 15, 20)]
-        assert crossover(pop, 0.0, np.random.default_rng(3)) == pop
+        a = rng.integers(5, 15, 20)
+        genes = np.stack([a, a + 10, np.full(20, 7)], axis=1)
+        assert np.array_equal(crossover(genes, 0.0, np.random.default_rng(3)), genes)
 
     def test_odd_trailing_individual_untouched(self):
-        pop = [Individual((1, 2, 3)), Individual((4, 5, 6)), Individual((7, 8, 9))]
-        out = crossover(pop, 1.0, _PointRng(point=2))
-        assert out[2].genes == (7, 8, 9)
+        genes = np.array([(1, 2, 3), (4, 5, 6), (7, 8, 9)])
+        out = crossover(genes, 1.0, _PointRng(point=2))
+        assert out[2].tolist() == [7, 8, 9]
+
+    def test_input_left_alone(self):
+        genes = self.PAIR.copy()
+        crossover(genes, 1.0, _PointRng(point=1))
+        assert np.array_equal(genes, self.PAIR)
 
 
 class _PointRng:
@@ -163,52 +176,59 @@ class _PointRng:
 class TestMutate:
     BOUNDS = ((5, 20), (20, 50), (5, 25))
 
+    @staticmethod
+    def make_genes(rng, n=50):
+        x = rng.integers(5, 20, n)
+        return np.stack([x, x + 20, np.full(n, 10)], axis=1)
+
     def test_zero_rate_is_identity(self):
-        pop = [Individual((5, 20, 5)), Individual((20, 50, 25))]
-        assert mutate(pop, 0.0, self.BOUNDS, np.random.default_rng(0)) == pop
+        genes = np.array([(5, 20, 5), (20, 50, 25)])
+        assert np.array_equal(mutate(genes, 0.0, self.BOUNDS, np.random.default_rng(0)), genes)
 
     def test_full_rate_redraws_within_bounds(self, rng):
-        pop = [Individual((5, 20, 5))] * 100
-        out = mutate(pop, 1.0, self.BOUNDS, np.random.default_rng(1))
-        genes = np.array([ind.genes for ind in out])
+        genes = np.tile([5, 20, 5], (100, 1))
+        out = mutate(genes, 1.0, self.BOUNDS, np.random.default_rng(1))
         for col, (lo, hi) in enumerate(self.BOUNDS):
-            assert genes[:, col].min() >= lo
-            assert genes[:, col].max() <= hi
-        assert len({ind.genes for ind in out}) > 1
+            assert out[:, col].min() >= lo
+            assert out[:, col].max() <= hi
+        assert len({tuple(row) for row in out.tolist()}) > 1
 
     def test_any_rate_stays_in_bounds(self, rng):
-        pop = [Individual((int(x), int(x) + 20, 10)) for x in rng.integers(5, 20, 50)]
-        out = mutate(pop, 0.5, self.BOUNDS, np.random.default_rng(2))
-        for ind in out:
-            for g, (lo, hi) in zip(ind.genes, self.BOUNDS):
+        out = mutate(self.make_genes(rng), 0.5, self.BOUNDS, np.random.default_rng(2))
+        for row in out.tolist():
+            for g, (lo, hi) in zip(row, self.BOUNDS):
                 assert lo <= g <= hi
 
     def test_genes_are_python_ints(self, rng):
-        # genes key the fitness cache and land in JSON artifacts
-        pop = [Individual((int(x), int(x) + 20, 10)) for x in rng.integers(5, 20, 50)]
+        # genes key the fitness cache and land in JSON artifacts: the
+        # array stays integer, so its rows come out as tuples of ints
+        genes = self.make_genes(rng)
         for pm in (0.0, 0.5, 1.0):
-            for ind in mutate(pop, pm, self.BOUNDS, np.random.default_rng(3)):
-                assert isinstance(ind.genes, tuple)
-                assert all(type(g) is int for g in ind.genes)
+            out = mutate(genes, pm, self.BOUNDS, np.random.default_rng(3))
+            assert out.dtype.kind == "i"
+            for row in map(tuple, out.tolist()):
+                assert all(type(g) is int for g in row)
 
 
 class TestRepair:
     def test_minimal_nudge(self):
-        assert repair(Individual((20, 20, 9))).genes == (20, 21, 9)
+        assert repair(np.array([(20, 20, 9)])).tolist() == [[20, 21, 9]]
 
     def test_valid_triple_untouched(self):
-        ind = Individual((12, 26, 9))
-        assert repair(ind) is ind
+        assert repair(np.array([(12, 26, 9)])).tolist() == [[12, 26, 9]]
 
     def test_boundary_triple_untouched(self):
-        ind = Individual((20, 50, 25))
-        assert repair(ind) is ind
+        assert repair(np.array([(20, 50, 25)])).tolist() == [[20, 50, 25]]
 
     def test_inverted_genes_fixed(self):
-        fixed = repair(Individual((18, 7, 9)), ((5, 20), (20, 50), (5, 25)))
-        x, y, _ = fixed.genes
+        fixed = repair(np.array([(18, 7, 9)]), ((5, 20), (20, 50), (5, 25)))
+        (x, y, _), = fixed.tolist()
         assert x < y
         assert 5 <= x <= 20 and 20 <= y <= 50
+
+    def test_rows_repaired_independently(self):
+        genes = np.array([(12, 26, 9), (20, 20, 9), (30, 10, 7), (19, 50, 5)])
+        assert repair(genes).tolist() == [[12, 26, 9], [20, 21, 9], [20, 21, 7], [19, 50, 5]]
 
 
 class TestEvaluateFitness:
@@ -277,6 +297,21 @@ class TestOptimize:
         if result.converged:
             assert result.generations < 120
 
+    def test_genes_are_python_ints(self):
+        # genes key the fitness cache and land in JSON artifacts
+        seen = []
+
+        def recorded(genes):
+            seen.append(genes)
+            return surrogate(genes)
+
+        for pm in (0.0, 0.5, 1.0):
+            result = optimize(None, None, small_cfg(mutation_rate=pm, max_generations=5),
+                              fitness_fn=recorded)
+            for genes in seen + [result.best_genes] + [g.best_genes for g in result.history]:
+                assert isinstance(genes, tuple)
+                assert all(type(g) is int for g in genes)
+
     def test_backtest_fitness_path(self, rng):
         series = series_from_closes(random_walk_closes(rng, 150))
         cfg = small_cfg(population_size=12, max_generations=2, seed=0)
@@ -291,6 +326,79 @@ class TestOptimize:
     def test_bad_workers_rejected(self):
         with pytest.raises(ConfigError):
             optimize(None, None, small_cfg(), fitness_fn=surrogate, workers=0)
+
+
+def tied_fitness(levels):
+    """A table objective over the triples with only `levels` distinct
+    values (0 means every triple scores the same), so argmax and the
+    stable elite order decide between many equal individuals."""
+    def fitness(genes):
+        x, y, z = genes
+        return float((x * 7 + y * 3 + z) % levels) if levels else 1.0
+    return fitness
+
+
+@st.composite
+def ga_configs(draw):
+    """Small GA configs: population sizes 2, 3 and odd ones, rates at 0,
+    1 and in between, and bounds narrow enough that repair fires."""
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    lo0 = draw(st.integers(1, 10))
+    hi0 = draw(st.integers(lo0, lo0 + 6))
+    lo1 = draw(st.integers(1, hi0 + 2))
+    hi1 = draw(st.integers(max(lo1, hi0 + 1), hi0 + 8))
+    lo2 = draw(st.integers(1, 5))
+    hi2 = draw(st.integers(lo2, lo2 + 4))
+    return GaConfig(
+        population_size=draw(st.sampled_from([2, 3]) | st.integers(2, 41)),
+        bounds=((lo0, hi0), (lo1, hi1), (lo2, hi2)),
+        crossover_rate=draw(rate),
+        mutation_rate=draw(rate),
+        convergence_patience=draw(st.integers(1, 4)),
+        max_generations=draw(st.integers(0, 8)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestNaiveParity:
+    """optimize on its gene array against tests/oracles.py optimize_naive,
+    the same GA one individual at a time."""
+
+    @staticmethod
+    def check(cfg, fitness_fn):
+        calls, naive_calls = [], []
+
+        def recorded(genes):
+            calls.append(genes)
+            return fitness_fn(genes)
+
+        def naive_recorded(genes):
+            naive_calls.append(genes)
+            return fitness_fn(genes)
+
+        result = optimize(None, None, cfg, fitness_fn=recorded)
+        want = optimize_naive(cfg, naive_recorded)
+        assert calls == naive_calls
+        assert result.best_genes == want["best_genes"]
+        assert result.best_fitness == want["best_fitness"]
+        assert result.generations == want["generations"]
+        assert result.converged == want["converged"]
+        assert [(g.generation, g.best_fitness, g.mean_fitness, g.best_genes)
+                for g in result.history] == want["history"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ga_configs(), st.integers(0, 5))
+    def test_tied_objective(self, cfg, levels):
+        self.check(cfg, tied_fitness(levels))
+
+    @settings(max_examples=40, deadline=None)
+    @given(ga_configs())
+    def test_distinct_objective(self, cfg):
+        self.check(cfg, surrogate)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_default_config(self, seed):
+        self.check(GaConfig(seed=seed, max_generations=12), surrogate)
 
 
 class TestBatchedGa:
