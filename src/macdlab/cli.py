@@ -201,12 +201,12 @@ class _Run:
     def usable(self, screened: list[tuple]) -> list:
         """The usable instruments of `screened` (a `_screen`); each unusable
         one is skipped. A data error when none is usable."""
-        usable = [cleaned for _, cleaned, _ in screened if cleaned is not None]
+        usable = [cleaned for _, _, cleaned, _ in screened if cleaned is not None]
         if not usable:
             raise DataError(f"no usable instrument in {self.args.data}")
-        for series, _, unusable in screened:
+        for code, _, _, unusable in screened:
             if unusable is not None:
-                self.skip(series.code, unusable)
+                self.skip(code, unusable)
         return usable
 
     def none_done(self, done: str) -> DataError:
@@ -248,14 +248,16 @@ class _Run:
 
 
 def _screen(path) -> list[tuple]:
-    """Every instrument in `path`, in file order, as (series, cleaned, None)
-    or, when clean() screens it out, (series, None, the UnusableSeriesError)."""
+    """Every instrument in `path`, in file order, as (code, rows loaded,
+    cleaned, None) or, when clean() screens it out, (code, rows loaded,
+    None, the UnusableSeriesError). The loaded series is not kept."""
     screened = []
     for series in load_csv(path):
         try:
-            screened.append((series, clean(series), None))
+            cleaned, unusable = clean(series), None
         except UnusableSeriesError as exc:
-            screened.append((series, None, exc))
+            cleaned, unusable = None, exc
+        screened.append((series.code, len(series), cleaned, unusable))
     return screened
 
 
@@ -449,18 +451,19 @@ def _each_instrument(args, done: str, write) -> int:
 
 def cmd_ingest(args) -> int:
     run, iso = _Run(args), _IsoDates()
-    summary, cleaned_rows = [], []
-    for series, cleaned, unusable in _screen(args.data):
+    summary, codes, dates, closes = [], [], [], []
+    for code, rows, cleaned, unusable in _screen(args.data):
         if unusable is not None:
-            summary.append([series.code, len(series), "", unusable.dropped, "unusable"])
+            summary.append([code, rows, "", unusable.dropped, "unusable"])
             continue
-        cleaned_rows += zip([cleaned.code] * len(cleaned), iso.column(cleaned),
-                            cleaned.closes.tolist())
-        summary.append([series.code, len(series), len(cleaned),
-                        len(series) - len(cleaned), "ok"])
+        codes += [code] * len(cleaned)
+        dates += iso.column(cleaned)
+        closes.append(cleaned.closes)
+        summary.append([code, rows, len(cleaned), rows - len(cleaned), "ok"])
     run.write_csv("instruments.csv",
                   ["code", "rows", "rows_kept", "rows_dropped", "status"], zip(*summary))
-    run.write_csv("cleaned.csv", REQUIRED_COLUMNS, zip(*cleaned_rows))
+    run.write_csv("cleaned.csv", REQUIRED_COLUMNS,
+                  [codes, dates, np.concatenate(closes)] if closes else [])
     return run.finish()
 
 
@@ -521,21 +524,21 @@ def cmd_compare(args) -> int:
     risk = RiskConfig(risk_free_rate=args.risk_free)
     screened, rows = _screen(args.data), []
     run.usable(screened)
-    for series, cleaned, unusable in screened:
+    for code, _, cleaned, unusable in screened:
         if unusable is not None:
             for mode in StrategyMode:
-                rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["unusable"])
+                rows.append([code, mode.value] + [""] * len(REPORT_COLUMNS) + ["unusable"])
             continue
         cache = SeriesCache(cleaned)  # the modes share its EMAs, trends and divergence pairs
         for mode in StrategyMode:
             try:
                 log = run_backtest(cache, args.params, mode, args.capital)
                 report = compute_metrics(log, cleaned.span_days, risk)
-                rows.append([series.code, mode.value, *report.as_dict().values(), "ok"])
+                rows.append([code, mode.value, *report.as_dict().values(), "ok"])
             except (DataError, ValueError) as exc:
-                rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["error"])
-                if series.code not in run.skipped:
-                    run.skip(series.code, exc)
+                rows.append([code, mode.value] + [""] * len(REPORT_COLUMNS) + ["error"])
+                if code not in run.skipped:
+                    run.skip(code, exc)
     if all(row[-1] != "ok" for row in rows):
         raise run.none_done("compared")
     run.write_csv("comparison.csv", ["name", "mode", *REPORT_COLUMNS, "status"], zip(*rows))
@@ -569,6 +572,9 @@ def cmd_optimize(args) -> int:
         seed=args.seed,
     )
     cache = SeriesCache(series)  # shared by the GA and the comparison rows
+    # Only the GA's chunk loop gains from the pinned heap; every other
+    # command, and the screen above, runs on glibc's own thresholds.
+    _keep_freed_heap()
     result = optimize(cache, mode, cfg, workers=args.workers, initial_capital=args.capital)
 
     best = MacdParams(*result.best_genes)
@@ -706,7 +712,6 @@ def _keep_freed_heap() -> None:
 
 
 def main(argv=None) -> int:
-    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -191,6 +191,17 @@ class TestQuotedCells:
         rows.sort(key=lambda r: r[0])
         assert (out / "instruments.csv").read_bytes() == expected_bytes(
             tmp_path, ["code", "rows", "rows_kept", "rows_dropped", "status"], rows)
+        usable = [clean(s) for s in load_csv(data) if s.code != "G"]
+        cleaned = [[s.code, day, close] for s in usable
+                   for day, close in zip(iso(s), s.closes.tolist())]
+        assert (out / "cleaned.csv").read_bytes() == expected_bytes(
+            tmp_path, ["code", "date", "close"], cleaned)
+
+    def test_ingest_with_no_usable_instrument(self, tmp_path):
+        data = write_csv(tmp_path / "bad.csv", synthetic_rows("BAD", [0.0] * 60))
+        out = tmp_path / "ing"
+        assert main(["ingest", "--data", str(data), "--out", str(out)]) == 0
+        assert (out / "cleaned.csv").read_bytes() == b"code,date,close\n"
 
     def test_optimize_tables(self, tmp_path):
         rng = np.random.default_rng(99)

@@ -703,10 +703,10 @@ def tree(root):
 
 
 class TestFreedHeap:
-    """main asks glibc's mallopt, once per process, to keep chunk-sized
-    arrays on the heap and freed heap mapped; where the C library cannot
-    be reached or has no mallopt, the command runs and writes the same
-    artifacts."""
+    """optimize asks, before its GA, glibc's mallopt, once per process, to
+    keep chunk-sized arrays on the heap and freed heap mapped; where the C
+    library cannot be reached or has no mallopt, the command runs and
+    writes the same artifacts."""
 
     @pytest.fixture(autouse=True)
     def fresh_process(self):
@@ -754,6 +754,25 @@ class TestFreedHeap:
         second = self.optimize(data_file, tmp_path / "b", capsys)
         assert first == second and first[0] == 0
         assert calls == [(-1, 32 << 20), (-3, 4 << 20)]
+
+    def test_only_optimize_sets_it(self, data_file, tmp_path, capsys, monkeypatch):
+        """The other commands run on glibc's own thresholds: none of them
+        calls mallopt; optimize calls it once per process."""
+        calls = []
+
+        class Libc:
+            def __init__(self, name, *args, **kwargs):
+                self.mallopt = lambda param, value: calls.append((param, value)) or 1
+
+        monkeypatch.setattr(ctypes, "CDLL", Libc)
+        others = [["ingest"], ["denoise"], ["analyze"], ["compare"]]
+        others += [["backtest", "--mode", mode] for mode in cli.MODE_CHOICES]
+        for k, argv in enumerate(others):
+            assert main([*argv, "--data", str(data_file), "--out", str(tmp_path / f"o{k}")]) == 0
+        assert calls == []
+        for k in range(2):
+            assert self.optimize(data_file, tmp_path / f"ga{k}", capsys)[0] == 0
+            assert calls == [(-1, 32 << 20), (-3, 4 << 20)]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
     def test_chunk_sized_arrays_reuse_the_heap(self):
