@@ -26,12 +26,19 @@ a file, --data a directory for every command, an --out whose previous
 manifest lists its artifacts as a string, and two reruns into one --out
 (denoise of two instruments then of one; optimize then compare).
 
+The pool file is large enough for denoise, analyze, backtest and
+compare to run in several processes wherever more than one CPU is
+available. So each of those commands runs on it once more, marked "one
+CPU", with the change's side pinned to one CPU by os.sched_setaffinity
+inside the command's own interpreter: the forked path of one side must
+give the bytes of one process on the other. With only one CPU both
+sides run in one process, and a note says so.
+
 --smoke compares the checkout this script is in with itself on a small
-corpus (two data files, `optimize --pop 10 --max-gen 1`), to show that
-the tool runs and that the CLI's outputs are deterministic. Its third
-file, the 12 pool instruments, is large enough for denoise, analyze and
-backtest to run in several processes wherever more than one CPU is
-available, so the smoke run also shows that path deterministic.
+corpus: the two data files, the pool file and its one-CPU runs, with
+`optimize --pop 10 --max-gen 1`. It shows that the tool runs, that the
+CLI's outputs are deterministic, and that one process and several give
+the same bytes.
 
 Prints one line per run that differs, naming what differs, then a
 summary line; exits with status 1 when any run differs.
@@ -58,8 +65,12 @@ import gen  # noqa: E402
 
 MODES = ("raw", "denoised", "divergence")
 COMMANDS = ("ingest", "denoise", "analyze", "backtest", "compare", "optimize")
-# The interpreter each command runs in: macdlab's own entry point.
+# The interpreter each command runs in: macdlab's own entry point, and
+# the same pinned to one of the CPUs it may run on.
 ENTRY = "from macdlab.cli import entrypoint; entrypoint()"
+ONE_CPU = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " + ENTRY
+# The commands that run a panel in several processes.
+FORKING = ("denoise", "analyze", "backtest", "compare")
 
 
 def walk(seed: int, n: int) -> np.ndarray:
@@ -99,8 +110,9 @@ def write_data(path: Path, instruments) -> None:
                 writer.writerow([code, day.isoformat(), "" if close != close else repr(close)])
 
 
-def corpus(data_dir: Path, smoke: bool) -> list[tuple[str, list[list[str]], dict[str, str]]]:
-    """Every run as (label, commands, files placed in --out before it)."""
+def corpus(data_dir: Path, smoke: bool) -> list[tuple[str, list[list[str]], dict[str, str], str]]:
+    """Every run as (label, commands, files placed in --out before it,
+    the change side's entry code)."""
     files = data_files()
     if smoke:
         files = {name: files[name] for name in ("good_bad", "quote", "pool")}
@@ -116,33 +128,37 @@ def corpus(data_dir: Path, smoke: bool) -> list[tuple[str, list[list[str]], dict
         commands += [["backtest", "--mode", mode] for mode in MODES]
         commands += [["optimize", "--mode", mode, *ga, *code] for mode in MODES]
         commands += [["optimize", "--pop", "1", *code]]
-        runs += [(f"{name}: {' '.join(argv)}", [argv + common], {}) for argv in commands]
+        runs += [(f"{name}: {' '.join(argv)}", [argv + common], {}, ENTRY) for argv in commands]
+        if name == "pool":
+            runs += [(f"{name}: {command} (one CPU)", [[command, *common]], {}, ONE_CPU)
+                     for command in FORKING]
 
     data = str(data_dir / "good_bad.csv")
-    runs.append(("no --data flag", [["backtest", "--out", "out"]], {}))
+    runs.append(("no --data flag", [["backtest", "--out", "out"]], {}, ENTRY))
     runs.append(("missing --data file",
-                 [["denoise", "--data", str(data_dir / "missing.csv"), "--out", "out"]], {}))
+                 [["denoise", "--data", str(data_dir / "missing.csv"), "--out", "out"]], {},
+                 ENTRY))
     (data_dir / "folder").mkdir()
     runs += [(f"--data a directory: {command}",
-              [[command, "--data", str(data_dir / "folder"), "--out", "out"]], {})
+              [[command, "--data", str(data_dir / "folder"), "--out", "out"]], {}, ENTRY)
              for command in COMMANDS]
     runs.append(("good_bad: denoise over a manifest listing a string",
                  [["denoise", "--data", data, "--out", "out"]],
-                 {"manifest.json": '{"artifacts": "ab"}', "a": "a", "b": "b"}))
+                 {"manifest.json": '{"artifacts": "ab"}', "a": "a", "b": "b"}, ENTRY))
     one = data_dir / "plain.csv"
     write_data(one, files["quote"][1:])
     runs.append(("quote: denoise, then denoise of PLAIN alone",
                  [["denoise", "--data", str(data_dir / "quote.csv"), "--out", "out"],
-                  ["denoise", "--data", str(one), "--out", "out"]], {}))
+                  ["denoise", "--data", str(one), "--out", "out"]], {}, ENTRY))
     runs.append(("good_bad: optimize, then compare",
                  [["optimize", *ga, "--code", "GOOD", "--data", data, "--out", "out"],
-                  ["compare", "--data", data, "--out", "out"]], {}))
+                  ["compare", "--data", data, "--out", "out"]], {}, ENTRY))
     return runs
 
 
-def execute(checkout: Path, cwd: Path, commands, placed: dict[str, str]):
-    """Run `commands` in `cwd` on `checkout`; return each command's
-    (exit code, stdout, stderr) and every file left under `cwd`."""
+def execute(checkout: Path, cwd: Path, commands, placed: dict[str, str], entry: str):
+    """Run `commands` in `cwd` on `checkout`, each by `entry`; return each
+    command's (exit code, stdout, stderr) and every file left under `cwd`."""
     cwd.mkdir(parents=True)
     if placed:
         (cwd / "out").mkdir()
@@ -151,7 +167,7 @@ def execute(checkout: Path, cwd: Path, commands, placed: dict[str, str]):
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     outcomes = []
     for argv in commands:
-        done = subprocess.run([sys.executable, "-c", ENTRY, *argv], cwd=cwd, env=env,
+        done = subprocess.run([sys.executable, "-c", entry, *argv], cwd=cwd, env=env,
                               capture_output=True, timeout=900)
         outcomes.append((done.returncode, done.stdout, done.stderr))
     files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
@@ -211,13 +227,16 @@ def main(argv=None) -> int:
         (work / "data").mkdir()
         runs = corpus(work / "data", args.smoke)
         differing = 0
-        for index, (label, commands, placed) in enumerate(runs):
+        for index, (label, commands, placed, entry) in enumerate(runs):
             sides = pool.map(lambda side: execute(checkouts[side], work / str(side) / str(index),
-                                                  commands, placed), (0, 1))
+                                                  commands, placed, (ENTRY, entry)[side]),
+                             (0, 1))
             found = differences(commands, *sides)
             if found:
                 differing += 1
                 print(f"DIFFERS {label}: " + "; ".join(found))
+    if len(os.sched_getaffinity(0)) == 1:
+        print("note: only one CPU, so the one-CPU runs compare one process with one process")
     print(f"{len(runs)} runs, {len(runs) - differing} identical, {differing} differ "
           f"({checkouts[0]} vs {checkouts[1]})")
     return 1 if differing else 0

@@ -18,8 +18,8 @@ too short, or one of its writes raised a data error) is skipped: no file
 of it is left in --out, and its reason goes to stderr and to the
 manifest's "skipped". compare and optimize skip by the same rule. The
 run fails only when no instrument was processed. On large inputs the
-runner spreads the instruments over up to one process per CPU, with the
-outputs of one process (`_each_instrument`).
+runner and compare spread the instruments over up to one process per
+CPU (`forks.fork_map`), with the outputs of one process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -27,19 +27,13 @@ Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 from __future__ import annotations
 
 import argparse
-import bisect
 import csv
 import ctypes
 import functools
 import io
-import itertools
 import json
 import math
-import os
-import pickle
-import signal
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +42,7 @@ from . import __version__
 from .analysis import detect_divergences, detect_oscillation
 from .backtest import DEFAULT_CAPITAL, SeriesCache, StrategyMode, run_backtest
 from .errors import ConfigError, DataError, UnusableSeriesError
+from .forks import fork_map
 from .indicators import MacdParams, compute_indicators
 from .ingest import REQUIRED_COLUMNS, clean, load_csv
 from .metrics import REPORT_COLUMNS, RiskConfig, compute_metrics
@@ -139,16 +134,22 @@ def _csv_cells(cells: list[str]) -> list[str]:
     return cells
 
 
+# Rows formatted and written at a time: a file's text is never held
+# whole (ingest's cleaned.csv of a 100 x 1,500-day panel is ~150k rows).
+CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path: Path, header, columns) -> None:
     """Write a CSV from whole columns (numpy arrays or sequences of cell
     values), with the bytes csv.writer writes for the same rows of `_fmt`
     cells, `\\n` line ends."""
-    cells = [_csv_cells(_text(column)) for column in columns]
-    lines = [",".join(_csv_cells(list(header)))]
-    lines.extend(map(",".join, zip(*cells)))
-    lines.append("")
+    columns = list(columns)
+    rows = min(map(len, columns), default=0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
+        fh.write(",".join(_csv_cells(list(header))) + "\n")
+        for lo in range(0, rows, CSV_BLOCK_ROWS):
+            cells = [_csv_cells(_text(column[lo:lo + CSV_BLOCK_ROWS])) for column in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
     print(f"wrote {path}")
 
 
@@ -158,15 +159,19 @@ class _Run:
     lists both.
 
     --out is made when the first artifact path in it is formed, so a run
-    that fails before it writes leaves no --out. An artifact name that is
-    not a plain file name (an instrument code with a `/`) is a data error,
-    raised before --out is made. A name is recorded once its write
-    returns: a write that raises lists nothing.
+    that fails before it writes leaves no --out; a --out that names, or
+    lies under, something other than a directory is a config error at the
+    start. An artifact name that is not a plain file name (an instrument
+    code with a `/`) is a data error, raised before --out is made. A name
+    is recorded once its write returns: a write that raises lists nothing.
     """
 
     def __init__(self, args) -> None:
         self.args = args
         self.out = Path(args.out)
+        nearest = next(p for p in (self.out, *self.out.parents) if p.exists() or p.is_symlink())
+        if not nearest.is_dir():
+            raise ConfigError(f"--out {args.out}: {nearest} is not a directory")
         self.made = False
         self.written: list[str] = []
         self.skipped: dict[str, str] = {}
@@ -187,11 +192,10 @@ class _Run:
         _write_json(self._path(name), obj)
         self.written.append(name)
 
-    def discard(self, mark: int) -> None:
-        """Delete and unlist the artifacts written since `len(self.written)` was `mark`."""
-        for name in self.written[mark:]:
+    def discard(self, names) -> None:
+        """Delete the artifacts `names`."""
+        for name in names:
             (self.out / name).unlink(missing_ok=True)
-        del self.written[mark:]
 
     def skip(self, code: str, reason) -> None:
         """Record an instrument the command cannot process, for the manifest and stderr."""
@@ -273,174 +277,37 @@ class _IsoDates(dict):
         return list(map(self.__getitem__, series.dates))
 
 
-def _run_block(run, iso, write, block) -> None:
-    """Run `write(run, series, iso)` on each series of `block`. A data
-    error skips the instrument; any other exception is raised. Either way
-    the files written for the instrument are first deleted and unlisted,
-    so it leaves none."""
-    for series in block:
-        mark = len(run.written)
-        try:
-            write(run, series, iso)
-        except (DataError, ValueError) as exc:
-            run.discard(mark)
-            run.skip(series.code, exc)
-        except BaseException:
-            run.discard(mark)
-            raise
-
-
-# The fewest usable days a process is given. A forked child costs 5-10
-# ms (the fork of a ~35 MB process, copy-on-write faults, the reaping);
-# on a 2-core x86_64 host, denoise, the cheapest command per day, ran no
-# faster in two processes than in one on 4 x 1,500 days, and ~20%
-# faster on 8 x 1,500.
-DAYS_PER_PROCESS = 6000
-
-
-def _processes(usable: list) -> int:
-    """How many processes run `usable`: one per CPU this process may run
-    on, at most one per instrument and per DAYS_PER_PROCESS days. One
-    where os.fork or os.sched_getaffinity is missing, or where another
-    thread runs (a forked child would hold only the calling thread)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
-            or threading.active_count() > 1:
-        return 1
-    days = sum(map(len, usable))
-    return max(1, min(len(os.sched_getaffinity(0)), len(usable), days // DAYS_PER_PROCESS))
-
-
-def _blocks(usable: list, count: int) -> list[list]:
-    """`usable` cut into `count` (at most len(usable)) contiguous,
-    non-empty blocks of about equal days each."""
-    ends = list(itertools.accumulate(map(len, usable)))
-    cuts = [0]
-    for k in range(1, count):
-        cut = bisect.bisect_left(ends, ends[-1] * k / count) + 1
-        cuts.append(min(max(cut, cuts[-1] + 1), len(usable) - count + k))
-    cuts.append(len(usable))
-    return [usable[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _block_reply(run: _Run, iso: _IsoDates, write, block: list) -> bytes:
-    """Run `block` in a forked child, on its copy of `run`, and return
-    what the parent needs to carry on as if it had run the block itself:
-    the artifact names written, the instruments skipped, the stdout and
-    stderr text, and the exception that ended the block, if one did (the
-    parent raises it, whatever it is)."""
-    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-    run.written, run.skipped, error = [], {}, None
-    try:
-        _run_block(run, iso, write, block)
-    except BaseException as exc:
-        error = exc
-    return pickle.dumps((run.written, run.skipped, sys.stdout.getvalue(),
-                         sys.stderr.getvalue(), error))
-
-
-class _Child:
-    """A forked process that runs one block of instruments and sends its
-    `_block_reply` through a pipe.
-
-    The child never returns into its caller: whatever happens, it ends
-    with os._exit, exit status 0 once its reply is sent. The parent reads
-    the reply with `merge` (or `drop`), and kills and reaps a child it has
-    not read with `reap`.
-    """
-
-    def __init__(self, run: _Run, iso: _IsoDates, write, block: list) -> None:
-        parent = os.getpid()
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-            if self.pid == 0:
-                os.close(read_fd)
-                with open(write_fd, "wb") as fh:
-                    fh.write(_block_reply(run, iso, write, block))
-                os._exit(0)
-        except BaseException:
-            if os.getpid() == parent:  # the fork failed
-                os.close(read_fd)
-            raise
-        finally:
-            if os.getpid() != parent:
-                os._exit(1)
-            os.close(write_fd)
-        self.reply = open(read_fd, "rb")
-
-    def _result(self) -> tuple:
-        """The child's reply, once it has ended and been reaped."""
-        with self.reply:
-            data = self.reply.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status or not data:
-            raise RuntimeError(f"a worker process ended without its result "
-                               f"(exit status {os.waitstatus_to_exitcode(status)})")
-        return pickle.loads(data)
-
-    def merge(self, run: _Run) -> None:
-        """Add the child's artifacts and skips to `run`, print what it
-        printed, and raise the exception that ended its block, if any."""
-        written, skipped, out, err, error = self._result()
-        run.written += written
-        run.skipped.update(skipped)
-        sys.stdout.write(out)
-        sys.stderr.write(err)
-        if error is not None:
-            raise error
-
-    def drop(self, run: _Run) -> None:
-        """Delete the artifacts of a child not merged: the run failed
-        before its block."""
-        if self.pid is not None:
-            for name in self._result()[0]:
-                (run.out / name).unlink(missing_ok=True)
-
-    def reap(self) -> None:
-        """Kill and reap the child if it has not been reaped."""
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        self.reply.close()
-
-
 def _each_instrument(args, done: str, write) -> int:
-    """Run `write(run, series, iso)` on each usable instrument: it writes
-    the instrument's artifacts through the `_Run`. An instrument it raises
-    a data error on is skipped with its reason, and the files written for
-    it are deleted and unlisted, so it leaves no file. Any other exception
-    deletes the instrument's files too, then ends the command. A data
-    error when no instrument could be `done`; else the manifest.
-
-    The usable instruments are cut into `_processes` blocks: this process
-    runs the first, a forked `_Child` each other one, all at once. The
-    children's results are merged in instrument order, so --out, the
-    manifest, stdout, stderr and the outcome are those of one process
-    running every block in turn; when a block fails, the artifacts of the
-    blocks after it are deleted, as they would never have been written.
-    """
+    """Run `write(run, series, iso)`, which writes an instrument's
+    artifacts through the `_Run`, on each usable instrument by `fork_map`.
+    A failed instrument's files are deleted. A data error skips it; any
+    other exception also deletes the files of the instruments after it,
+    then ends the command. A data error when none could be `done`; else
+    the manifest."""
     run, iso = _Run(args), _IsoDates()
     usable = run.usable(_screen(args.data))
-    first, *rest = _blocks(usable, _processes(usable))
-    children = []
-    try:
-        if rest:
-            sys.stdout.flush()  # a child must inherit no unwritten text
-            sys.stderr.flush()  # that it could write a second time
-        for block in rest:
-            children.append(_Child(run, iso, write, block))
-        _run_block(run, iso, write, first)
-        for child in children:
-            child.merge(run)
-    except BaseException:
-        for child in children:
-            child.drop(run)
-        raise
-    finally:
-        for child in children:
-            child.reap()
+
+    def attempt(series) -> tuple:
+        """(names written, None), or ([], a data error's text or another exception)."""
+        run.written = []
+        try:
+            write(run, series, iso)
+            return run.written, None
+        except BaseException as exc:
+            run.discard(run.written)
+            if not isinstance(exc, Exception):
+                raise
+            return [], str(exc) if isinstance(exc, (DataError, ValueError)) else exc
+
+    results = fork_map(attempt, usable, map(len, usable))
+    run.written = []
+    for at, (series, (names, failure)) in enumerate(zip(usable, results)):
+        if isinstance(failure, Exception):
+            run.discard(name for later, _ in results[at + 1:] for name in later)
+            raise failure
+        if failure is not None:
+            run.skip(series.code, failure)
+        run.written += names
     if not run.written:
         raise run.none_done(done)
     return run.finish()
@@ -517,28 +384,38 @@ def cmd_backtest(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    """A row per instrument and mode, an unusable or failing instrument's
-    marked so; each such instrument is also skipped, once, with its first
-    reason. A data error when no row could be compared."""
+    """A row per instrument and mode, by `fork_map`, an unusable or failing
+    instrument's marked so; each such instrument is also skipped, once,
+    with its first reason. A data error when no row could be compared."""
     run = _Run(args)
     risk = RiskConfig(risk_free_rate=args.risk_free)
-    screened, rows = _screen(args.data), []
-    run.usable(screened)
-    for code, _, cleaned, unusable in screened:
-        if unusable is not None:
-            for mode in StrategyMode:
-                rows.append([code, mode.value] + [""] * len(REPORT_COLUMNS) + ["unusable"])
-            continue
-        cache = SeriesCache(cleaned)  # the modes share its EMAs, trends and divergence pairs
+    screened = _screen(args.data)
+    usable = run.usable(screened)
+
+    def compare(series) -> tuple:
+        """The instrument's row per mode, and the first reason a mode failed."""
+        cache = SeriesCache(series)  # the modes share its EMAs, trends and divergence pairs
+        rows, reason = [], None
         for mode in StrategyMode:
             try:
                 log = run_backtest(cache, args.params, mode, args.capital)
-                report = compute_metrics(log, cleaned.span_days, risk)
-                rows.append([code, mode.value, *report.as_dict().values(), "ok"])
+                report = compute_metrics(log, series.span_days, risk)
+                rows.append([series.code, mode.value, *report.as_dict().values(), "ok"])
             except (DataError, ValueError) as exc:
-                rows.append([code, mode.value] + [""] * len(REPORT_COLUMNS) + ["error"])
-                if code not in run.skipped:
-                    run.skip(code, exc)
+                rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["error"])
+                reason = str(exc) if reason is None else reason
+        return rows, reason
+
+    compared, rows = iter(fork_map(compare, usable, map(len, usable))), []
+    for code, _, cleaned, _ in screened:
+        if cleaned is None:
+            rows += [[code, mode.value] + [""] * len(REPORT_COLUMNS) + ["unusable"]
+                     for mode in StrategyMode]
+            continue
+        mode_rows, reason = next(compared)
+        rows += mode_rows
+        if reason is not None:
+            run.skip(code, reason)
     if all(row[-1] != "ok" for row in rows):
         raise run.none_done("compared")
     run.write_csv("comparison.csv", ["name", "mode", *REPORT_COLUMNS, "status"], zip(*rows))

@@ -1,9 +1,10 @@
+import os
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from macdlab import PriceSeries
+from macdlab import PriceSeries, forks
 
 
 def series_from_closes(closes, code="TEST", start=date(2014, 1, 2)):
@@ -56,3 +57,34 @@ def make_series():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20140102)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(n) lets `forks.fork_map` use n CPUs, with every day of work
+    enough for a process of its own; returns the pids of the children
+    forked since."""
+    forked = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def allow(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        forked.clear()
+        return forked
+
+    monkeypatch.setattr(forks, "DAYS_PER_PROCESS", 1)
+    monkeypatch.setattr(os, "fork", counted)
+    return allow
+
+
+def no_child_left():
+    """True when this process has no child, reaped or not."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True

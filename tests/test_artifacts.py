@@ -6,6 +6,7 @@ import json
 from datetime import date, timedelta
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from macdlab import (
@@ -13,6 +14,7 @@ from macdlab import (
     MacdParams,
     StrategyMode,
     clean,
+    cli,
     compute_indicators,
     cross_signals,
     denoise_dif,
@@ -135,7 +137,11 @@ class TestWriter:
         st.lists(TEXT, min_size=n, max_size=n),
     )))
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_columns_match_rows(self, tmp_path, columns):
+    @pytest.mark.parametrize("block_rows", [cli.CSV_BLOCK_ROWS, 5, 1])
+    def test_columns_match_rows(self, tmp_path, monkeypatch, block_rows, columns):
+        """Also when a file is written in blocks of a few rows: a block's
+        columns are quoted only if one of its cells needs it."""
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block_rows)
         floats, ints, bools, mixed, text = columns
         header = ["f", "s", "b", 'mixed, "quoted"', "t"]
         arrays = [np.array(floats, dtype=float), np.array(ints, dtype=np.int8),

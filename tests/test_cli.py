@@ -7,8 +7,6 @@ import platform
 import re
 import subprocess
 import sys
-import threading
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +17,7 @@ from macdlab import backtest, cli
 from macdlab.cli import main
 from macdlab.errors import DataError
 
-from conftest import random_walk_closes
+from conftest import no_child_left, random_walk_closes
 
 
 def write_csv(path, rows):
@@ -138,6 +136,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"macdlab: data error: cannot read data file {tmp_path}: Is a directory\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "denoise", "analyze", "backtest", "compare",
+                                         "optimize"])
+    @pytest.mark.parametrize("out", ["taken", "taken/o"], ids=["a file", "under a file"])
+    def test_out_that_cannot_be_a_directory_is_config_error(self, tmp_path, capsys, command,
+                                                            out):
+        """Checked before --data is read (here missing, else exit 2), and
+        nothing is left behind."""
+        (tmp_path / "taken").write_text("a file\n")
+        before = tree(tmp_path)
+        out = tmp_path / out
+        assert main([command, "--data", str(tmp_path / "missing.csv"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"macdlab: config error: --out {out}: {tmp_path / 'taken'} is not a directory\n"
+        assert tree(tmp_path) == before
 
 
 class TestIngest:
@@ -832,35 +845,6 @@ def panel_file(tmp_path):
 CPUS = {"one process": 1, "two processes": 2, "more CPUs than instruments": 16}
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """cpus(n) lets the per-instrument commands use n CPUs; returns the
-    pids of the children forked since."""
-    forked = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def allow(count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-        forked.clear()
-        return forked
-
-    monkeypatch.setattr(cli, "DAYS_PER_PROCESS", 1)
-    monkeypatch.setattr(os, "fork", counted)
-    return allow
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
-
-
 def outcome(argv, data, out, capsys):
     """What a command leaves: its exit code, stdout (--out as OUT),
     stderr and --out's files (None when there is no --out)."""
@@ -871,7 +855,8 @@ def outcome(argv, data, out, capsys):
 
 
 @pytest.mark.parametrize("argv", [["denoise"], ["analyze"],
-                                  *(["backtest", "--mode", mode] for mode in cli.MODE_CHOICES)],
+                                  *(["backtest", "--mode", mode] for mode in cli.MODE_CHOICES),
+                                  ["compare"]],
                          ids=" ".join)
 def test_processes_change_no_output(argv, panel_file, tmp_path, capsys, cpus):
     """Run in one process, in two, or with more CPUs than instruments, a
@@ -887,13 +872,19 @@ def test_processes_change_no_output(argv, panel_file, tmp_path, capsys, cpus):
     assert all(run[:-1] == reference for run in runs.values())
     rc, _, err, files = reference
     manifest = json.loads(files["manifest.json"])
-    short = PER_INSTRUMENT[argv[0]][1]
-    skipped = ["BAD", "A/B"] + (["SHORT"] if short else [])
+    if argv[0] == "compare":
+        skipped = ["BAD", "SHORT"]
+        assert manifest["artifacts"] == ["comparison.csv"]
+        statuses = [line.rsplit(b",", 1)[1] for line in files["comparison.csv"].splitlines()[1:]]
+        assert statuses == [b"ok"] * 9 + [b"unusable"] * 3 + [b"error"] * 3 + [b"ok"] * 3
+    else:
+        short = PER_INSTRUMENT[argv[0]][1]
+        skipped = ["BAD", "A/B"] + (["SHORT"] if short else [])
+        done = ["600000", "600001", "ZZZ"] + ([] if short else ["SHORT"])
+        assert manifest["artifacts"] == artifacts_of(argv[0], *done)
     assert rc == 0 and sorted(manifest["skipped"]) == sorted(skipped)
     assert [line.split(":")[0] for line in err.splitlines()] == [f"skipped {code}"
                                                                  for code in skipped]
-    done = ["600000", "600001", "ZZZ"] + ([] if short else ["SHORT"])
-    assert manifest["artifacts"] == artifacts_of(argv[0], *done)
 
 
 @pytest.mark.parametrize("command", PER_INSTRUMENT)
@@ -948,7 +939,9 @@ def test_write_error_ends_the_command(failing, panel_file, tmp_path, capsys, cpu
 
 @pytest.mark.parametrize("code", ["600000", "ZZZ"],
                          ids=["in this process's block", "in a child's block"])
-def test_interrupt_reaps_every_child(code, panel_file, tmp_path, cpus, monkeypatch):
+def test_interrupt_ends_the_command(code, panel_file, tmp_path, cpus, monkeypatch):
+    """An interrupt is no instrument's failure: it ends the command, from
+    whichever process, with no manifest and no child left."""
     call = cli.run_backtest
 
     def interrupted(series, *args, **kwargs):
@@ -962,87 +955,3 @@ def test_interrupt_reaps_every_child(code, panel_file, tmp_path, cpus, monkeypat
         main(["backtest", "--data", str(panel_file), "--out", str(tmp_path / "out")])
     assert len(forked) == 1 and no_child_left()
     assert "manifest.json" not in tree(tmp_path / "out")
-
-
-def test_interrupt_while_dropping_kills_the_children(panel_file, tmp_path, cpus, monkeypatch):
-    """A second interrupt, while the command waits to delete the files of
-    the children after its failed block, kills and reaps the children."""
-    call, parent = cli.run_backtest, os.getpid()
-
-    def stuck(series, *args, **kwargs):
-        if os.getpid() != parent:
-            time.sleep(60)
-        elif series.code == "600001":
-            raise KeyboardInterrupt
-        return call(series, *args, **kwargs)
-
-    def interrupted(self, run):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(cli, "run_backtest", stuck)
-    monkeypatch.setattr(cli._Child, "drop", interrupted)
-    forked = cpus(2)
-    start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        main(["backtest", "--data", str(panel_file), "--out", str(tmp_path / "out")])
-    assert len(forked) == 1 and no_child_left()
-    assert time.perf_counter() - start < 30
-
-
-def test_child_that_ends_without_its_result_is_an_error(panel_file, tmp_path, cpus, monkeypatch):
-    call, parent = cli.run_backtest, os.getpid()
-
-    def dying(series, *args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(3)
-        return call(series, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "run_backtest", dying)
-    cpus(2)
-    with pytest.raises(RuntimeError, match=r"ended without its result \(exit status 3\)"):
-        main(["backtest", "--data", str(panel_file), "--out", str(tmp_path / "out")])
-    assert no_child_left()
-    assert "manifest.json" not in tree(tmp_path / "out")
-
-
-@pytest.mark.parametrize("lacking", ["os.fork", "os.sched_getaffinity", "a single thread"])
-def test_one_process_where_fork_is_missing_or_unsafe(lacking, panel_file, tmp_path, capsys,
-                                                     cpus, monkeypatch):
-    cpus(1)
-    reference = outcome(["backtest"], panel_file, tmp_path / "one", capsys)
-    forked = cpus(2)
-    stop = threading.Event()
-    threads = [threading.Thread(target=stop.wait)] if lacking == "a single thread" else []
-    for thread in threads:
-        thread.start()
-    if not threads:
-        monkeypatch.delattr(os, lacking.removeprefix("os."))
-    try:
-        assert outcome(["backtest"], panel_file, tmp_path / "two", capsys) == reference
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=10)
-    assert forked == [] and not any(thread.is_alive() for thread in threads)
-
-
-def test_blocks_are_contiguous_and_balanced_by_days():
-    usable = [[0] * days for days in (150, 150, 120, 8, 150)]
-    for count in range(1, len(usable) + 1):
-        blocks = cli._blocks(usable, count)
-        assert len(blocks) == count and all(blocks)
-        assert [id(s) for block in blocks for s in block] == list(map(id, usable))
-    assert [list(map(len, block)) for block in cli._blocks(usable, 2)] == [[150, 150],
-                                                                          [120, 8, 150]]
-    lopsided = [[0] * days for days in (1000, 1, 1, 1)]
-    assert list(map(len, cli._blocks(lopsided, 3))) == [1, 1, 2]
-
-
-def test_processes_follow_cpus_instruments_and_days(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    days = cli.DAYS_PER_PROCESS
-    assert cli._processes([[0] * days]) == 1
-    assert cli._processes([[0] * days] * 2) == 2
-    assert cli._processes([[0] * (days - 1)] * 2) == 1
-    assert cli._processes([[0] * (2 * days)] * 3) == 3
-    assert cli._processes([[0] * days] * 9) == 4
