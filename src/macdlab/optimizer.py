@@ -12,7 +12,12 @@ time.
 Randomness discipline: every stochastic operator draws from its own
 substream derived from (seed, generation, operator), and fitness
 evaluation consumes no randomness at all, so how the population is
-evaluated cannot perturb the search path. Backtest fitness is evaluated
+evaluated cannot perturb the search path. A substream is a
+`streams.Stream`: the numbers of numpy's
+`default_rng(SeedSequence([seed, generation, operator]))`, bit for bit,
+drawn without importing numpy.random. The operators make only
+Generator calls, so a numpy Generator serves them too, as it does
+tests/oracles.py `optimize_naive`. Backtest fitness is evaluated
 a generation at a time with BatchBacktest, which gives exactly the nets
 evaluate_fitness would.
 """
@@ -27,6 +32,7 @@ from .backtest import DEFAULT_CAPITAL, BatchBacktest, SeriesCache, StrategyMode,
 from .errors import ConfigError
 from .indicators import MacdParams
 from .ingest import PriceSeries
+from .streams import Stream
 
 DEFAULT_BOUNDS = ((5, 20), (20, 50), (5, 25))
 
@@ -64,6 +70,10 @@ class GaConfig:
                        for v in (lo, hi)):
                 # the genes are periods, and the GA keeps them in an integer array
                 raise ConfigError(f"bounds must be integers >= 1, got ({lo!r}, {hi!r})")
+            if hi >= 2**32:
+                # a wider range would draw 64-bit words, which the GA's
+                # streams do not reproduce; no period is that long anyway
+                raise ConfigError(f"bounds must be below 2**32, got ({lo!r}, {hi!r})")
             if lo > hi:
                 raise ConfigError(f"bound low {lo} exceeds high {hi}")
         if self.bounds[0][1] >= self.bounds[1][1]:
@@ -140,7 +150,7 @@ def selection_probabilities(fitness) -> np.ndarray:
     return exp_v / exp_v.sum()
 
 
-def select(genes: np.ndarray, fitness, rng: np.random.Generator) -> np.ndarray:
+def select(genes: np.ndarray, fitness, rng: Stream | np.random.Generator) -> np.ndarray:
     """Sample the next pool softmax-weighted, then append the elites.
 
     Draws len(genes) - elite_count rows with replacement from the whole
@@ -156,7 +166,7 @@ def select(genes: np.ndarray, fitness, rng: np.random.Generator) -> np.ndarray:
     return genes[np.concatenate([chosen, elite_idx])]
 
 
-def crossover(genes: np.ndarray, pc: float, rng: np.random.Generator) -> np.ndarray:
+def crossover(genes: np.ndarray, pc: float, rng: Stream | np.random.Generator) -> np.ndarray:
     """Single-point crossover over consecutive rows (0,1), (2,3), ...
 
     With probability pc a pair swaps its gene tails at a point drawn
@@ -177,7 +187,7 @@ def crossover(genes: np.ndarray, pc: float, rng: np.random.Generator) -> np.ndar
     return out
 
 
-def mutate(genes: np.ndarray, pm: float, bounds, rng: np.random.Generator) -> np.ndarray:
+def mutate(genes: np.ndarray, pm: float, bounds, rng: Stream | np.random.Generator) -> np.ndarray:
     """Redraw each gene uniformly within its bounds with probability pm."""
     lows, highs = np.array(bounds, dtype=np.int64).T
     hit = rng.random(genes.shape) < pm
@@ -201,8 +211,8 @@ def repair(genes: np.ndarray, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     return out
 
 
-def _substream(seed: int, generation: int, operator: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, generation, operator]))
+def _substream(seed: int, generation: int, operator: int) -> Stream:
+    return Stream([seed, generation, operator])
 
 
 def optimize(

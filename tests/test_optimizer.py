@@ -53,10 +53,17 @@ class TestGaConfig:
         dict(bounds=((5, 20), (20, 50), (-3, 25))),
         dict(bounds=((True, 20), (20, 50), (5, 25))),
         dict(bounds=((5, 20), (20, 50), ("5", 25))),
+        dict(bounds=((1, 5), (6, 2**63 - 1), (1, 3))),
+        dict(bounds=((1, 5), (6, 2**32), (1, 3))),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             GaConfig(**kw)
+
+    def test_bound_of_2_32_or_more_is_named(self):
+        with pytest.raises(ConfigError, match=r"below 2\*\*32, got \(6, 4294967296\)"):
+            GaConfig(bounds=((1, 5), (6, 2**32), (1, 3)))
+        GaConfig(bounds=((1, 5), (6, 2**32 - 1), (1, 3)))
 
     def test_numpy_integer_bounds_accepted(self):
         bounds = tuple((np.int32(lo), np.int64(hi)) for lo, hi in ((5, 20), (20, 50), (5, 25)))
@@ -399,6 +406,15 @@ class TestNaiveParity:
     @pytest.mark.parametrize("seed", [0, 7])
     def test_default_config(self, seed):
         self.check(GaConfig(seed=seed, max_generations=12), surrogate)
+
+    @pytest.mark.parametrize("pop, seed", [(2, 0), (31, 5), (60, 1)])
+    def test_wide_and_zero_width_bounds(self, pop, seed):
+        """Ranges near 2**31, where about half of all mutation and
+        initial draws are redrawn, beside a zero-width one that draws
+        nothing, with a fitness_fn over the whole range."""
+        cfg = GaConfig(population_size=pop, bounds=((1, 2**31 + 1), (2, 2**31 + 2), (7, 7)),
+                       mutation_rate=0.5, max_generations=6, seed=seed)
+        self.check(cfg, lambda genes: float((genes[0] * 31 + genes[1]) % 1009))
 
 
 class TestBatchedGa:
