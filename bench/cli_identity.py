@@ -28,17 +28,21 @@ manifest lists its artifacts as a string, and two reruns into one --out
 
 The pool file is large enough for denoise, analyze, backtest and
 compare to run in several processes wherever more than one CPU is
-available. So each of those commands runs on it once more, marked "one
-CPU", with the change's side pinned to one CPU by os.sched_setaffinity
-inside the command's own interpreter: the forked path of one side must
-give the bytes of one process on the other. With only one CPU both
-sides run in one process, and a note says so.
+available. So is `optimize --max-gen 1 --code <its first instrument>`
+in each mode, with the default population: its first generation
+(about 500 new triples of 1,500 days) splits its backtests over the
+CPUs, which the `--pop 40` runs never do. Those optimize runs are added
+to the pool file's, and each of these commands runs on it once more,
+marked "one CPU", with the change's side pinned to one CPU by
+os.sched_setaffinity inside the command's own interpreter: the forked
+path of one side must give the bytes of one process on the other. With
+only one CPU both sides run in one process, and a note says so.
 
 --smoke compares the checkout this script is in with itself on a small
-corpus: the two data files, the pool file and its one-CPU runs, with
-`optimize --pop 10 --max-gen 1`. It shows that the tool runs, that the
-CLI's outputs are deterministic, and that one process and several give
-the same bytes.
+corpus: the two data files, the pool file with its large optimize runs
+and its one-CPU runs, and `optimize --pop 10 --max-gen 1`. It shows
+that the tool runs, that the CLI's outputs are deterministic, and that
+one process and several give the same bytes.
 
 Prints one line per run that differs, naming what differs, then a
 summary line; exits with status 1 when any run differs.
@@ -71,6 +75,9 @@ ENTRY = "from macdlab.cli import entrypoint; entrypoint()"
 ONE_CPU = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); " + ENTRY
 # The commands that run a panel in several processes.
 FORKING = ("denoise", "analyze", "backtest", "compare")
+# optimize with the default population, whose first generation splits
+# its backtests over several processes on a pool instrument.
+LARGE_GA = ["--max-gen", "1"]
 
 
 def walk(seed: int, n: int) -> np.ndarray:
@@ -130,8 +137,10 @@ def corpus(data_dir: Path, smoke: bool) -> list[tuple[str, list[list[str]], dict
         commands += [["optimize", "--pop", "1", *code]]
         runs += [(f"{name}: {' '.join(argv)}", [argv + common], {}, ENTRY) for argv in commands]
         if name == "pool":
-            runs += [(f"{name}: {command} (one CPU)", [[command, *common]], {}, ONE_CPU)
-                     for command in FORKING]
+            large = [["optimize", "--mode", mode, *LARGE_GA, *code] for mode in MODES]
+            runs += [(f"{name}: {' '.join(argv)}", [argv + common], {}, ENTRY) for argv in large]
+            runs += [(f"{name}: {' '.join(argv)} (one CPU)", [argv + common], {}, ONE_CPU)
+                     for argv in [[command] for command in FORKING] + large]
 
     data = str(data_dir / "good_bad.csv")
     runs.append(("no --data flag", [["backtest", "--out", "out"]], {}, ENTRY))

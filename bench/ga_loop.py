@@ -10,8 +10,10 @@ The objective is a table lookup: every triple of the default GA bounds
 gets a seeded N(0, 1000) value, and fitness_fn is the table's
 __getitem__, so what is timed is selection, crossover, mutation, repair
 and the fitness cache. Two configs are timed, GaConfig(seed=SEED) (the
-default, which runs until it converges) and the same with
-max_generations=10.
+default, which runs until it converges: after 8 generations on this
+table) and the same with max_generations=CAPPED_GENS, which stops
+before that. The two must run different numbers of generations, or
+the second would time the first again; equal counts exit with status 1.
 
 Each config is timed twice over:
 
@@ -58,6 +60,7 @@ from macdlab import GaConfig, optimize  # noqa: E402
 
 BOUNDS = ((5, 20), (20, 50), (5, 25))
 SEED, TABLE_SEED, REPEATS = 0, 11, 15
+CAPPED_GENS = 4
 SMOKE_POP, SMOKE_GENS = 40, 5
 
 
@@ -122,7 +125,7 @@ def main(argv=None) -> None:
     parser.add_argument("--smoke", action="store_true")
     smoke = parser.parse_args(argv).smoke
     configs = {"default": GaConfig(seed=SEED),
-               "max_gen_10": GaConfig(seed=SEED, max_generations=10)}
+               f"max_gen_{CAPPED_GENS}": GaConfig(seed=SEED, max_generations=CAPPED_GENS)}
     repeats = REPEATS
     if smoke:
         configs = {"smoke": GaConfig(seed=SEED, population_size=SMOKE_POP,
@@ -147,6 +150,8 @@ def main(argv=None) -> None:
                       "best_s": min(seconds), "seconds": seconds,
                       "cold_best_s": min(cold_seconds), "cold_seconds": cold_seconds,
                       "cold_loads_numpy_random": any(loaded for _, _, loaded in colds[name])}
+    if len({run["generations"] for run in runs.values()}) < len(runs):
+        sys.exit("ga_loop: two configs run the same number of generations")
     print(json.dumps({
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "numpy": np.__version__, "machine": platform.machine()},

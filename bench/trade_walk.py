@@ -23,6 +23,11 @@ triples, the checked triples, the total seconds of the checks'
 run_backtest calls, the seconds of every nets call and `minflt`, the
 minor page faults this process took during the timed nets calls
 (the ru_minflt of getrusage(RUSAGE_SELF), summed over the calls).
+
+Where more than one CPU is available, a nets call this large spreads
+its triples over forked processes (BatchBacktest.nets), so the seconds
+are those of all of them at once and `minflt` counts this process's
+share of the work only; the machine's `nproc` is printed with them.
 """
 
 from __future__ import annotations

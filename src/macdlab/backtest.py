@@ -32,6 +32,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import forks
 from .analysis import PROMINENCE_WINDOW, divergence_pairs, macd_disagrees
 from .errors import DataError
 from .indicators import (
@@ -295,6 +296,16 @@ def _walk(closes: np.ndarray, counts: np.ndarray, buys: np.ndarray,
 # array within this many bytes.
 CHUNK_BYTES = 256 * 1024
 
+# The least work, in rows x days, per process of a BatchBacktest.nets
+# call. A forked child costs 3-5 ms (the fork, OpenBLAS's fork handlers,
+# copy-on-write faults, the reply, the exit and reaping). On a 2-core
+# x86_64 host (medians of 15, a fresh process each), the default GA's
+# first generation of 496 triples took 88 -> 63 ms in two processes in
+# divergence mode on 1,000 days, and 53 -> 41 ms in raw mode on 2,500;
+# raw batches of 200 x 1,000 days (13 -> 17 ms) and 95 x 2,500 days
+# (16 -> 19 ms) ran slower in two.
+ROW_DAYS_PER_PROCESS = 200_000
+
 
 def _ema_by_row(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """EMA of each row of x with that row's period, one call per distinct period."""
@@ -381,17 +392,57 @@ class BatchBacktest:
     def nets(self, triples) -> list[float]:
         """Net profit of each (fast, slow, signal) triple, in order.
 
-        Raises what run_backtest would for the first triple it rejects.
+        Raises what run_backtest would for the first triple it rejects,
+        before any work is done. The triples, grouped by (fast, slow)
+        pair, are `forks.cut` by their rows x days, at least
+        ROW_DAYS_PER_PROCESS per process, and run by `forks.map_blocks`:
+        no pair is analysed in two processes. Before forking, this
+        process computes the EMAs and divergence pairs every block
+        shares; after, it keeps each child's pair trends in its cache
+        for later calls. A net depends on its own triple only, not on
+        its chunk or process, so the nets are those of one process.
         """
         n = len(self.cache)
         params = []
         for genes in triples:
             params.append(MacdParams(*(int(g) for g in genes)))
             _check_run(n, params[-1], self.initial_capital)
+        groups = {}  # each (fast, slow) pair's rows, in first-seen order
+        for row, p in enumerate(params):
+            groups.setdefault((p.fast, p.slow), []).append(row)
+        blocks = [[row for rows in block for row in rows] for block in
+                  forks.cut(groups.values(), [len(rows) * n for rows in groups.values()],
+                            ROW_DAYS_PER_PROCESS)]
+        if len(blocks) == 1:
+            return self._nets(params)
+        cache = self.cache
+        for period in {period for p in params for period in (p.fast, p.slow)}:
+            cache.ema(period)
+        if self.mode is StrategyMode.DENOISED_WITH_DIVERGENCE:
+            cache.pairs()
+
+        def block_nets(rows):
+            """The block's nets, the pairs it analysed and their trends, as bytes."""
+            analysed = len(cache._trends)
+            values = self._nets([params[row] for row in rows])
+            new = list(cache._trends)[analysed:]
+            return values, new, np.array([cache._trends[pair] for pair in new]).tobytes()
+
+        nets = [0.0] * len(params)
+        replies = forks.map_blocks(block_nets, blocks)
+        for block, (rows, (values, new, trends)) in enumerate(zip(blocks, replies)):
+            for row, value in zip(rows, values):
+                nets[row] = value
+            if block and new:  # block 0 ran in this process, which kept its trends
+                cache._trends.update(zip(new, np.frombuffer(trends).reshape(len(new), -1)))
+        return nets
+
+    def _nets(self, params: list[MacdParams]) -> list[float]:
+        """`nets` of checked triples, in this process."""
         # Chunks of one signal period need fewer EMA calls; a net does not
         # depend on the chunk it is computed in.
         order = sorted(range(len(params)), key=lambda i: params[i].signal)
-        rows = max(1, CHUNK_BYTES // (8 * max(n, 1)))
+        rows = max(1, CHUNK_BYTES // (8 * max(len(self.cache), 1)))
         trips = []
         for start in range(0, len(order), rows):
             lines = self.prepare([params[i] for i in order[start:start + rows]])

@@ -19,7 +19,8 @@ of it is left in --out, and its reason goes to stderr and to the
 manifest's "skipped". compare and optimize skip by the same rule. The
 run fails only when no instrument was processed. On large inputs the
 runner and compare spread the instruments over up to one process per
-CPU (`forks.fork_map`), with the outputs of one process.
+CPU (`forks.fork_map`), and optimize a large generation's backtests
+(`BatchBacktest.nets`), with the outputs of one process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -549,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-gen", type=int, default=GaConfig().max_generations)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted (must be >= 1) but unused: candidates are evaluated in "
-                        "batches in one thread, so it changes neither speed nor results")
+                   help="accepted (must be >= 1) but unused: it changes neither speed nor "
+                        "results (a large generation's backtests use every CPU anyway)")
     _add_run_options(p, "--capital", "--risk-free")
     p.set_defaults(func=cmd_optimize)
 

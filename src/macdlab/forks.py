@@ -1,4 +1,5 @@
-"""An ordered map over items, spread over forked processes: `fork_map`.
+"""Work spread over forked processes, results in order: `fork_map` over
+items, and `map_blocks` over blocks that `cut` makes.
 
 Stdlib only, and kept out of `macdlab.__all__`.
 """
@@ -19,17 +20,22 @@ import threading
 # ~20% faster on 8 x 1,500.
 DAYS_PER_PROCESS = 6000
 
+# True in a child that `_fork` made: work it spreads stays in its process.
+_forked = False
 
-def _processes(weights: list) -> int:
+
+def _processes(weights: list, per_process: int | None = None) -> int:
     """One process per CPU this process may run on, at most one per item
-    and per DAYS_PER_PROCESS of weight. One where os.fork or
-    os.sched_getaffinity is missing, or where another thread runs (a
-    forked child would hold only the calling thread)."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+    and per `per_process` (DAYS_PER_PROCESS when None) of weight. One
+    where os.fork or os.sched_getaffinity is missing, where another
+    thread runs (a forked child would hold only the calling thread), or
+    in a forked child."""
+    if _forked or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
             or threading.active_count() > 1:
         return 1
+    per_process = DAYS_PER_PROCESS if per_process is None else per_process
     return max(1, min(len(os.sched_getaffinity(0)), len(weights),
-                      sum(weights) // DAYS_PER_PROCESS))
+                      sum(weights) // per_process))
 
 
 def _blocks(items: list, weights: list, count: int) -> list[list]:
@@ -44,28 +50,37 @@ def _blocks(items: list, weights: list, count: int) -> list[list]:
     return [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
+def cut(items, weights, per_process: int | None = None) -> list[list]:
+    """`items` cut into `_processes(weights, per_process)` contiguous
+    `_blocks`, a weight being an item's cost."""
+    items, weights = list(items), list(weights)
+    return _blocks(items, weights, _processes(weights, per_process))
+
+
 def _reply(fn, block: list) -> bytes:
-    """A child's reply to `block`, pickled: the results of `fn`, the text it
-    printed to stdout and stderr, and the exception that ended the block."""
+    """A child's reply to `block`, pickled: the result of `fn(block)` (None
+    if it raised), the text it printed to stdout and stderr, and the
+    exception it raised."""
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-    results, error = [], None
+    result, error = None, None
     try:
-        for item in block:
-            results.append(fn(item))
+        result = fn(block)
     except BaseException as exc:
         error = exc
-    return pickle.dumps((results, sys.stdout.getvalue(), sys.stderr.getvalue(), error))
+    return pickle.dumps((result, sys.stdout.getvalue(), sys.stderr.getvalue(), error))
 
 
 def _fork(fn, block: list) -> tuple:
     """The pid of a forked child that sends its `_reply` to `block` through
     a pipe, and the pipe's read end. The child never returns into its
     caller: it ends with os._exit, exit status 0 once its reply is sent."""
+    global _forked
     parent = os.getpid()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
         if pid == 0:
+            _forked = True
             os.close(read_fd)
             with open(write_fd, "wb") as fh:
                 fh.write(_reply(fn, block))
@@ -81,26 +96,25 @@ def _fork(fn, block: list) -> tuple:
     return pid, open(read_fd, "rb")
 
 
-def fork_map(fn, items, weights) -> list:
-    """`[fn(x) for x in items]`, with what `fn` prints in item order.
+def map_blocks(fn, blocks: list) -> list:
+    """`[fn(block) for block in blocks]`, with what `fn` prints in block
+    order.
 
-    The items are cut into `_processes(weights)` contiguous `_blocks`, a
-    weight being an item's cost in days of work. This process runs the
-    first block, a `_fork`ed child each other one, all at once; only the
-    results and exceptions must pickle. When `fn` raises, the text of the
-    items before it is replayed and that of later ones is not, every child
-    is reaped (killed if still running), then the exception is raised; a
+    This process runs the first block, a `_fork`ed child each other one,
+    all at once; only the results and exceptions must pickle. When `fn`
+    raises, the text of the blocks before it and of its own block up to
+    the raise is replayed and that of later ones is not, every child is
+    reaped (killed if still running), then the exception is raised; a
     child that ends without its reply is a RuntimeError.
     """
-    items, weights = list(items), list(weights)
-    first, *rest = _blocks(items, weights, _processes(weights))
+    first, *rest = blocks
     children = []  # (pid, reply pipe) of each child not reaped, in block order
     try:
         sys.stdout.flush()  # a child must inherit no unwritten text
         sys.stderr.flush()  # that it could write a second time
         for block in rest:
             children.append(_fork(fn, block))
-        results = [fn(item) for item in first]
+        results = [fn(first)]
         while children:
             pid, reply = children[0]
             with reply:
@@ -110,15 +124,25 @@ def fork_map(fn, items, weights) -> list:
             if status or not data:
                 raise RuntimeError(f"a worker process ended without its result "
                                    f"(exit status {os.waitstatus_to_exitcode(status)})")
-            done, out, err, error = pickle.loads(data)
-            results += done
+            result, out, err, error = pickle.loads(data)
             sys.stdout.write(out)
             sys.stderr.write(err)
             if error is not None:
                 raise error
+            results.append(result)
     finally:
         for pid, reply in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             reply.close()
     return results
+
+
+def fork_map(fn, items, weights) -> list:
+    """`[fn(x) for x in items]`, with what `fn` prints in item order.
+
+    The items are `cut` by their weights, a weight being an item's cost
+    in days of work, and the blocks run by `map_blocks`.
+    """
+    blocks = map_blocks(lambda block: [fn(item) for item in block], cut(items, weights))
+    return [result for block in blocks for result in block]

@@ -19,7 +19,8 @@ drawn without importing numpy.random. The operators make only
 Generator calls, so a numpy Generator serves them too, as it does
 tests/oracles.py `optimize_naive`. Backtest fitness is evaluated
 a generation at a time with BatchBacktest, which gives exactly the nets
-evaluate_fitness would.
+evaluate_fitness would, in one process or, for a large generation,
+several: the triples of one generation are independent of each other.
 """
 
 from __future__ import annotations
@@ -231,8 +232,9 @@ def optimize(
     (a SeriesCache as `prices` keeps its work for later runs); pass
     `fitness_fn(genes) -> float` to substitute any other pure objective
     (prices may then be None), called once per new triple.
-    `workers` must be >= 1 and is otherwise unused: evaluation runs in
-    this thread. Fully deterministic for a given config seed.
+    `workers` must be >= 1 and is otherwise unused: BatchBacktest.nets
+    spreads a large batch over the CPUs on its own, with the nets of one
+    process. Fully deterministic for a given config seed.
     """
     if fitness_fn is None and prices is None:
         raise ValueError("optimize needs a price series when no fitness_fn is given")

@@ -61,9 +61,9 @@ def rng():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(n) lets `forks.fork_map` use n CPUs, with every day of work
+    """cpus(n) lets `forks` use n CPUs, with every day of a `fork_map`
     enough for a process of its own; returns the pids of the children
-    forked since."""
+    this process forked since."""
     forked = []
     fork = os.fork
 

@@ -1,6 +1,8 @@
+import os
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from macdlab import (
@@ -19,7 +21,7 @@ from macdlab.backtest import BatchBacktest, SeriesCache, _round_trips, _tallies,
 from macdlab.errors import ConfigError, DataError
 from macdlab.indicators import SIGNAL_BUY
 
-from conftest import random_walk_closes, series_from_closes
+from conftest import no_child_left, random_walk_closes, series_from_closes
 from oracles import backtest_naive, trade_inputs_naive
 
 
@@ -351,6 +353,130 @@ class TestTrendCache:
         batch = BatchBacktest(series, StrategyMode.RAW)
         batch.nets(self.generations()[0])
         assert batch.cache._trends == {}
+
+
+class TestSplitBatch:
+    """A batch spread over forked processes (the `cpus` fixture, with one
+    row-day of work enough for a process of its own) gives the nets of
+    one process and of run_backtest, bit for bit, and leaves this
+    process's cache holding every pair's trend."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        return series_from_closes(random_walk_closes(np.random.default_rng(1002), 400, vol=0.015))
+
+    @pytest.fixture
+    def split(self, cpus, monkeypatch):
+        monkeypatch.setattr(backtest, "ROW_DAYS_PER_PROCESS", 1)
+        return cpus
+
+    @staticmethod
+    def triples():
+        """Triples whose (fast, slow) pairs recur under other signals, so
+        that a pair's rows must stay in one process."""
+        grid = stride_sample(53)
+        return grid + [(f, s, 25 - z) for f, s, z in grid[::3]] + [(12, 26, 9)] * 3
+
+    @staticmethod
+    def bits(nets):
+        return np.array(nets).tobytes()
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_nets_equal_one_process_and_run_backtest(self, series, mode, count, split):
+        triples = self.triples()
+        forked = split(1)
+        one = BatchBacktest(series, mode).nets(triples)
+        assert forked == []
+        forked = split(count)
+        batch = BatchBacktest(series, mode)
+        assert self.bits(batch.nets(triples)) == self.bits(one)
+        assert len(forked) == count - 1 and no_child_left()
+        assert self.bits(one) == self.bits([run_backtest(series, MacdParams(*genes), mode).net
+                                            for genes in triples])
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_cache_keeps_every_pair_trend(self, series, mode, split, monkeypatch):
+        triples = self.triples()
+        split(1)
+        one = BatchBacktest(series, mode)
+        one.nets(triples)
+        forked = split(3)
+        batch = BatchBacktest(series, mode)
+        batch.nets(triples)
+        assert len(forked) == 2
+        trends = {pair: trend.tobytes() for pair, trend in batch.cache._trends.items()}
+        assert trends == {pair: trend.tobytes() for pair, trend in one.cache._trends.items()}
+        assert set(trends) == (set() if mode is StrategyMode.RAW
+                               else {genes[:2] for genes in triples})
+        # a later call, in one process, analyses none of those pairs again
+        monkeypatch.setattr(backtest, "denoise_analysis", None)
+        split(1)
+        assert batch.nets(triples[::7]) == one.nets(triples[::7])
+
+    @pytest.mark.parametrize("mode", [StrategyMode.DENOISED, StrategyMode.DENOISED_WITH_DIVERGENCE])
+    def test_each_pair_is_analysed_in_one_process(self, series, mode, split, tmp_path,
+                                                  monkeypatch):
+        """The rows each process analyses, written to one file, add up to
+        one per distinct pair, though a pair's triples lie far apart."""
+        analysed = tmp_path / "analysed"
+        analysis = backtest.denoise_analysis
+
+        def count_analysis(dif):
+            with open(analysed, "a", encoding="utf-8") as fh:
+                fh.write(f"{len(dif)}\n")
+            return analysis(dif)
+
+        monkeypatch.setattr(backtest, "denoise_analysis", count_analysis)
+        triples = self.triples()
+        forked = split(3)
+        BatchBacktest(series, mode).nets(triples)
+        assert len(forked) == 2
+        rows = map(int, analysed.read_text(encoding="utf-8").split())
+        assert sum(rows) == len({genes[:2] for genes in triples})
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), days=st.integers(50, 300),
+           mode=st.sampled_from(list(StrategyMode)), count=st.integers(2, 4),
+           triples=st.lists(st.tuples(st.integers(5, 20), st.integers(21, 50),
+                                      st.integers(5, 25)), min_size=1, max_size=40))
+    def test_any_batch_splits_bit_for_bit(self, seed, days, mode, count, triples, split):
+        series = series_from_closes(random_walk_closes(np.random.default_rng(seed), days,
+                                                       vol=0.02))
+        triples = [(f, min(s, days), z) for f, s, z in triples]
+        split(1)
+        one = BatchBacktest(series, mode).nets(triples)
+        forked = split(count)
+        assert self.bits(BatchBacktest(series, mode).nets(triples)) == self.bits(one)
+        assert len(forked) == min(count, len({genes[:2] for genes in triples})) - 1
+        assert no_child_left()
+
+    def test_too_short_series_is_rejected_before_any_fork(self, make_series, split):
+        forked = split(2)
+        batch = BatchBacktest(make_series(random_walk_closes(np.random.default_rng(2), 30)),
+                              StrategyMode.DENOISED_WITH_DIVERGENCE)
+        with pytest.raises(DataError, match="series too short: 30 rows < slow period 40"):
+            batch.nets([(5, 26, 9), (6, 26, 9), (5, 40, 9), (7, 28, 9)])
+        assert forked == [] and no_child_left()
+
+    @pytest.mark.parametrize("error", [LookupError, KeyboardInterrupt])
+    @pytest.mark.parametrize("raising", ["this process", "a child"])
+    def test_every_child_is_reaped_when_a_block_raises(self, series, raising, error, split,
+                                                        monkeypatch):
+        parent = os.getpid()
+        prepare = BatchBacktest.prepare
+
+        def failing(batch, params):
+            if (os.getpid() == parent) == (raising == "this process"):
+                raise error(f"failed in {raising}")
+            return prepare(batch, params)
+
+        monkeypatch.setattr(BatchBacktest, "prepare", failing)
+        forked = split(3)
+        with pytest.raises(error, match=f"^failed in {raising}$"):
+            BatchBacktest(series, StrategyMode.DENOISED).nets(self.triples())
+        assert len(forked) == 2 and no_child_left()
 
 
 class TestSharedCache:

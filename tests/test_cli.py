@@ -326,6 +326,41 @@ def test_optimize_does_each_series_work_once(data_file, tmp_path, series_work):
     assert set(series_work["emas"].values()) == {1}
 
 
+def test_split_optimize_does_each_series_work_once(data_file, tmp_path, capsys, cpus,
+                                                    monkeypatch):
+    """With each generation's batch split over two processes, optimize
+    writes what one process writes, computes the divergence pairs once,
+    in this process before forking, and analyses each (fast, slow) pair
+    once. Every process's calls are counted in one file."""
+    calls = tmp_path / "calls"
+    pairs, analysis = backtest.divergence_pairs, backtest.denoise_analysis
+
+    def count_pairs(closes):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"pairs {os.getpid()}\n")
+        return pairs(closes)
+
+    def count_analysis(dif):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"analysed {len(dif)}\n")
+        return analysis(dif)
+
+    monkeypatch.setattr(backtest, "divergence_pairs", count_pairs)
+    monkeypatch.setattr(backtest, "denoise_analysis", count_analysis)
+    monkeypatch.setattr(backtest, "ROW_DAYS_PER_PROCESS", 1)
+    argv = ["optimize", "--pop", "24", "--max-gen", "4", "--mode", "divergence"]
+    runs = []
+    for count in (1, 2):
+        forked = cpus(count)
+        runs.append(outcome(argv, data_file, tmp_path / str(count), capsys))
+        lines = calls.read_text(encoding="utf-8").split("\n")
+        calls.unlink()
+        assert [line for line in lines if line.startswith("pairs")] == [f"pairs {os.getpid()}"]
+        assert bool(forked) == (count > 1)
+        runs[-1] += (sum(int(line.split()[1]) for line in lines if line.startswith("analysed")),)
+    assert runs[0] == runs[1]
+
+
 class TestOptimize:
     def args(self, data, out, **kw):
         base = ["optimize", "--data", str(data), "--out", str(out),

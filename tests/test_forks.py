@@ -138,3 +138,25 @@ def test_processes_follow_cpus_items_and_weight(monkeypatch):
     assert forks._processes([2 * days] * 3) == 3
     assert forks._processes([days] * 9) == 4
     assert forks._processes([]) == 1
+
+
+def test_processes_follow_a_given_weight_per_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert forks._processes([100] * 8, per_process=400) == 2
+    assert forks._processes([100] * 8, per_process=401) == 1
+    assert forks._processes([100] * 8, per_process=1) == 4
+    assert [len(block) for block in forks.cut(range(8), [100] * 8, 200)] == [2, 2, 2, 2]
+
+
+def test_work_spread_in_a_child_stays_in_its_process(cpus, capsys):
+    """Each of two processes spreads three items: this one over two
+    processes, the child over itself alone."""
+    def nested(item):
+        return [pid for _, pid in fork_map(traced, [item] * 3, [1] * 3)]
+
+    forked = cpus(2)
+    here, child = fork_map(nested, range(2), [1] * 2)
+    assert len(forked) == 2 and no_child_left()
+    assert here[0] == PARENT and len(set(here)) == 2
+    assert len(set(child)) == 1 and child[0] not in here
+    assert capsys.readouterr().out == "out 0\n" * 3 + "out 1\n" * 3
