@@ -393,12 +393,13 @@ class BatchBacktest:
         """Net profit of each (fast, slow, signal) triple, in order.
 
         Raises what run_backtest would for the first triple it rejects,
-        before any work is done. The triples, grouped by (fast, slow)
-        pair, are `forks.cut` by their rows x days, at least
-        ROW_DAYS_PER_PROCESS per process, and run by `forks.map_blocks`:
-        no pair is analysed in two processes. Before forking, this
-        process computes the EMAs and divergence pairs every block
-        shares; after, it keeps each child's pair trends in its cache
+        before any work is done. From ROW_DAYS_PER_PROCESS rows x days
+        per process (`forks.processes`), the triples, grouped by (fast,
+        slow) pair, run in blocks that `forks.map_pulled` hands to each
+        process as it gets free: no pair is analysed in two processes,
+        and a process on a busy CPU takes fewer blocks. Before forking,
+        this process computes the EMAs and divergence pairs every block
+        shares; after, it keeps the children's pair trends in its cache
         for later calls. A net depends on its own triple only, not on
         its chunk or process, so the nets are those of one process.
         """
@@ -410,10 +411,9 @@ class BatchBacktest:
         groups = {}  # each (fast, slow) pair's rows, in first-seen order
         for row, p in enumerate(params):
             groups.setdefault((p.fast, p.slow), []).append(row)
-        blocks = [[row for rows in block for row in rows] for block in
-                  forks.cut(groups.values(), [len(rows) * n for rows in groups.values()],
-                            ROW_DAYS_PER_PROCESS)]
-        if len(blocks) == 1:
+        count = forks.processes([len(rows) * n for rows in groups.values()],
+                                ROW_DAYS_PER_PROCESS)
+        if count == 1:
             return self._nets(params)
         cache = self.cache
         for period in {period for p in params for period in (p.fast, p.slow)}:
@@ -421,20 +421,27 @@ class BatchBacktest:
         if self.mode is StrategyMode.DENOISED_WITH_DIVERGENCE:
             cache.pairs()
 
-        def block_nets(rows):
-            """The block's nets, the pairs it analysed and their trends, as bytes."""
+        def block_nets(block):
+            """The block's rows, their nets, the pairs it analysed and
+            their trends, as bytes."""
+            rows = [row for group in block for row in group]
             analysed = len(cache._trends)
             values = self._nets([params[row] for row in rows])
             new = list(cache._trends)[analysed:]
-            return values, new, np.array([cache._trends[pair] for pair in new]).tobytes()
+            return rows, values, new, np.array([cache._trends[pair] for pair in new]).tobytes()
 
+        # Whole pairs by their least signal period, so that a block's
+        # chunks span few periods (see _nets).
+        groups = sorted(groups.values(), key=lambda rows: min(params[row].signal for row in rows))
         nets = [0.0] * len(params)
-        replies = forks.map_blocks(block_nets, blocks)
-        for block, (rows, (values, new, trends)) in enumerate(zip(blocks, replies)):
+        for rows, values, new, trends in forks.map_pulled(block_nets, groups,
+                                                          [len(rows) * n for rows in groups],
+                                                          count):
             for row, value in zip(rows, values):
                 nets[row] = value
-            if block and new:  # block 0 ran in this process, which kept its trends
-                cache._trends.update(zip(new, np.frombuffer(trends).reshape(len(new), -1)))
+            if new:  # this process already holds the trends of the blocks it ran
+                for pair, trend in zip(new, np.frombuffer(trends).reshape(len(new), -1)):
+                    cache._trends.setdefault(pair, trend)
         return nets
 
     def _nets(self, params: list[MacdParams]) -> list[float]:

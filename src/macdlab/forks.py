@@ -1,5 +1,6 @@
 """Work spread over forked processes, results in order: `fork_map` over
-items, and `map_blocks` over blocks that `cut` makes.
+items, `map_blocks` over blocks that `cut` makes, and `map_pulled` over
+blocks that its processes take one at a time as each gets free.
 
 Stdlib only, and kept out of `macdlab.__all__`.
 """
@@ -9,6 +10,7 @@ import io
 import itertools
 import os
 import pickle
+import select
 import signal
 import sys
 import threading
@@ -20,11 +22,20 @@ import threading
 # ~20% faster on 8 x 1,500.
 DAYS_PER_PROCESS = 6000
 
+# Blocks per process of a `map_pulled` call: the more, the less a process
+# that ends its last block early waits for the others, and the more
+# per-block work is repeated.
+PULLS_PER_PROCESS = 4
+# A `map_pulled` queue holds each block index in this many bytes, and
+# at most PIPE_BUF bytes, which a pipe takes before any process reads.
+_INDEX_BYTES = 2
+_MAX_PULLED = select.PIPE_BUF // _INDEX_BYTES
+
 # True in a child that `_fork` made: work it spreads stays in its process.
 _forked = False
 
 
-def _processes(weights: list, per_process: int | None = None) -> int:
+def processes(weights: list, per_process: int | None = None) -> int:
     """One process per CPU this process may run on, at most one per item
     and per `per_process` (DAYS_PER_PROCESS when None) of weight. One
     where os.fork or os.sched_getaffinity is missing, where another
@@ -51,10 +62,10 @@ def _blocks(items: list, weights: list, count: int) -> list[list]:
 
 
 def cut(items, weights, per_process: int | None = None) -> list[list]:
-    """`items` cut into `_processes(weights, per_process)` contiguous
+    """`items` cut into `processes(weights, per_process)` contiguous
     `_blocks`, a weight being an item's cost."""
     items, weights = list(items), list(weights)
-    return _blocks(items, weights, _processes(weights, per_process))
+    return _blocks(items, weights, processes(weights, per_process))
 
 
 def _reply(fn, block: list) -> bytes:
@@ -136,6 +147,42 @@ def map_blocks(fn, blocks: list) -> list:
             os.waitpid(pid, 0)
             reply.close()
     return results
+
+
+def map_pulled(fn, items, weights, count: int) -> list:
+    """`[fn(block) for block in blocks]`, `blocks` being `items` cut into
+    `count * PULLS_PER_PROCESS` (at most one per item) contiguous
+    `_blocks` by their weights.
+
+    `map_blocks` runs `count` processes, this one and forked children,
+    that each take the next block from one queue, a pipe of block
+    indices written before the fork, as soon as they are done with the
+    last; so a process whose CPU is slowed by other work takes fewer
+    blocks, and none waits long for the others. Errors and reaping are
+    those of `map_blocks`; what `fn` prints comes in process order.
+    """
+    items, weights = list(items), list(weights)
+    pulls = min(count * PULLS_PER_PROCESS, len(items), _MAX_PULLED)
+    blocks = _blocks(items, weights, max(1, pulls))
+
+    def pull(_):
+        done = {}
+        # A read of a pipe is atomic, so each read takes one whole index.
+        while index := os.read(read_fd, _INDEX_BYTES):
+            index = int.from_bytes(index, "little")
+            done[index] = fn(blocks[index])
+        return done
+
+    read_fd, write_fd = os.pipe()
+    try:
+        with open(write_fd, "wb") as queue:
+            queue.write(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(blocks))))
+        results = {}
+        for done in map_blocks(pull, [None] * count):
+            results.update(done)
+    finally:
+        os.close(read_fd)
+    return [results[index] for index in range(len(blocks))]
 
 
 def fork_map(fn, items, weights) -> list:

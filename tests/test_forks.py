@@ -132,19 +132,19 @@ def test_blocks_are_contiguous_and_balanced_by_weight():
 def test_processes_follow_cpus_items_and_weight(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     days = forks.DAYS_PER_PROCESS
-    assert forks._processes([days]) == 1
-    assert forks._processes([days] * 2) == 2
-    assert forks._processes([days - 1] * 2) == 1
-    assert forks._processes([2 * days] * 3) == 3
-    assert forks._processes([days] * 9) == 4
-    assert forks._processes([]) == 1
+    assert forks.processes([days]) == 1
+    assert forks.processes([days] * 2) == 2
+    assert forks.processes([days - 1] * 2) == 1
+    assert forks.processes([2 * days] * 3) == 3
+    assert forks.processes([days] * 9) == 4
+    assert forks.processes([]) == 1
 
 
 def test_processes_follow_a_given_weight_per_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert forks._processes([100] * 8, per_process=400) == 2
-    assert forks._processes([100] * 8, per_process=401) == 1
-    assert forks._processes([100] * 8, per_process=1) == 4
+    assert forks.processes([100] * 8, per_process=400) == 2
+    assert forks.processes([100] * 8, per_process=401) == 1
+    assert forks.processes([100] * 8, per_process=1) == 4
     assert [len(block) for block in forks.cut(range(8), [100] * 8, 200)] == [2, 2, 2, 2]
 
 
@@ -160,3 +160,50 @@ def test_work_spread_in_a_child_stays_in_its_process(cpus, capsys):
     assert here[0] == PARENT and len(set(here)) == 2
     assert len(set(child)) == 1 and child[0] not in here
     assert capsys.readouterr().out == "out 0\n" * 3 + "out 1\n" * 3
+
+
+def block_pids(block):
+    """The block and the process that ran it."""
+    return block, os.getpid()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_pulled_blocks_come_back_in_block_order(count, cpus):
+    rng = np.random.default_rng(count)
+    for size in (1, 5, 40):
+        items = list(range(size))
+        weights = rng.integers(1, 100, size).tolist()
+        forked = cpus(count)
+        results = forks.map_pulled(block_pids, items, weights, count)
+        assert len(forked) == count - 1 and no_child_left()
+        blocks = [block for block, _ in results]
+        assert blocks == forks._blocks(items, weights, min(count * forks.PULLS_PER_PROCESS, size))
+        assert {pid for _, pid in results} <= {PARENT, *forked}
+
+
+def test_a_slow_process_pulls_fewer_blocks(cpus):
+    """While this process is held up in its first block, the child takes
+    every other one."""
+    def fn(block):
+        if os.getpid() == PARENT:
+            time.sleep(0.5)
+        return block_pids(block)
+
+    forked = cpus(2)
+    pids = [pid for _, pid in forks.map_pulled(fn, range(8), [1] * 8, 2)]
+    assert pids.count(PARENT) == 1 and set(pids) == {PARENT, *forked}
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("raising", ["this process", "a child"])
+def test_pulled_block_that_raises_reaps_every_child(raising, cpus):
+    def fn(block):
+        if (os.getpid() == PARENT) == (raising == "this process"):
+            raise LookupError(f"failed in {raising}")
+        time.sleep(0.05)  # so that each process pulls a block
+        return block
+
+    forked = cpus(3)
+    with pytest.raises(LookupError, match=f"^failed in {raising}$"):
+        forks.map_pulled(fn, range(12), [1] * 12, 3)
+    assert len(forked) == 2 and no_child_left()
