@@ -15,7 +15,7 @@ from .wavelet import WaveletFilter, Decomposition, coif5_filters, haar_filters, 
 from .analysis import OscillationMask, DivergenceEvent, detect_oscillation, find_local_extrema, detect_divergences
 from .backtest import SeriesCache, StrategyMode, Trade, TradeLog, run_backtest, recompute_dea_from_denoised
 from .metrics import RiskConfig, MetricsReport, compute_metrics
-from .optimizer import GaConfig, Individual, GaState, OptimizeResult, optimize, evaluate_fitness
+from .optimizer import GaConfig, OptimizeResult, optimize, evaluate_fitness
 
 __all__ = [
     "PriceSeries", "load_csv", "save_csv", "clean",
@@ -25,5 +25,5 @@ __all__ = [
     "OscillationMask", "DivergenceEvent", "detect_oscillation", "find_local_extrema", "detect_divergences",
     "SeriesCache", "StrategyMode", "Trade", "TradeLog", "run_backtest", "recompute_dea_from_denoised",
     "RiskConfig", "MetricsReport", "compute_metrics",
-    "GaConfig", "Individual", "GaState", "OptimizeResult", "optimize", "evaluate_fitness",
+    "GaConfig", "OptimizeResult", "optimize", "evaluate_fitness",
 ]

@@ -1,9 +1,13 @@
 """Execute the crossover trading rules over a price series.
 
-Three strategy modes: trade the raw DIF/DEA crossings, trade crossings
-of the wavelet-smoothed DIF against a signal line recomputed from it,
-or additionally let divergence events force entries and exits. All-in
-fills at the signal day's close, no fees, fractional quantities.
+Each strategy mode is a filter of the traded DIF plus an optional
+divergence overlay (StrategyMode.filter, .divergence): raw trades the
+DIF/DEA crossings, denoised those of the periodized wavelet-smoothed
+DIF against a signal line recomputed from it, and divergence adds to
+denoised the divergence events that force entries and exits. Raw
+crossovers and divergence-forced tags read only closes up to their day;
+the periodized filter's crossovers also read later ones. All-in fills
+at the signal day's close, no fees, fractional quantities.
 
 BatchBacktest.prepare is the one place a mode becomes trading lines
 and actions, for many parameter triples on one series at once (a row
@@ -50,9 +54,21 @@ DEFAULT_CAPITAL = 500_000.0
 
 
 class StrategyMode(enum.Enum):
+    """All the program reads of a mode: `filter`, the smoothing of the
+    traded DIF ("none", or "periodized" as wavelet.denoise_dif smooths),
+    and `divergence`, whether divergence events force entries and exits."""
+
     RAW = "raw"
     DENOISED = "denoised"
     DENOISED_WITH_DIVERGENCE = "divergence"
+
+    @property
+    def filter(self) -> str:
+        return "none" if self is StrategyMode.RAW else "periodized"
+
+    @property
+    def divergence(self) -> bool:
+        return self is StrategyMode.DENOISED_WITH_DIVERGENCE
 
 
 @dataclass
@@ -418,7 +434,7 @@ class BatchBacktest:
         cache = self.cache
         for period in {period for p in params for period in (p.fast, p.slow)}:
             cache.ema(period)
-        if self.mode is StrategyMode.DENOISED_WITH_DIVERGENCE:
+        if self.mode.divergence:
             cache.pairs()
 
         def block_nets(block):
@@ -469,9 +485,9 @@ class BatchBacktest:
         """The mode's trading lines, crossover tags and divergence-forced
         tags for each triple, one row each.
 
-        Raw mode trades the crossings of DIF and DEA; the denoised modes
-        those of the smoothed DIF and a DEA recomputed from it. With
-        divergences, an event is confirmable one day after its extreme
+        Unfiltered, the crossings of DIF and DEA are traded; filtered,
+        those of the smoothed DIF and a DEA recomputed from it. With the
+        divergence overlay, an event is confirmable one day after its extreme
         (peak detection needs the next close) and forces a tag on that
         day, which wins over the crossover's: a top forces a sell, a
         bottom a buy. Divergences are read off the raw histogram, not the
@@ -482,17 +498,13 @@ class BatchBacktest:
         dif = np.empty((len(params), len(cache)))
         for row, p in zip(dif, params):
             np.subtract(cache.ema(p.fast), cache.ema(p.slow), out=row)
-        if mode is not StrategyMode.DENOISED:
-            dea = _ema_by_row(dif, signal)
-        if mode is StrategyMode.RAW:
-            trade_dif, trade_dea = dif, dea
-        else:
-            trade_dif = cache.smoothed(params, dif)
-            trade_dea = _ema_by_row(trade_dif, signal)
+        trade_dif = dif if mode.filter == "none" else cache.smoothed(params, dif)
+        trade_dea = _ema_by_row(trade_dif, signal)
         signals = cross_signals(SimpleNamespace(dif=trade_dif, dea=trade_dea)).signals
         forced = np.zeros(signals.shape, dtype=np.int8)
-        pairs = cache.pairs() if mode is StrategyMode.DENOISED_WITH_DIVERGENCE else {}
+        pairs = cache.pairs() if mode.divergence else {}
         if pairs:
+            dea = trade_dea if trade_dif is dif else _ema_by_row(dif, signal)
             macd = 2.0 * (dif - dea)
         for kind, (cur, prev) in pairs.items():
             rows, j = np.nonzero(macd_disagrees(macd, kind, cur, prev))

@@ -368,9 +368,9 @@ def cmd_backtest(args) -> int:
         log = run_backtest(series, args.params, mode, args.capital)  # DataError when too short
         report = compute_metrics(log, series.span_days, risk)
         # The lines the run traded on; signal is the crossover tag before
-        # divergence overrides. Raw mode trades on no smoothed DIF.
+        # divergence overrides. An unfiltered mode trades on no smoothed DIF.
         lines = log.lines
-        smooth = denoise_dif(lines.dif) if mode is StrategyMode.RAW else lines.trade_dif
+        smooth = denoise_dif(lines.dif) if mode.filter == "none" else lines.trade_dif
         code, dates = series.code, iso.column(series)
         run.write_json(f"metrics_{code}.json", report.as_dict())
         run.write_json(f"trades_{code}.json", [

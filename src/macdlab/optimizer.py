@@ -90,23 +90,6 @@ class GaConfig:
         return np.array([b[1] for b in self.bounds], dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class Individual:
-    """An integer gene triple (fast, slow, signal) and its evaluated fitness."""
-
-    genes: tuple[int, int, int]
-    fitness: float | None = None
-
-
-@dataclass
-class GaState:
-    population: list[Individual]
-    fitness: list[float]
-    generation: int
-    best: Individual
-    stale_generations: int
-
-
 @dataclass
 class GenerationStats:
     generation: int

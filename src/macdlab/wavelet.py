@@ -226,9 +226,9 @@ def denoise_dif(dif) -> np.ndarray:
     smooths one curve many times can keep the trend and run only the
     synthesis.
 
-    Note this transforms the whole series at once: values near the start
-    are influenced by later samples, so a backtest on the result carries
-    look-ahead. That is inherent to the procedure, not corrected here.
+    Note this transforms the whole series at once: a day's smoothed value
+    depends on later samples too, so crossovers traded on it carry
+    look-ahead (README's look-ahead note, test_backtest.py TestLookAhead).
     """
     x = np.asarray(dif, dtype=float)
     return denoise_synthesis(denoise_analysis(x), x.shape[-1])

@@ -257,6 +257,65 @@ class TestNaiveParity:
             self.assert_matches_naive(random_walk_closes(rng, n, vol=0.02), params, mode)
 
 
+class TestModeFacts:
+    @pytest.mark.parametrize("mode, facts", [
+        (StrategyMode.RAW, ("raw", "none", False)),
+        (StrategyMode.DENOISED, ("denoised", "periodized", False)),
+        (StrategyMode.DENOISED_WITH_DIVERGENCE, ("divergence", "periodized", True)),
+    ])
+    def test_each_mode_is_a_filter_and_an_overlay(self, mode, facts):
+        assert (mode.value, mode.filter, mode.divergence) == facts
+
+    def test_facts_are_read_only(self):
+        with pytest.raises(AttributeError):
+            StrategyMode.RAW.filter = "periodized"
+
+
+def redrawn_after(closes, t, seed):
+    """closes with every day after t replaced by a fresh walk from closes[t]."""
+    tail = random_walk_closes(np.random.default_rng(seed), len(closes) - t - 1, vol=0.02,
+                              start=closes[t])
+    return np.concatenate([closes[:t + 1], tail])
+
+
+def tags_before_and_after(closes, t, seed, params, mode):
+    """prepare's lines on the closes and on their redraw after day t."""
+    return [BatchBacktest(series_from_closes(c), mode).prepare(params)
+            for c in (closes, redrawn_after(closes, t, seed))]
+
+
+class TestLookAhead:
+    """Which tags of day t read closes after t: redrawing the closes
+    after t leaves raw mode's crossover tags and every mode's
+    divergence-forced tags up to t as they were; the periodized filter's
+    crossover tags move (the README's look-ahead note)."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(60, 400), data=st.data())
+    def test_raw_tags_and_forced_tags_use_only_past_closes(self, seed, n, data):
+        closes = random_walk_closes(np.random.default_rng(seed), n, vol=0.02)
+        t = data.draw(st.integers(0, n - 2), label="t")
+        params = []
+        for _ in range(2):
+            fast = data.draw(st.integers(2, 20), label="fast")
+            params.append(MacdParams(fast, fast + data.draw(st.integers(1, 30), label="gap"),
+                                     data.draw(st.integers(1, 25), label="signal")))
+        redraw = data.draw(st.integers(0, 2**32 - 1), label="redraw")
+        for mode in StrategyMode:
+            before, after = tags_before_and_after(closes, t, redraw, params, mode)
+            assert np.array_equal(before.forced[:, :t + 1], after.forced[:, :t + 1])
+            if mode.filter == "none":
+                assert np.array_equal(before.signals[:, :t + 1], after.signals[:, :t + 1])
+
+    @pytest.mark.parametrize("mode", [StrategyMode.DENOISED,
+                                      StrategyMode.DENOISED_WITH_DIVERGENCE])
+    def test_periodized_crossovers_read_later_closes(self, mode):
+        closes = random_walk_closes(np.random.default_rng(21), 400, vol=0.015)
+        before, after = tags_before_and_after(closes, 200, 22,
+                                              [MacdParams(), MacdParams(8, 17, 9)], mode)
+        assert not np.array_equal(before.signals[:, :201], after.signals[:, :201])
+
+
 def stride_sample(step):
     """Every `step`-th valid triple of the default GA bounds."""
     triples = [(f, s, z) for f in range(5, 21) for s in range(20, 51) for z in range(5, 26)

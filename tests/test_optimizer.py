@@ -73,6 +73,15 @@ class TestGaConfig:
                                           fitness_fn=surrogate).history
 
 
+def test_unused_ga_classes_are_gone():
+    import macdlab
+    from macdlab import optimizer
+
+    for name in ("Individual", "GaState"):
+        assert not hasattr(macdlab, name) and name not in macdlab.__all__
+        assert not hasattr(optimizer, name)
+
+
 class TestEliteCount:
     def test_default_population_keeps_51(self):
         assert elite_count(510) == 51
