@@ -10,17 +10,18 @@ JSON artifacts the library's records, not restated field by field.
 
 Each command keeps that state in one `_Run`: --out (made at the first
 write), the artifact names written, the instruments skipped, and the
-manifest step. denoise, analyze and backtest process each instrument on
-its own, through one runner, `_each_instrument(args, done, write)`, whose
-`write(run, series, iso)` writes one instrument's artifacts through the
-run. An instrument a command cannot process (unusable after cleaning,
-too short, or one of its writes raised a data error) is skipped: no file
-of it is left in --out, and its reason goes to stderr and to the
-manifest's "skipped". compare and optimize skip by the same rule. The
-run fails only when no instrument was processed. On large inputs the
-runner and compare spread the instruments over up to one process per
-CPU (`forks.fork_map`), and optimize a large generation's backtests
-(`BatchBacktest.nets`), with the outputs of one process.
+manifest step, which alone prints the `wrote` lines, so a command that
+fails prints none. denoise, analyze and backtest process each instrument
+on its own, through one runner, `_each_instrument(args, done, write)`,
+whose `write(run, series, iso)` writes one instrument's artifacts
+through the run. An instrument a command cannot process (unusable after
+cleaning, too short, or one of its writes raised a data error) is
+skipped: no file of it is left in --out, and its reason goes to stderr
+and to the manifest's "skipped". compare and optimize skip by the same
+rule. The run fails only when no instrument was processed. On large
+inputs the runner and compare spread the instruments over up to one
+process per CPU (`forks.fork_map`), and optimize a large generation's
+backtests (`BatchBacktest.nets`), with the outputs of one process.
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -95,7 +96,6 @@ def _write_json(path: Path, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"  # no file if obj cannot be encoded
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    print(f"wrote {path}")
 
 
 def _text(column) -> list[str]:
@@ -151,7 +151,6 @@ def _write_csv(path: Path, header, columns) -> None:
         for lo in range(0, rows, CSV_BLOCK_ROWS):
             cells = [_csv_cells(_text(column[lo:lo + CSV_BLOCK_ROWS])) for column in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
-    print(f"wrote {path}")
 
 
 class _Run:
@@ -221,10 +220,12 @@ class _Run:
 
     def finish(self) -> int:
         """Delete the files the previous manifest in --out listed that this
-        run did not write, then write the manifest. Only a list's plain
-        file names directly inside --out count; a file no manifest listed
-        is left alone. The manifest records every option the command was
-        given but --data and --out, a MacdParams as its list."""
+        run did not write, write the manifest, then print a `wrote` line
+        for each artifact, in write order, and the manifest. Only a
+        list's plain file names directly inside --out count; a file no
+        manifest listed is left alone. The manifest records every option
+        the command was given but --data and --out, a MacdParams as its
+        list."""
         path = self._path("manifest.json")
         try:
             listed = json.loads(path.read_text(encoding="utf-8"))["artifacts"]
@@ -249,6 +250,8 @@ class _Run:
         if self.skipped:
             manifest["skipped"] = self.skipped
         _write_json(path, manifest)
+        for name in [*self.written, path.name]:
+            print(f"wrote {self.out / name}")
         return 0
 
 

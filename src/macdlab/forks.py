@@ -1,6 +1,6 @@
-"""Work spread over forked processes, results in order: `fork_map` over
-items, `map_blocks` over blocks that `cut` makes, and `map_pulled` over
-blocks that its processes take one at a time as each gets free.
+"""Work spread over forked processes, results in order: `map_pulled`
+runs blocks of items in processes that take them one at a time from one
+queue as each gets free, and `fork_map` runs items through it.
 
 Stdlib only, and kept out of `macdlab.__all__`.
 """
@@ -61,29 +61,22 @@ def _blocks(items: list, weights: list, count: int) -> list[list]:
     return [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def cut(items, weights, per_process: int | None = None) -> list[list]:
-    """`items` cut into `processes(weights, per_process)` contiguous
-    `_blocks`, a weight being an item's cost."""
-    items, weights = list(items), list(weights)
-    return _blocks(items, weights, processes(weights, per_process))
-
-
-def _reply(fn, block: list) -> bytes:
-    """A child's reply to `block`, pickled: the result of `fn(block)` (None
-    if it raised), the text it printed to stdout and stderr, and the
-    exception it raised."""
+def _reply(fn) -> bytes:
+    """A child's reply, pickled: the result of `fn()` (None if it raised),
+    the text it printed to stdout and stderr, and the exception it
+    raised."""
     sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
     result, error = None, None
     try:
-        result = fn(block)
+        result = fn()
     except BaseException as exc:
         error = exc
     return pickle.dumps((result, sys.stdout.getvalue(), sys.stderr.getvalue(), error))
 
 
-def _fork(fn, block: list) -> tuple:
-    """The pid of a forked child that sends its `_reply` to `block` through
-    a pipe, and the pipe's read end. The child never returns into its
+def _fork(fn) -> tuple:
+    """The pid of a forked child that sends its `_reply` to `fn` through a
+    pipe, and the pipe's read end. The child never returns into its
     caller: it ends with os._exit, exit status 0 once its reply is sent."""
     global _forked
     parent = os.getpid()
@@ -94,7 +87,7 @@ def _fork(fn, block: list) -> tuple:
             _forked = True
             os.close(read_fd)
             with open(write_fd, "wb") as fh:
-                fh.write(_reply(fn, block))
+                fh.write(_reply(fn))
             os._exit(0)
     except BaseException:
         if os.getpid() == parent:  # the fork failed
@@ -107,89 +100,84 @@ def _fork(fn, block: list) -> tuple:
     return pid, open(read_fd, "rb")
 
 
-def map_blocks(fn, blocks: list) -> list:
-    """`[fn(block) for block in blocks]`, with what `fn` prints in block
-    order.
-
-    This process runs the first block, a `_fork`ed child each other one,
-    all at once; only the results and exceptions must pickle. When `fn`
-    raises, the text of the blocks before it and of its own block up to
-    the raise is replayed and that of later ones is not, every child is
-    reaped (killed if still running), then the exception is raised; a
-    child that ends without its reply is a RuntimeError.
-    """
-    first, *rest = blocks
-    children = []  # (pid, reply pipe) of each child not reaped, in block order
-    try:
-        sys.stdout.flush()  # a child must inherit no unwritten text
-        sys.stderr.flush()  # that it could write a second time
-        for block in rest:
-            children.append(_fork(fn, block))
-        results = [fn(first)]
-        while children:
-            pid, reply = children[0]
-            with reply:
-                data = reply.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            if status or not data:
-                raise RuntimeError(f"a worker process ended without its result "
-                                   f"(exit status {os.waitstatus_to_exitcode(status)})")
-            result, out, err, error = pickle.loads(data)
-            sys.stdout.write(out)
-            sys.stderr.write(err)
-            if error is not None:
-                raise error
-            results.append(result)
-    finally:
-        for pid, reply in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            reply.close()
-    return results
-
-
 def map_pulled(fn, items, weights, count: int) -> list:
     """`[fn(block) for block in blocks]`, `blocks` being `items` cut into
     `count * PULLS_PER_PROCESS` (at most one per item) contiguous
     `_blocks` by their weights.
 
-    `map_blocks` runs `count` processes, this one and forked children,
-    that each take the next block from one queue, a pipe of block
-    indices written before the fork, as soon as they are done with the
-    last; so a process whose CPU is slowed by other work takes fewer
-    blocks, and none waits long for the others. Errors and reaping are
-    those of `map_blocks`; what `fn` prints comes in process order.
+    `count` processes, this one and `_fork`ed children, each take the
+    next block from one queue, a pipe of block indices written before
+    the fork, as soon as they are done with the last; so a process whose
+    CPU is slowed by other work takes fewer blocks, and none waits long
+    for the others. Only the results and exceptions must pickle. What
+    `fn` prints comes in process order: this process's as it runs, then
+    each child's. A block that raises empties the queue, so each process
+    ends with the block it holds; the exception ends the call as soon as
+    it reaches this process: it replays that child's text, kills and
+    reaps every child, then raises the exception. A child that ends
+    without its reply is a RuntimeError.
     """
     items, weights = list(items), list(weights)
     pulls = min(count * PULLS_PER_PROCESS, len(items), _MAX_PULLED)
     blocks = _blocks(items, weights, max(1, pulls))
 
-    def pull(_):
+    def pull():
         done = {}
-        # A read of a pipe is atomic, so each read takes one whole index.
-        while index := os.read(read_fd, _INDEX_BYTES):
-            index = int.from_bytes(index, "little")
-            done[index] = fn(blocks[index])
+        try:
+            # A read of a pipe is atomic, so each read takes one whole index.
+            while index := os.read(read_fd, _INDEX_BYTES):
+                index = int.from_bytes(index, "little")
+                done[index] = fn(blocks[index])
+        except BaseException:
+            while os.read(read_fd, select.PIPE_BUF):  # so that no process takes another block
+                pass
+            raise
         return done
 
     read_fd, write_fd = os.pipe()
+    children = {}  # reply pipe -> pid of each child not reaped, in fork order
     try:
         with open(write_fd, "wb") as queue:
             queue.write(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(blocks))))
-        results = {}
-        for done in map_blocks(pull, [None] * count):
+        sys.stdout.flush()  # a child must inherit no unwritten text
+        sys.stderr.flush()  # that it could write a second time
+        for _ in range(count - 1):
+            pid, reply = _fork(pull)
+            children[reply] = pid
+        results, replies = pull(), {}
+        while len(replies) < len(children):
+            # A child writes its reply once its work is done, so a read
+            # that has begun ends soon.
+            for reply in select.select([r for r in children if r not in replies], [], [])[0]:
+                with reply:
+                    data = reply.read()
+                if not data:
+                    status = os.waitpid(children.pop(reply), 0)[1]
+                    raise RuntimeError(f"a worker process ended without its result "
+                                       f"(exit status {os.waitstatus_to_exitcode(status)})")
+                done, out, err, error = replies[reply] = pickle.loads(data)
+                if error is not None:
+                    sys.stdout.write(out)
+                    sys.stderr.write(err)
+                    raise error
+        for reply in children:
+            done, out, err, _ = replies[reply]
+            sys.stdout.write(out)
+            sys.stderr.write(err)
             results.update(done)
     finally:
         os.close(read_fd)
+        for reply, pid in children.items():
+            os.kill(pid, signal.SIGKILL)  # harmless to a child that has ended
+            os.waitpid(pid, 0)
+            reply.close()
     return [results[index] for index in range(len(blocks))]
 
 
 def fork_map(fn, items, weights) -> list:
-    """`[fn(x) for x in items]`, with what `fn` prints in item order.
-
-    The items are `cut` by their weights, a weight being an item's cost
-    in days of work, and the blocks run by `map_blocks`.
-    """
-    blocks = map_blocks(lambda block: [fn(item) for item in block], cut(items, weights))
+    """`[fn(x) for x in items]` by `map_pulled`, a weight being an item's
+    cost in days of work, on `processes(weights)` processes."""
+    weights = list(weights)
+    blocks = map_pulled(lambda block: [fn(item) for item in block], items, weights,
+                        processes(weights))
     return [result for block in blocks for result in block]

@@ -722,7 +722,7 @@ def test_write_that_raises_lists_nothing(two_instrument_file, tmp_path, capsys, 
     """An artifact write that raises skips its instrument: the files
     already written for it are deleted and unlisted, so only the other
     instrument's artifacts remain and the manifest names exactly what
-    --out holds."""
+    --out holds, and stdout's `wrote` lines."""
     write_csv = cli._write_csv
 
     def failing(path, header, columns):
@@ -737,6 +737,8 @@ def test_write_that_raises_lists_nothing(two_instrument_file, tmp_path, capsys, 
     assert manifest["skipped"] == {"AAA.X": "cannot write"}
     assert manifest["artifacts"] == sorted(artifacts_of("backtest", "BBB.Y"))
     assert listing(out) == sorted(manifest["artifacts"] + ["manifest.json"])
+    wrote = [line.removeprefix(f"wrote {out}/") for line in capsys.readouterr().out.splitlines()]
+    assert sorted(wrote) == listing(out) and wrote[-1] == "manifest.json"
 
 
 def test_json_that_cannot_be_encoded_leaves_no_file(tmp_path):
@@ -942,13 +944,13 @@ def test_nothing_done_in_any_process_leaves_no_out(command, tmp_path, capsys, cp
 
 
 @pytest.mark.parametrize("failing", ["600001", "ZZZ"],
-                         ids=["in this process's block", "in a child's block"])
+                         ids=["a middle instrument", "the last instrument"])
 def test_write_error_ends_the_command(failing, panel_file, tmp_path, capsys, cpus, monkeypatch):
     """A write that raises something other than a data error (a full
     disk) deletes the files of its instrument, and of every instrument
-    after it, and ends the command with that exception and no manifest,
-    in whichever process it ran (named for the two-process case): --out,
-    stdout and stderr are those of one process."""
+    after it, and ends the command with that exception, no manifest and
+    no `wrote` line, in whichever process it ran: --out, stdout and
+    stderr are those of one process."""
     write_csv = cli._write_csv
 
     def full_disk(path, header, columns):
@@ -968,12 +970,13 @@ def test_write_error_ends_the_command(failing, panel_file, tmp_path, capsys, cpu
                      tree(out), len(forked)))
     assert [run[-1] for run in runs] == [0, 1, 4]
     assert all(run[:-1] == runs[0][:-1] for run in runs)
+    assert not any(line.startswith("wrote") for line in runs[0][1].splitlines())
     done = ["600000", "600001", "ZZZ"]
     assert list(runs[0][3]) == artifacts_of("backtest", *done[:done.index(failing)])
 
 
 @pytest.mark.parametrize("code", ["600000", "ZZZ"],
-                         ids=["in this process's block", "in a child's block"])
+                         ids=["the first instrument", "the last instrument"])
 def test_interrupt_ends_the_command(code, panel_file, tmp_path, cpus, monkeypatch):
     """An interrupt is no instrument's failure: it ends the command, from
     whichever process, with no manifest and no child left."""

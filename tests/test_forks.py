@@ -22,20 +22,16 @@ def traced(item):
     return item, os.getpid()
 
 
-def raise_on(bad, error, stuck=None):
-    """`traced`, except that item `bad` raises `error` and item `stuck`
-    sleeps for a minute."""
-    def fn(item):
-        if item == bad:
-            raise error
-        if item == stuck:
-            time.sleep(60)
-        return traced(item)
-    return fn
+def in_process_order(results, pids, stream):
+    """The text `traced` printed to `stream` for `results`, as the
+    processes `pids` replay it: each one's items in turn, in item order."""
+    return "".join(f"{stream} {item}\n" for pid in pids for item, ran in results if ran == pid)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 40])
 def test_results_come_back_in_item_order(count, cpus, capsys):
+    """Each item's text is replayed once, this process's first, then each
+    child's in fork order."""
     rng = np.random.default_rng(count)
     for _ in range(5):
         items = list(range(int(rng.integers(1, 30))))
@@ -44,13 +40,25 @@ def test_results_come_back_in_item_order(count, cpus, capsys):
         results = fork_map(traced, items, weights)
         assert [item for item, _ in results] == items
         assert no_child_left()
-        processes = min(count, len(items))
-        assert len(forked) == processes - 1
-        assert len({pid for _, pid in results}) == processes
-        assert results[0][1] == PARENT
+        assert len(forked) == min(count, len(items)) - 1
+        assert {pid for _, pid in results} <= {PARENT, *forked}
         printed = capsys.readouterr()
-        assert printed.out == "".join(f"out {item}\n" for item in items)
-        assert printed.err == "".join(f"err {item}\n" for item in items)
+        assert printed.out == in_process_order(results, [PARENT, *forked], "out")
+        assert printed.err == in_process_order(results, [PARENT, *forked], "err")
+
+
+def test_a_slow_process_runs_fewer_items(cpus):
+    """While this process is held up in its first item, the child takes
+    every other one. The child's items take a little time too, so that
+    it cannot take them all before this process takes one."""
+    def fn(item):
+        time.sleep(1 if os.getpid() == PARENT else 0.05)
+        return item, os.getpid()
+
+    forked = cpus(2)
+    pids = [pid for _, pid in fork_map(fn, range(8), [1] * 8)]
+    assert pids.count(PARENT) == 1 and set(pids) == {PARENT, *forked}
+    assert no_child_left()
 
 
 def test_no_items(cpus):
@@ -58,28 +66,68 @@ def test_no_items(cpus):
     assert fork_map(traced, [], []) == []
 
 
-@pytest.mark.parametrize("bad", [1, 3], ids=["in this process's block", "in a child's block"])
-def test_exception_is_raised_once_every_child_is_reaped(bad, cpus, capsys):
-    """Items 0-1, 2-3, 4-5 and 6-7 run in four processes. The exception
-    keeps its type and message; the text of the items before it is
-    printed, that of the items after it is not, and the last child,
-    stuck, is killed."""
-    forked = cpus(4)
+def stuck_or_raising(raising, error, marker):
+    """`traced`, after a short sleep so that each process pulls a block,
+    except that: this process raises `error` when `raising` is "this
+    process"; in the children, the first item to create the file
+    `marker` sleeps for a minute, and each later one raises `error` when
+    `raising` is "a child"."""
+    def fn(item):
+        if os.getpid() == PARENT and raising == "this process":
+            raise error
+        time.sleep(0.05)
+        if os.getpid() != PARENT:
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                if raising == "a child":
+                    raise error from None
+            else:
+                time.sleep(60)
+        return traced(item)
+    return fn
+
+
+@pytest.mark.parametrize("raising", ["this process", "a child"])
+def test_exception_is_raised_once_every_child_is_reaped(raising, cpus, tmp_path):
+    """One child is stuck whichever block it pulled, and the exception,
+    raised in this process or in the other child, ends the call: it
+    keeps its type and message, and the stuck child is killed."""
+    forked = cpus(3)
     start = time.perf_counter()
-    with pytest.raises(LookupError, match=f"^no {bad}$"):
-        fork_map(raise_on(bad, LookupError(f"no {bad}"), stuck=7), range(8), [1] * 8)
-    assert len(forked) == 3 and no_child_left()
+    fn = stuck_or_raising(raising, LookupError(f"failed in {raising}"), tmp_path / "stuck")
+    with pytest.raises(LookupError, match=f"^failed in {raising}$"):
+        fork_map(fn, range(12), [1] * 12)
+    assert len(forked) == 2 and no_child_left()
     assert time.perf_counter() - start < 30
-    assert capsys.readouterr().out == "".join(f"out {item}\n" for item in range(bad))
 
 
-@pytest.mark.parametrize("bad", [0, 2], ids=["in this process's block", "in a child's block"])
-def test_interrupt_kills_and_reaps_every_child(bad, cpus):
-    forked = cpus(2)
+def test_a_block_that_raises_ends_the_pulling(cpus):
+    """The child raises in its first item while this process, slow, is in
+    its first block: no process takes another block."""
+    ran = []
+
+    def fn(item):
+        if os.getpid() != PARENT:
+            raise LookupError("failed in a child")
+        ran.append(item)
+        time.sleep(0.2)
+        return item
+
+    cpus(2)
+    with pytest.raises(LookupError, match="^failed in a child$"):
+        fork_map(fn, range(20), [1] * 20)
+    assert len(ran) < 10 and no_child_left()
+
+
+@pytest.mark.parametrize("raising", ["this process", "a child"])
+def test_interrupt_kills_and_reaps_every_child(raising, cpus, tmp_path):
+    forked = cpus(3)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        fork_map(raise_on(bad, KeyboardInterrupt, stuck=3), range(4), [1] * 4)
-    assert len(forked) == 1 and no_child_left()
+        fork_map(stuck_or_raising(raising, KeyboardInterrupt, tmp_path / "stuck"),
+                 range(12), [1] * 12)
+    assert len(forked) == 2 and no_child_left()
     assert time.perf_counter() - start < 30
 
 
@@ -87,9 +135,11 @@ def test_interrupt_kills_and_reaps_every_child(bad, cpus):
                                          (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
                          ids=["os._exit(3)", "SIGKILL"])
 def test_child_that_ends_without_its_reply_is_an_error(end, status, cpus):
+    """This process sleeps in each item, so that the child pulls one."""
     def fn(item):
         if os.getpid() != PARENT:
             end()
+        time.sleep(0.2)
         return item
 
     cpus(2)
@@ -145,21 +195,26 @@ def test_processes_follow_a_given_weight_per_process(monkeypatch):
     assert forks.processes([100] * 8, per_process=400) == 2
     assert forks.processes([100] * 8, per_process=401) == 1
     assert forks.processes([100] * 8, per_process=1) == 4
-    assert [len(block) for block in forks.cut(range(8), [100] * 8, 200)] == [2, 2, 2, 2]
+    count = forks.processes([100] * 8, per_process=200)
+    assert [len(block) for block in forks._blocks(list(range(8)), [100] * 8, count)] == [2] * 4
 
 
 def test_work_spread_in_a_child_stays_in_its_process(cpus, capsys):
     """Each of two processes spreads three items: this one over two
-    processes, the child over itself alone."""
+    processes, the child over itself alone. Each sleeps before its
+    spread, so that neither pulls both items."""
     def nested(item):
-        return [pid for _, pid in fork_map(traced, [item] * 3, [1] * 3)]
+        time.sleep(0.2)
+        return os.getpid(), [pid for _, pid in fork_map(traced, [item] * 3, [1] * 3)]
 
     forked = cpus(2)
-    here, child = fork_map(nested, range(2), [1] * 2)
+    outer = fork_map(nested, range(2), [1] * 2)
     assert len(forked) == 2 and no_child_left()
-    assert here[0] == PARENT and len(set(here)) == 2
-    assert len(set(child)) == 1 and child[0] not in here
-    assert capsys.readouterr().out == "out 0\n" * 3 + "out 1\n" * 3
+    [mine] = [item for item, (pid, _) in enumerate(outer) if pid == PARENT]
+    (_, here), (child, there) = outer[mine], outer[1 - mine]
+    assert set(here) <= {PARENT, *forked} and child in forked and child not in here
+    assert there == [child] * 3
+    assert capsys.readouterr().out == f"out {mine}\n" * 3 + f"out {1 - mine}\n" * 3
 
 
 def block_pids(block):
@@ -183,10 +238,10 @@ def test_pulled_blocks_come_back_in_block_order(count, cpus):
 
 def test_a_slow_process_pulls_fewer_blocks(cpus):
     """While this process is held up in its first block, the child takes
-    every other one."""
+    every other one. The child's blocks take a little time too, so that
+    it cannot take them all before this process takes one."""
     def fn(block):
-        if os.getpid() == PARENT:
-            time.sleep(0.5)
+        time.sleep(1 if os.getpid() == PARENT else 0.05)
         return block_pids(block)
 
     forked = cpus(2)
