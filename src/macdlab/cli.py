@@ -8,20 +8,20 @@ or other run-varying content, so re-running a command reproduces them
 byte-for-byte. The manifest's options are the parsed arguments, and the
 JSON artifacts the library's records, not restated field by field.
 
-Each command keeps that state in one `_Run`: --out (made at the first
-write), the artifact names written, the instruments skipped, and the
-manifest step, which alone prints the `wrote` lines, so a command that
-fails prints none. denoise, analyze and backtest process each instrument
-on its own, through one runner, `_each_instrument(args, done, write)`,
-whose `write(run, series, iso)` writes one instrument's artifacts
-through the run. An instrument a command cannot process (unusable after
-cleaning, too short, or one of its writes raised a data error) is
-skipped: no file of it is left in --out, and its reason goes to stderr
-and to the manifest's "skipped". compare and optimize skip by the same
-rule. The run fails only when no instrument was processed. On large
-inputs the runner and compare spread the instruments over up to one
-process per CPU (`forks.fork_map`), and optimize a large generation's
-backtests (`BatchBacktest.nets`), with the outputs of one process.
+Each command runs in one `_Run`: --out, the staging directory every
+artifact is written into, the names written and the instruments
+skipped. Its last step, `_Run.finish`, moves the artifacts, then the
+manifest, into --out and alone prints the `wrote` lines; the staging
+directory is removed however the command ends, so --out changes only
+when a command succeeds. denoise, analyze and backtest run each
+instrument through `_each_instrument(run, done, write)`, whose
+`write(run, series, iso)` writes its artifacts. An instrument a command
+cannot process (unusable, too short, or a write raised a data error) is
+skipped: its reason goes to stderr and to the manifest's "skipped".
+compare and optimize skip by the same rule. The run fails only when no
+instrument was processed. On large inputs the runner and compare spread
+the instruments over up to one process per CPU (`forks.fork_map`), and
+optimize a large generation's backtests (`BatchBacktest.nets`).
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -35,7 +35,10 @@ import functools
 import io
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -154,16 +157,18 @@ def _write_csv(path: Path, header, columns) -> None:
 
 
 class _Run:
-    """One command's output: its --out directory, the names of the
-    artifacts it wrote, the instruments it skipped, and the manifest that
-    lists both.
+    """One command's output: its --out directory, the staging directory
+    its artifacts are written into, their names, the instruments skipped,
+    and the manifest that lists both.
 
-    --out is made when the first artifact path in it is formed, so a run
-    that fails before it writes leaves no --out; a --out that names, or
-    lies under, something other than a directory is a config error at the
-    start. An artifact name that is not a plain file name (an instrument
-    code with a `/`) is a data error, raised before --out is made. A name
-    is recorded once its write returns: a write that raises lists nothing.
+    The staging directory is made at the start, before any fork, so that
+    every process writes into it: by `tempfile.mkdtemp` in the deepest
+    existing directory of --out's path. `finish` moves the artifacts into
+    --out; the run, as a context manager, removes the staging directory
+    however it ends. A --out that is, or lies under, something other than
+    a directory, or where no staging directory can be made, is a config
+    error. An artifact name that is not a plain file name (a code with a
+    `/`) is a data error. A write that raises lists nothing.
     """
 
     def __init__(self, args) -> None:
@@ -172,17 +177,23 @@ class _Run:
         nearest = next(p for p in (self.out, *self.out.parents) if p.exists() or p.is_symlink())
         if not nearest.is_dir():
             raise ConfigError(f"--out {args.out}: {nearest} is not a directory")
-        self.made = False
+        try:
+            self.staging = Path(tempfile.mkdtemp(prefix=".macdlab-", dir=nearest))
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out}: cannot make a staging directory: {exc}") from None
         self.written: list[str] = []
         self.skipped: dict[str, str] = {}
+
+    def __enter__(self) -> _Run:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        shutil.rmtree(self.staging, ignore_errors=True)
 
     def _path(self, name: str) -> Path:
         if Path(name).name != name:
             raise DataError(f"artifact name {name!r} is not a plain file name")
-        if not self.made:
-            self.out.mkdir(parents=True, exist_ok=True)
-            self.made = True
-        return self.out / name
+        return self.staging / name
 
     def write_csv(self, name: str, header, columns) -> None:
         _write_csv(self._path(name), header, columns)
@@ -191,11 +202,6 @@ class _Run:
     def write_json(self, name: str, obj) -> None:
         _write_json(self._path(name), obj)
         self.written.append(name)
-
-    def discard(self, names) -> None:
-        """Delete the artifacts `names`."""
-        for name in names:
-            (self.out / name).unlink(missing_ok=True)
 
     def skip(self, code: str, reason) -> None:
         """Record an instrument the command cannot process, for the manifest and stderr."""
@@ -219,23 +225,12 @@ class _Run:
                          + "; ".join(f"{code}: {why}" for code, why in self.skipped.items()))
 
     def finish(self) -> int:
-        """Delete the files the previous manifest in --out listed that this
-        run did not write, write the manifest, then print a `wrote` line
-        for each artifact, in write order, and the manifest. Only a
-        list's plain file names directly inside --out count; a file no
-        manifest listed is left alone. The manifest records every option
-        the command was given but --data and --out, a MacdParams as its
-        list."""
-        path = self._path("manifest.json")
-        try:
-            listed = json.loads(path.read_text(encoding="utf-8"))["artifacts"]
-        except (OSError, ValueError, KeyError, TypeError):
-            listed = []
-        if isinstance(listed, list):
-            stale = {name for name in listed if isinstance(name, str)} - set(self.written)
-            for name in sorted(stale):
-                if Path(name).name == name and (self.out / name).is_file():
-                    (self.out / name).unlink()
+        """Write the manifest into the staging directory, delete the files
+        the previous manifest in --out listed that this run did not write
+        (only plain names directly inside --out), move each artifact, then
+        the manifest, into --out (made here), and print a `wrote` line for
+        each, in write order. The manifest records every option but --data
+        and --out, a MacdParams as its list."""
         args = self.args
         options = {name: list(value.as_tuple()) if isinstance(value, MacdParams) else value
                    for name, value in vars(args).items()
@@ -249,9 +244,22 @@ class _Run:
         }
         if self.skipped:
             manifest["skipped"] = self.skipped
-        _write_json(path, manifest)
-        for name in [*self.written, path.name]:
-            print(f"wrote {self.out / name}")
+        _write_json(self.staging / "manifest.json", manifest)
+        try:
+            listed = json.loads((self.out / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+        except (OSError, ValueError, KeyError, TypeError):
+            listed = []
+        if isinstance(listed, list):
+            stale = {name for name in listed if isinstance(name, str)} - set(self.written)
+            for name in sorted(stale):
+                if Path(name).name == name and (self.out / name).is_file():
+                    (self.out / name).unlink()
+        self.out.mkdir(parents=True, exist_ok=True)
+        names = [*self.written, "manifest.json"]
+        staging, out = f"{self.staging}/", f"{self.out}/"  # str joins cost less than Paths
+        for name in names:
+            os.replace(staging + name, out + name)
+        print(*(f"wrote {self.out / name}" for name in names), sep="\n")
         return 0
 
 
@@ -281,36 +289,29 @@ class _IsoDates(dict):
         return list(map(self.__getitem__, series.dates))
 
 
-def _each_instrument(args, done: str, write) -> int:
+def _each_instrument(run: _Run, done: str, write) -> int:
     """Run `write(run, series, iso)`, which writes an instrument's
-    artifacts through the `_Run`, on each usable instrument by `fork_map`.
-    A failed instrument's files are deleted. A data error skips it; any
-    other exception also deletes the files of the instruments after it,
-    then ends the command. A data error when none could be `done`; else
-    the manifest."""
-    run, iso = _Run(args), _IsoDates()
-    usable = run.usable(_screen(args.data))
+    artifacts through `run`, on each usable instrument by `fork_map`. A
+    data error skips its instrument; any other exception ends the
+    command, each process stopping with the instrument it holds. A data
+    error when none could be `done`; else the manifest."""
+    iso = _IsoDates()
+    usable = run.usable(_screen(run.args.data))
 
     def attempt(series) -> tuple:
-        """(names written, None), or ([], a data error's text or another exception)."""
+        """(names written, None), or ([], a data error's text)."""
         run.written = []
         try:
             write(run, series, iso)
             return run.written, None
-        except BaseException as exc:
-            run.discard(run.written)
-            if not isinstance(exc, Exception):
-                raise
-            return [], str(exc) if isinstance(exc, (DataError, ValueError)) else exc
+        except (DataError, ValueError) as exc:
+            return [], str(exc)
 
     results = fork_map(attempt, usable, map(len, usable))
     run.written = []
-    for at, (series, (names, failure)) in enumerate(zip(usable, results)):
-        if isinstance(failure, Exception):
-            run.discard(name for later, _ in results[at + 1:] for name in later)
-            raise failure
-        if failure is not None:
-            run.skip(series.code, failure)
+    for series, (names, reason) in zip(usable, results):
+        if reason is not None:
+            run.skip(series.code, reason)
         run.written += names
     if not run.written:
         raise run.none_done(done)
@@ -320,8 +321,8 @@ def _each_instrument(args, done: str, write) -> int:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_ingest(args) -> int:
-    run, iso = _Run(args), _IsoDates()
+def cmd_ingest(args, run: _Run) -> int:
+    iso = _IsoDates()
     summary, codes, dates, closes = [], [], [], []
     for code, rows, cleaned, unusable in _screen(args.data):
         if unusable is not None:
@@ -338,17 +339,17 @@ def cmd_ingest(args) -> int:
     return run.finish()
 
 
-def cmd_denoise(args) -> int:
+def cmd_denoise(args, run: _Run) -> int:
     def write(run, series, iso) -> None:
         ind = compute_indicators(series, args.params)
         smooth = denoise_dif(ind.dif)
         run.write_csv(f"denoise_{series.code}.csv", ["date", "dif", "dif_denoised"],
                       [iso.column(series), ind.dif, smooth])
 
-    return _each_instrument(args, "denoised", write)
+    return _each_instrument(run, "denoised", write)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, run: _Run) -> int:
     def write(run, series, iso) -> None:
         osc = detect_oscillation(series)  # both raise ValueError on too few days
         events = detect_divergences(series, compute_indicators(series, args.params))
@@ -360,10 +361,10 @@ def cmd_analyze(args) -> int:
             {**vars(e), "current_date": dates[e.current_extreme_index],
              "previous_date": dates[e.previous_extreme_index]} for e in events])
 
-    return _each_instrument(args, "analyzed", write)
+    return _each_instrument(run, "analyzed", write)
 
 
-def cmd_backtest(args) -> int:
+def cmd_backtest(args, run: _Run) -> int:
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
 
@@ -384,14 +385,13 @@ def cmd_backtest(args) -> int:
                       ["date", "close", "dif", "dif_denoised", "dea", "signal"],
                       [dates, series.closes, lines.dif, smooth, lines.dea, lines.signals])
 
-    return _each_instrument(args, "backtested", write)
+    return _each_instrument(run, "backtested", write)
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, run: _Run) -> int:
     """A row per instrument and mode, by `fork_map`, an unusable or failing
     instrument's marked so; each such instrument is also skipped, once,
     with its first reason. A data error when no row could be compared."""
-    run = _Run(args)
     risk = RiskConfig(risk_free_rate=args.risk_free)
     screened = _screen(args.data)
     usable = run.usable(screened)
@@ -426,8 +426,7 @@ def cmd_compare(args) -> int:
     return run.finish()
 
 
-def cmd_optimize(args) -> int:
-    run = _Run(args)
+def cmd_optimize(args, run: _Run) -> int:
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
     usable = run.usable(_screen(args.data))
@@ -599,7 +598,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with _Run(args) as run:
+            return args.func(args, run)
     except ConfigError as exc:
         print(f"macdlab: config error: {exc}", file=sys.stderr)
         return 1

@@ -5,15 +5,18 @@ import json
 import os
 import platform
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
+import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from macdlab import backtest, cli
+from macdlab import backtest, cli, forks
 from macdlab.cli import main
 from macdlab.errors import DataError
 
@@ -720,9 +723,9 @@ def test_rerun_of_another_command_deletes_stale_artifacts(data_file, tmp_path):
 
 def test_write_that_raises_lists_nothing(two_instrument_file, tmp_path, capsys, monkeypatch):
     """An artifact write that raises skips its instrument: the files
-    already written for it are deleted and unlisted, so only the other
-    instrument's artifacts remain and the manifest names exactly what
-    --out holds, and stdout's `wrote` lines."""
+    already written for it never reach --out and are unlisted, so only
+    the other instrument's artifacts are there and the manifest names
+    exactly what --out holds, and stdout's `wrote` lines."""
     write_csv = cli._write_csv
 
     def failing(path, header, columns):
@@ -947,10 +950,9 @@ def test_nothing_done_in_any_process_leaves_no_out(command, tmp_path, capsys, cp
                          ids=["a middle instrument", "the last instrument"])
 def test_write_error_ends_the_command(failing, panel_file, tmp_path, capsys, cpus, monkeypatch):
     """A write that raises something other than a data error (a full
-    disk) deletes the files of its instrument, and of every instrument
-    after it, and ends the command with that exception, no manifest and
-    no `wrote` line, in whichever process it ran: --out, stdout and
-    stderr are those of one process."""
+    disk) ends the command with that exception, no manifest and no
+    `wrote` line, in whichever process it ran: --out, stdout and stderr
+    are those of one process."""
     write_csv = cli._write_csv
 
     def full_disk(path, header, columns):
@@ -967,12 +969,11 @@ def test_write_error_ends_the_command(failing, panel_file, tmp_path, capsys, cpu
         printed = capsys.readouterr()
         assert no_child_left() and raised.value.errno == errno.ENOSPC
         runs.append((str(raised.value), printed.out.replace(str(out), "OUT"), printed.err,
-                     tree(out), len(forked)))
+                     out.exists(), len(forked)))
     assert [run[-1] for run in runs] == [0, 1, 4]
     assert all(run[:-1] == runs[0][:-1] for run in runs)
     assert not any(line.startswith("wrote") for line in runs[0][1].splitlines())
-    done = ["600000", "600001", "ZZZ"]
-    assert list(runs[0][3]) == artifacts_of("backtest", *done[:done.index(failing)])
+    assert runs[0][3] is False  # --out unchanged: it was absent and stays so
 
 
 @pytest.mark.parametrize("code", ["600000", "ZZZ"],
@@ -993,3 +994,224 @@ def test_interrupt_ends_the_command(code, panel_file, tmp_path, cpus, monkeypatc
         main(["backtest", "--data", str(panel_file), "--out", str(tmp_path / "out")])
     assert len(forked) == 1 and no_child_left()
     assert "manifest.json" not in tree(tmp_path / "out")
+
+
+# ------------------------------------------------ --out changes only on success
+
+
+@pytest.fixture
+def four_file(tmp_path):
+    """Four instruments of 150 days, I1 to I4."""
+    rng = np.random.default_rng(34)
+    rows = []
+    for k in range(1, 5):
+        rows += synthetic_rows(f"I{k}", random_walk_closes(rng, 150))
+    return write_csv(tmp_path / "four.csv", rows)
+
+
+def snapshot(root):
+    """Every entry under root by relative path: a file's bytes, None for
+    a directory; None when root is absent."""
+    if not root.exists():
+        return None
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def runs_leave_out_unchanged(root, earlier, fail, run, capsys):
+    """Make root holding `kept`, the --out of the command `earlier` (an
+    argv less --out) plus a file no manifest lists; call `fail()`, then
+    `run(out)` for `kept` and for an absent --out. Each run leaves every
+    entry and byte under root as it was (so no staging directory and an
+    absent --out still absent), no child, and no `wrote` line."""
+    kept = root / "kept"
+    assert main([*earlier, "--out", str(kept)]) == 0
+    (kept / "notes.txt").write_text("no manifest lists this\n")
+    before = snapshot(root)
+    capsys.readouterr()
+    fail()
+    for out in (kept, root / "absent"):
+        run(out)
+        assert no_child_left() and snapshot(root) == before
+        assert "wrote" not in capsys.readouterr().out
+
+
+# Label -> processes of a failure test.
+COUNTS = {"one process": 1, "two processes": 2}
+
+
+@pytest.mark.parametrize("count", COUNTS.values(), ids=COUNTS)
+@pytest.mark.parametrize("failing", ["I1", "I2", "I4"],
+                         ids=["the first instrument", "a middle instrument", "the last instrument"])
+def test_write_error_leaves_out_unchanged(failing, count, four_file, tmp_path, capsys, cpus,
+                                          monkeypatch):
+    """A write that fails with a full disk, at any instrument and in any
+    process, ends the command with that error and --out as it was."""
+    write_csv = cli._write_csv
+
+    def full_disk(path, header, columns):
+        if path.name == f"chart_{failing}.csv":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_csv(path, header, columns)
+
+    def run(out):
+        forked = cpus(count)
+        with pytest.raises(OSError) as raised:
+            main(["backtest", "--data", str(four_file), "--out", str(out)])
+        assert raised.value.errno == errno.ENOSPC and len(forked) == count - 1
+
+    runs_leave_out_unchanged(tmp_path / "runs",
+                             ["backtest", "--data", str(four_file), "--capital", "50000"],
+                             lambda: monkeypatch.setattr(cli, "_write_csv", full_disk), run, capsys)
+
+
+def test_write_error_stops_at_the_failing_instrument(four_file, tmp_path, cpus, monkeypatch):
+    """In one process, a write that fails with a full disk at the first
+    of four instruments leaves the other three unbacktested."""
+    write_csv, call, backtested = cli._write_csv, cli.run_backtest, []
+
+    def full_disk(path, header, columns):
+        if path.name == "chart_I1.csv":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_csv(path, header, columns)
+
+    def counted(series, *args, **kwargs):
+        backtested.append(series.code)
+        return call(series, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_csv", full_disk)
+    monkeypatch.setattr(cli, "run_backtest", counted)
+    cpus(1)
+    with pytest.raises(OSError):
+        main(["backtest", "--data", str(four_file), "--out", str(tmp_path / "out")])
+    assert backtested == ["I1"]
+
+
+# Label -> (processes, whether a child is interrupted).
+INTERRUPTS = {"this process, in one process": (1, False),
+              "this process, in two processes": (2, False),
+              "a child": (2, True)}
+
+
+@pytest.mark.parametrize("where", INTERRUPTS)
+def test_interrupt_leaves_out_unchanged(where, four_file, tmp_path, capsys, cpus, monkeypatch):
+    """An interrupt in one process's second instrument, or in one of two
+    processes' instrument once the other has written one, ends the
+    command with --out as it was: no file that any process wrote stays."""
+    count, in_child = INTERRUPTS[where]
+    marks, write_csv = tmp_path / "marks", cli._write_csv
+
+    def interrupted(path, header, columns):
+        """Write, and mark each chart written with its process. Once
+        another instrument's chart is marked (in two processes, one of
+        the other process's, waited for up to 10 s, so that both have
+        written one), the chosen process is interrupted."""
+        write_csv(path, header, columns)
+        if not path.name.startswith("chart_"):
+            return
+        here = forks._forked
+        (marks / f"{here}-{path.name}").touch()
+        other = f"{here if count == 1 else not here}-"
+        deadline = time.monotonic() + 10
+        while not any(m.name.startswith(other) and not m.name.endswith(path.name)
+                      for m in marks.iterdir()):
+            if count == 1 or time.monotonic() > deadline:
+                return
+            time.sleep(0.005)
+        if here == in_child:
+            raise KeyboardInterrupt
+
+    def run(out):
+        shutil.rmtree(marks, ignore_errors=True)
+        marks.mkdir()
+        forked = cpus(count)
+        with pytest.raises(KeyboardInterrupt):
+            main(["backtest", "--data", str(four_file), "--out", str(out)])
+        assert len(forked) == count - 1
+
+    runs_leave_out_unchanged(tmp_path / "runs",
+                             ["backtest", "--data", str(four_file), "--capital", "50000"],
+                             lambda: monkeypatch.setattr(cli, "_write_csv", interrupted), run,
+                             capsys)
+
+
+@pytest.mark.parametrize("count", COUNTS.values(), ids=COUNTS)
+def test_data_write_error_in_every_instrument_leaves_out_unchanged(count, four_file, tmp_path,
+                                                                    capsys, cpus, monkeypatch):
+    """A data error from one write of every instrument skips them all:
+    the command exits 2 with --out as it was."""
+    write_csv = cli._write_csv
+
+    def failing(path, header, columns):
+        if path.name.startswith("chart_"):
+            raise ValueError("cannot write")
+        write_csv(path, header, columns)
+
+    def run(out):
+        forked = cpus(count)
+        assert main(["backtest", "--data", str(four_file), "--out", str(out)]) == 2
+        assert len(forked) == count - 1
+
+    runs_leave_out_unchanged(tmp_path / "runs",
+                             ["backtest", "--data", str(four_file), "--capital", "50000"],
+                             lambda: monkeypatch.setattr(cli, "_write_csv", failing), run, capsys)
+
+
+# Command -> (the argv of an earlier run, the argv of the failing run,
+# the artifact whose write fails).
+WHOLE_FILE_FAILURES = {
+    "ingest": (["--data", "{two}"], ["--data", "{one}"], "cleaned.csv"),
+    "optimize": (["--data", "{one}", "--pop", "24", "--max-gen", "2", "--seed", "1"],
+                 ["--data", "{one}", "--pop", "24", "--max-gen", "2"], "history.csv"),
+}
+
+
+@pytest.mark.parametrize("command", WHOLE_FILE_FAILURES)
+def test_whole_file_write_error_leaves_out_unchanged(command, data_file, two_instrument_file,
+                                                     tmp_path, capsys, monkeypatch):
+    """ingest and optimize, whose artifacts each cover every instrument:
+    a later artifact's write that fails leaves the earlier ones out of
+    --out too."""
+    earlier, argv, failing = WHOLE_FILE_FAILURES[command]
+    paths = {"one": data_file, "two": two_instrument_file}
+    write_csv = cli._write_csv
+
+    def full_disk(path, header, columns):
+        if path.name == failing:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_csv(path, header, columns)
+
+    def run(out):
+        with pytest.raises(OSError):
+            main([command, *(arg.format(**paths) for arg in argv), "--out", str(out)])
+
+    runs_leave_out_unchanged(tmp_path / "runs", [command, *(arg.format(**paths) for arg in earlier)],
+                             lambda: monkeypatch.setattr(cli, "_write_csv", full_disk), run, capsys)
+
+
+def test_stale_staging_directory_is_left_alone(four_file, tmp_path):
+    """A staging directory in --out that a killed run left (or that a
+    command still running writes into) does not stop a run, which writes
+    the bytes of a clean run and leaves that directory as it was."""
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    assert main(["backtest", "--data", str(four_file), "--out", str(clean)]) == 0
+    stale = out / ".macdlab-k1ll3d00"
+    stale.mkdir(parents=True)
+    (stale / "chart_I1.csv").write_text("date,close\n")
+    assert main(["backtest", "--data", str(four_file), "--out", str(out)]) == 0
+    assert snapshot(out) == {**snapshot(clean), stale.name: None,
+                             f"{stale.name}/chart_I1.csv": b"date,close\n"}
+
+
+def test_staging_directory_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatch):
+    """One cause: a read-only directory where --out would be made. The
+    run fails before --data is read (here a missing file, a data error)."""
+    def read_only(*args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(tmp_path))
+
+    monkeypatch.setattr(tempfile, "mkdtemp", read_only)
+    out = tmp_path / "out"
+    assert main(["denoise", "--data", str(tmp_path / "missing.csv"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"macdlab: config error: --out {out}: ") and "Permission denied" in err
+    assert listing(tmp_path) == []
