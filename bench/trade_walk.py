@@ -1,16 +1,19 @@
-"""Time BatchBacktest.nets over the whole default GA search space.
+"""Time the batched nets of one series over the whole default GA search space.
 
     python bench/trade_walk.py [--smoke]
 
 Run it from the root of a source checkout: macdlab is imported from
-./src, and only numpy and macdlab's public BatchBacktest and
-run_backtest are used, so it runs on older checkouts too.
+./src, and only numpy, run_backtest and the batched nets are used, so
+it times older checkouts too. The batched nets are
+`SeriesCache(series).nets(triples, mode)`, or
+`BatchBacktest(series, mode).nets(triples)` on a checkout that still
+has that class (see nets_of).
 
-For raw and denoised mode, one BatchBacktest.nets call evaluates every
+For raw and denoised mode, one nets call evaluates every
 valid (fast, slow, signal) triple of the default GA bounds (10,395
 triples) on a seeded driftless walk of DAYS days,
 50 * exp(cumsum(N(0, 0.015))). The best wall time of REPEATS calls is
-reported, each on a fresh BatchBacktest. Before timing, the nets of every
+reported, each on a fresh cache. Before timing, the nets of every
 CHECK_EVERY-th triple must equal run_backtest(...).net bit for bit;
 a mismatch exits with status 1.
 
@@ -25,7 +28,7 @@ minor page faults this process took during the timed nets calls
 (the ru_minflt of getrusage(RUSAGE_SELF), summed over the calls).
 
 Where more than one CPU is available, a nets call this large spreads
-its triples over forked processes (BatchBacktest.nets), so the seconds
+its triples over forked processes (SeriesCache.nets), so the seconds
 are those of all of them at once and `minflt` counts this process's
 share of the work only; the machine's `nproc` is printed with them.
 """
@@ -47,7 +50,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from macdlab import MacdParams, PriceSeries, StrategyMode, run_backtest  # noqa: E402
-from macdlab.backtest import BatchBacktest  # noqa: E402
+from macdlab import backtest  # noqa: E402
 
 BOUNDS = ((5, 20), (20, 50), (5, 25))
 CHECK_EVERY = 97
@@ -69,12 +72,20 @@ def walk(days: int, seed: int) -> PriceSeries:
     return PriceSeries(f"WALK{seed}", dates, closes)
 
 
+def nets_of(series: PriceSeries, mode: StrategyMode):
+    """The nets function of a fresh cache of `series` under `mode`."""
+    if hasattr(backtest, "BatchBacktest"):
+        return backtest.BatchBacktest(series, mode).nets
+    cache = backtest.SeriesCache(series)
+    return lambda triples: cache.nets(triples, mode)
+
+
 def check(series: PriceSeries, mode: StrategyMode, triples, every: int) -> tuple[int, float]:
-    """Check BatchBacktest.nets against run_backtest on every `every`-th
+    """Check the batched nets against run_backtest on every `every`-th
     triple; return how many were checked and the total seconds of their
     run_backtest calls."""
     sample = triples[::every]
-    nets = BatchBacktest(series, mode).nets(sample)
+    nets = nets_of(series, mode)(sample)
     run_s = 0.0
     for genes, net in zip(sample, nets):
         start = time.perf_counter()
@@ -100,10 +111,10 @@ def main(argv=None) -> None:
         checked, run_backtest_s = check(series, mode, triples, every)
         seconds, minflt = [], 0
         for _ in range(repeats):
-            batch = BatchBacktest(series, mode)
+            nets = nets_of(series, mode)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
-            batch.nets(triples)
+            nets(triples)
             seconds.append(time.perf_counter() - start)
             minflt += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         modes[mode.value] = {"triples": len(triples), "checked": checked,

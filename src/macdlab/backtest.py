@@ -9,20 +9,19 @@ crossovers and divergence-forced tags read only closes up to their day;
 the periodized filter's crossovers also read later ones. All-in fills
 at the signal day's close, no fees, fractional quantities.
 
-BatchBacktest.prepare is the one place a mode becomes trading lines
-and actions, for many parameter triples on one series at once (a row
-each); _round_trips the one place actions become trades, the buy and
-sell day of every round trip of a whole batch of rows; _walk the one
-place trades get their quantities and pnls, and _tallies the one place
-pnls become wins, gross profit and gross loss. run_backtest is the
-one-row case of all four: it logs each trade's quantity, pnl and
-trigger and the daily equity. For the optimizer, BatchBacktest.nets
-computes only each row's net profit, for a whole batch at once. A
-SeriesCache keeps what the series or a part of the triple decides (each
-period's EMA, each (fast, slow) pair's wavelet trend, the divergence
-pairs of the closes) across calls and modes: it is mode-free, so a GA
+A SeriesCache is one price series and what it decides, kept across
+calls: each period's EMA, each (fast, slow) pair's wavelet trend and
+the divergence pairs of the closes. It holds no mode, so a GA
 generation analyses only the pairs no earlier one has, and the modes of
-one series share one cache.
+one series share one cache. SeriesCache.prepare is the one place a mode
+becomes trading lines and actions, for many parameter triples at once
+(a row each); _round_trips the one place actions become trades, the
+buy and sell day of every round trip of a whole batch of rows; _walk
+the one place trades get their quantities and pnls, and _tallies the
+one place pnls become wins, gross profit and gross loss. run_backtest
+is the one-row case of all four: it logs each trade's quantity, pnl and
+trigger and the daily equity. For the optimizer, SeriesCache.nets
+computes only each row's net profit, for a whole batch at once.
 tests/oracles.py's backtest_naive, trading one day at a time, is the
 reference both are tested against.
 """
@@ -211,10 +210,10 @@ def run_backtest(
     over a crossover landing on the same day.
     """
     _check_run(len(prices), params, initial_capital)
-    batch = BatchBacktest(prices, mode, initial_capital)
-    lines = batch.prepare([params]).row(0)
+    series = prices if isinstance(prices, SeriesCache) else SeriesCache(prices)
+    lines = series.prepare([params], mode).row(0)
     logged, equity, (wins, gross_profit, gross_loss) = _trade_log(
-        batch.cache.closes, lines.signals, lines.forced, float(initial_capital))
+        series.closes, lines.signals, lines.forced, float(initial_capital))
     trades = [Trade(*trade) for trade in logged]
     return TradeLog(
         trades=trades,
@@ -312,7 +311,7 @@ def _walk(closes: np.ndarray, counts: np.ndarray, buys: np.ndarray,
 # array within this many bytes.
 CHUNK_BYTES = 256 * 1024
 
-# The least work, in rows x days, per process of a BatchBacktest.nets
+# The least work, in rows x days, per process of a SeriesCache.nets
 # call. A forked child costs 3-5 ms (the fork, OpenBLAS's fork handlers,
 # copy-on-write faults, the reply, the exit and reaping). On a 2-core
 # x86_64 host (medians of 15, a fresh process each), the default GA's
@@ -336,13 +335,19 @@ def _ema_by_row(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
 
 
 class SeriesCache:
-    """What one price series decides for every mode and parameter triple,
-    each part computed the first time it is asked for and kept for the
-    life of the cache: the closes, the EMA of each period, each (fast,
-    slow) pair's wavelet trend of its DIF (one row of ceil(days / 16)
-    values per pair), and the price half of divergence detection. It
-    holds no mode, so run_backtest and BatchBacktest in every mode can
-    share one cache per series."""
+    """One price series, and what it decides for every mode and parameter
+    triple, each part computed the first time it is asked for and kept
+    for the life of the cache: the closes, the EMA of each period, each
+    (fast, slow) pair's wavelet trend of its DIF (one row of
+    ceil(days / 16) values per pair), and the price half of divergence
+    detection. It holds no mode: every call names its own, so a GA's
+    generations and the modes of a series share one cache.
+
+    `prepare` turns triples into their trading lines and actions, one row
+    each, through kernels that run along the day axis; run_backtest is
+    its one-row case, so `nets(triples, mode)[i] == run_backtest(...).net`
+    exactly.
+    """
 
     def __init__(self, prices: PriceSeries):
         self.closes = np.asarray(prices.closes, dtype=float)
@@ -385,28 +390,9 @@ class SeriesCache:
             self._pairs = divergence_pairs(self.closes) if enough else {}
         return self._pairs
 
-
-class BatchBacktest:
-    """Trading lines and net profits of many parameter triples on one
-    series and mode.
-
-    The instance keeps only the mode, the capital and a SeriesCache:
-    `prices` itself when it is one, else a new cache of it. So a GA's
-    generations, and the modes of a series, share its EMAs, trends and
-    divergence pairs. `prepare` turns triples into their trading lines
-    and actions, one row each, through kernels that run along the day
-    axis; run_backtest is its one-row case, so
-    `nets(triples)[i] == run_backtest(...).net` exactly.
-    """
-
-    def __init__(self, prices: PriceSeries | SeriesCache, mode: StrategyMode,
-                 initial_capital: float = DEFAULT_CAPITAL):
-        self.cache = prices if isinstance(prices, SeriesCache) else SeriesCache(prices)
-        self.mode = mode
-        self.initial_capital = initial_capital
-
-    def nets(self, triples) -> list[float]:
-        """Net profit of each (fast, slow, signal) triple, in order.
+    def nets(self, triples, mode: StrategyMode,
+             initial_capital: float = DEFAULT_CAPITAL) -> list[float]:
+        """Net profit of each (fast, slow, signal) triple under `mode`, in order.
 
         Raises what run_backtest would for the first triple it rejects,
         before any work is done. From ROW_DAYS_PER_PROCESS rows x days
@@ -415,36 +401,35 @@ class BatchBacktest:
         process as it gets free: no pair is analysed in two processes,
         and a process on a busy CPU takes fewer blocks. Before forking,
         this process computes the EMAs and divergence pairs every block
-        shares; after, it keeps the children's pair trends in its cache
-        for later calls. A net depends on its own triple only, not on
-        its chunk or process, so the nets are those of one process.
+        shares; after, it keeps the children's pair trends for later
+        calls. A net depends on its own triple only, not on its chunk or
+        process, so the nets are those of one process.
         """
-        n = len(self.cache)
+        n = len(self)
         params = []
         for genes in triples:
             params.append(MacdParams(*(int(g) for g in genes)))
-            _check_run(n, params[-1], self.initial_capital)
+            _check_run(n, params[-1], initial_capital)
         groups = {}  # each (fast, slow) pair's rows, in first-seen order
         for row, p in enumerate(params):
             groups.setdefault((p.fast, p.slow), []).append(row)
         count = forks.processes([len(rows) * n for rows in groups.values()],
                                 ROW_DAYS_PER_PROCESS)
         if count == 1:
-            return self._nets(params)
-        cache = self.cache
+            return self._nets(params, mode, initial_capital)
         for period in {period for p in params for period in (p.fast, p.slow)}:
-            cache.ema(period)
-        if self.mode.divergence:
-            cache.pairs()
+            self.ema(period)
+        if mode.divergence:
+            self.pairs()
 
         def block_nets(block):
             """The block's rows, their nets, the pairs it analysed and
             their trends, as bytes."""
             rows = [row for group in block for row in group]
-            analysed = len(cache._trends)
-            values = self._nets([params[row] for row in rows])
-            new = list(cache._trends)[analysed:]
-            return rows, values, new, np.array([cache._trends[pair] for pair in new]).tobytes()
+            analysed = len(self._trends)
+            values = self._nets([params[row] for row in rows], mode, initial_capital)
+            new = list(self._trends)[analysed:]
+            return rows, values, new, np.array([self._trends[pair] for pair in new]).tobytes()
 
         # Whole pairs by their least signal period, so that a block's
         # chunks span few periods (see _nets).
@@ -457,31 +442,32 @@ class BatchBacktest:
                 nets[row] = value
             if new:  # this process already holds the trends of the blocks it ran
                 for pair, trend in zip(new, np.frombuffer(trends).reshape(len(new), -1)):
-                    cache._trends.setdefault(pair, trend)
+                    self._trends.setdefault(pair, trend)
         return nets
 
-    def _nets(self, params: list[MacdParams]) -> list[float]:
+    def _nets(self, params: list[MacdParams], mode: StrategyMode,
+              initial_capital: float) -> list[float]:
         """`nets` of checked triples, in this process."""
         # Chunks of one signal period need fewer EMA calls; a net does not
         # depend on the chunk it is computed in.
         order = sorted(range(len(params)), key=lambda i: params[i].signal)
-        rows = max(1, CHUNK_BYTES // (8 * max(len(self.cache), 1)))
+        rows = max(1, CHUNK_BYTES // (8 * max(len(self), 1)))
         trips = []
         for start in range(0, len(order), rows):
-            lines = self.prepare([params[i] for i in order[start:start + rows]])
+            lines = self.prepare([params[i] for i in order[start:start + rows]], mode)
             trips.append(_round_trips(lines.signals, lines.forced))
             del lines  # the chunk's dense lines go before the next chunk's are built
         if not trips:
             return []
         counts, buys, sells = map(np.concatenate, zip(*trips))
         del trips
-        pnl = _walk(self.cache.closes, counts, buys, sells, float(self.initial_capital))[1]
+        pnl = _walk(self.closes, counts, buys, sells, float(initial_capital))[1]
         nets = [0.0] * len(params)
         for i, gain, loss in zip(order, *_tallies(counts, pnl)[1:]):
             nets[i] = gain - loss
         return nets
 
-    def prepare(self, params: list[MacdParams]) -> SignalLines:
+    def prepare(self, params: list[MacdParams], mode: StrategyMode) -> SignalLines:
         """The mode's trading lines, crossover tags and divergence-forced
         tags for each triple, one row each.
 
@@ -493,16 +479,15 @@ class BatchBacktest:
         bottom a buy. Divergences are read off the raw histogram, not the
         smoothed one.
         """
-        mode, cache = self.mode, self.cache
         signal = np.array([p.signal for p in params])
-        dif = np.empty((len(params), len(cache)))
+        dif = np.empty((len(params), len(self)))
         for row, p in zip(dif, params):
-            np.subtract(cache.ema(p.fast), cache.ema(p.slow), out=row)
-        trade_dif = dif if mode.filter == "none" else cache.smoothed(params, dif)
+            np.subtract(self.ema(p.fast), self.ema(p.slow), out=row)
+        trade_dif = dif if mode.filter == "none" else self.smoothed(params, dif)
         trade_dea = _ema_by_row(trade_dif, signal)
         signals = cross_signals(SimpleNamespace(dif=trade_dif, dea=trade_dea)).signals
         forced = np.zeros(signals.shape, dtype=np.int8)
-        pairs = cache.pairs() if mode.divergence else {}
+        pairs = self.pairs() if mode.divergence else {}
         if pairs:
             dea = trade_dea if trade_dif is dif else _ema_by_row(dif, signal)
             macd = 2.0 * (dif - dea)

@@ -10,18 +10,19 @@ JSON artifacts the library's records, not restated field by field.
 
 Each command runs in one `_Run`: --out, the staging directory every
 artifact is written into, the names written and the instruments
-skipped. Its last step, `_Run.finish`, moves the artifacts, then the
-manifest, into --out and alone prints the `wrote` lines; the staging
-directory is removed however the command ends, so --out changes only
-when a command succeeds. denoise, analyze and backtest run each
-instrument through `_each_instrument(run, done, write)`, whose
-`write(run, series, iso)` writes its artifacts. An instrument a command
+skipped. Its last step, `_Run.finish`, which `main` runs after every
+command, moves the artifacts, then the manifest, into --out and alone
+prints the `wrote` lines; the staging directory is removed however the
+command ends, so --out changes only when a command succeeds. denoise,
+analyze and backtest run each instrument through
+`_each_instrument(run, done, write)`, whose `write(run, series, iso)`
+writes its artifacts. An instrument a command
 cannot process (unusable, too short, or a write raised a data error) is
 skipped: its reason goes to stderr and to the manifest's "skipped".
 compare and optimize skip by the same rule. The run fails only when no
 instrument was processed. On large inputs the runner and compare spread
 the instruments over up to one process per CPU (`forks.fork_map`), and
-optimize a large generation's backtests (`BatchBacktest.nets`).
+optimize a large generation's backtests (`SeriesCache.nets`).
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
@@ -289,12 +290,12 @@ class _IsoDates(dict):
         return list(map(self.__getitem__, series.dates))
 
 
-def _each_instrument(run: _Run, done: str, write) -> int:
+def _each_instrument(run: _Run, done: str, write) -> None:
     """Run `write(run, series, iso)`, which writes an instrument's
     artifacts through `run`, on each usable instrument by `fork_map`. A
     data error skips its instrument; any other exception ends the
     command, each process stopping with the instrument it holds. A data
-    error when none could be `done`; else the manifest."""
+    error when none could be `done`."""
     iso = _IsoDates()
     usable = run.usable(_screen(run.args.data))
 
@@ -315,13 +316,12 @@ def _each_instrument(run: _Run, done: str, write) -> int:
         run.written += names
     if not run.written:
         raise run.none_done(done)
-    return run.finish()
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_ingest(args, run: _Run) -> int:
+def cmd_ingest(args, run: _Run) -> None:
     iso = _IsoDates()
     summary, codes, dates, closes = [], [], [], []
     for code, rows, cleaned, unusable in _screen(args.data):
@@ -336,20 +336,19 @@ def cmd_ingest(args, run: _Run) -> int:
                   ["code", "rows", "rows_kept", "rows_dropped", "status"], zip(*summary))
     run.write_csv("cleaned.csv", REQUIRED_COLUMNS,
                   [codes, dates, np.concatenate(closes)] if closes else [])
-    return run.finish()
 
 
-def cmd_denoise(args, run: _Run) -> int:
+def cmd_denoise(args, run: _Run) -> None:
     def write(run, series, iso) -> None:
         ind = compute_indicators(series, args.params)
         smooth = denoise_dif(ind.dif)
         run.write_csv(f"denoise_{series.code}.csv", ["date", "dif", "dif_denoised"],
                       [iso.column(series), ind.dif, smooth])
 
-    return _each_instrument(run, "denoised", write)
+    _each_instrument(run, "denoised", write)
 
 
-def cmd_analyze(args, run: _Run) -> int:
+def cmd_analyze(args, run: _Run) -> None:
     def write(run, series, iso) -> None:
         osc = detect_oscillation(series)  # both raise ValueError on too few days
         events = detect_divergences(series, compute_indicators(series, args.params))
@@ -361,10 +360,10 @@ def cmd_analyze(args, run: _Run) -> int:
             {**vars(e), "current_date": dates[e.current_extreme_index],
              "previous_date": dates[e.previous_extreme_index]} for e in events])
 
-    return _each_instrument(run, "analyzed", write)
+    _each_instrument(run, "analyzed", write)
 
 
-def cmd_backtest(args, run: _Run) -> int:
+def cmd_backtest(args, run: _Run) -> None:
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
 
@@ -385,10 +384,10 @@ def cmd_backtest(args, run: _Run) -> int:
                       ["date", "close", "dif", "dif_denoised", "dea", "signal"],
                       [dates, series.closes, lines.dif, smooth, lines.dea, lines.signals])
 
-    return _each_instrument(run, "backtested", write)
+    _each_instrument(run, "backtested", write)
 
 
-def cmd_compare(args, run: _Run) -> int:
+def cmd_compare(args, run: _Run) -> None:
     """A row per instrument and mode, by `fork_map`, an unusable or failing
     instrument's marked so; each such instrument is also skipped, once,
     with its first reason. A data error when no row could be compared."""
@@ -423,10 +422,9 @@ def cmd_compare(args, run: _Run) -> int:
     if all(row[-1] != "ok" for row in rows):
         raise run.none_done("compared")
     run.write_csv("comparison.csv", ["name", "mode", *REPORT_COLUMNS, "status"], zip(*rows))
-    return run.finish()
 
 
-def cmd_optimize(args, run: _Run) -> int:
+def cmd_optimize(args, run: _Run) -> None:
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
     usable = run.usable(_screen(args.data))
@@ -482,7 +480,6 @@ def cmd_optimize(args, run: _Run) -> int:
         comparison.append([label, "{},{},{}".format(*params.as_tuple()),
                            *report.as_dict().values()])
     run.write_csv("comparison.csv", ["run", "params", *REPORT_COLUMNS], zip(*comparison))
-    return run.finish()
 
 
 # ------------------------------------------------------------------ parser
@@ -599,7 +596,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         with _Run(args) as run:
-            return args.func(args, run)
+            args.func(args, run)
+            return run.finish()
     except ConfigError as exc:
         print(f"macdlab: config error: {exc}", file=sys.stderr)
         return 1

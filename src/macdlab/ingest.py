@@ -6,6 +6,7 @@ import csv
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -100,8 +101,12 @@ class _Columns:
             raw_date = row[self.i_date]
             day = self.ordinal.get(raw_date)
             if day is None:
+                text = raw_date.strip()
                 try:
-                    day = self.ordinal[raw_date] = date.fromisoformat(raw_date.strip()).toordinal()
+                    # fromisoformat reads more forms from Python 3.11 on
+                    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+                        raise ValueError("not YYYY-MM-DD")
+                    day = self.ordinal[raw_date] = date.fromisoformat(text).toordinal()
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: bad date {raw_date!r}: {exc}") from None
             try:

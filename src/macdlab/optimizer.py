@@ -18,7 +18,7 @@ evaluated cannot perturb the search path. A substream is a
 drawn without importing numpy.random. The operators make only
 Generator calls, so a numpy Generator serves them too, as it does
 tests/oracles.py `optimize_naive`. Backtest fitness is evaluated
-a generation at a time with BatchBacktest, which gives exactly the nets
+a generation at a time with SeriesCache.nets, which gives exactly the nets
 evaluate_fitness would, in one process or, for a large generation,
 several: the triples of one generation are independent of each other.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backtest import DEFAULT_CAPITAL, BatchBacktest, SeriesCache, StrategyMode, run_backtest
+from .backtest import DEFAULT_CAPITAL, SeriesCache, StrategyMode, run_backtest
 from .errors import ConfigError
 from .indicators import MacdParams
 from .ingest import PriceSeries
@@ -215,7 +215,7 @@ def optimize(
     (a SeriesCache as `prices` keeps its work for later runs); pass
     `fitness_fn(genes) -> float` to substitute any other pure objective
     (prices may then be None), called once per new triple.
-    `workers` must be >= 1 and is otherwise unused: BatchBacktest.nets
+    `workers` must be >= 1 and is otherwise unused: SeriesCache.nets
     spreads a large batch over the CPUs on its own, with the nets of one
     process. Fully deterministic for a given config seed.
     """
@@ -224,7 +224,10 @@ def optimize(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     if fitness_fn is None:
-        evaluate_many = BatchBacktest(prices, mode, initial_capital).nets
+        series = prices if isinstance(prices, SeriesCache) else SeriesCache(prices)
+
+        def evaluate_many(pending):
+            return series.nets(pending, mode, initial_capital)
     else:
         def evaluate_many(pending):
             return [fitness_fn(genes) for genes in pending]

@@ -9,9 +9,9 @@ to machine precision.
 denoise_dif is the composition of two halves: denoise_analysis, which
 pads the curve and keeps its level-4 trend (1/16 of its length), and
 denoise_synthesis, which rebuilds the smoothed curve from that trend.
-The trend depends on the curve alone, so BatchBacktest analyses each
-(fast, slow) pair's DIF once per series and synthesises it wherever a
-triple needs it.
+The trend depends on the curve alone, so backtest.SeriesCache analyses
+each (fast, slow) pair's DIF once per series and synthesises it wherever
+a triple needs it.
 """
 
 from __future__ import annotations

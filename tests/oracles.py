@@ -289,8 +289,12 @@ def load_csv_naive(path):
             code = row[i_code].strip()
             if not code:
                 raise ValueError(f"{path}:{lineno}: empty instrument code")
+            text = row[i_date].strip()
             try:
-                day = date.fromisoformat(row[i_date].strip())
+                if not (len(text) == 10 and text[4] == text[7] == "-"
+                        and all(c in "0123456789" for c in text[:4] + text[5:7] + text[8:])):
+                    raise ValueError("not YYYY-MM-DD")
+                day = date.fromisoformat(text)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad date {row[i_date]!r}: {exc}") from None
             raw_close = row[i_close].strip()

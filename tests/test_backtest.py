@@ -17,7 +17,7 @@ from macdlab import (
 )
 from macdlab.analysis import PROMINENCE_WINDOW
 from macdlab import backtest
-from macdlab.backtest import BatchBacktest, SeriesCache, _round_trips, _tallies, _trade_log, _walk
+from macdlab.backtest import SeriesCache, _round_trips, _tallies, _trade_log, _walk
 from macdlab.errors import ConfigError, DataError
 from macdlab.indicators import SIGNAL_BUY
 
@@ -83,7 +83,7 @@ class TestRunBacktestBasics:
     def test_capital_must_be_finite_and_positive(self, make_series, capital):
         series = make_series(np.full(60, 100.0))
         for run in (lambda: run_backtest(series, MacdParams(), StrategyMode.RAW, capital),
-                    lambda: BatchBacktest(series, StrategyMode.RAW, capital).nets([(12, 26, 9)])):
+                    lambda: SeriesCache(series).nets([(12, 26, 9)], StrategyMode.RAW, capital)):
             with pytest.raises(ValueError, match="initial capital must be positive and finite"):
                 run()
 
@@ -280,7 +280,7 @@ def redrawn_after(closes, t, seed):
 
 def tags_before_and_after(closes, t, seed, params, mode):
     """prepare's lines on the closes and on their redraw after day t."""
-    return [BatchBacktest(series_from_closes(c), mode).prepare(params)
+    return [SeriesCache(series_from_closes(c)).prepare(params, mode)
             for c in (closes, redrawn_after(closes, t, seed))]
 
 
@@ -332,43 +332,42 @@ class TestBatchBacktest:
     def test_nets_equal_evaluate_fitness(self, series, mode):
         triples = stride_sample(37)
         assert len(triples) >= 250
-        assert BatchBacktest(series, mode).nets(triples) == \
+        assert SeriesCache(series).nets(triples, mode) == \
                [evaluate_fitness(genes, series, mode) for genes in triples]
 
     @pytest.mark.parametrize("mode", list(StrategyMode))
     def test_all_at_once_equals_one_by_one(self, series, mode):
         triples = stride_sample(101)
-        batch = BatchBacktest(series, mode)
-        assert batch.nets(triples) == [batch.nets([genes])[0] for genes in triples]
+        cache = SeriesCache(series)
+        assert cache.nets(triples, mode) == [cache.nets([genes], mode)[0] for genes in triples]
 
     def test_short_series_rejected_at_first_offending_triple(self, make_series):
-        batch = BatchBacktest(make_series(random_walk_closes(np.random.default_rng(2), 30)),
-                              StrategyMode.DENOISED_WITH_DIVERGENCE)
+        cache = SeriesCache(make_series(random_walk_closes(np.random.default_rng(2), 30)))
         with pytest.raises(DataError, match="series too short: 30 rows < slow period 40"):
-            batch.nets([(5, 26, 9), (5, 40, 9), (5, 45, 9)])
+            cache.nets([(5, 26, 9), (5, 40, 9), (5, 45, 9)], StrategyMode.DENOISED_WITH_DIVERGENCE)
 
     def test_bad_capital_rejected(self, series):
         with pytest.raises(ValueError, match="initial capital must be positive"):
-            BatchBacktest(series, StrategyMode.RAW, 0.0).nets([(12, 26, 9)])
+            SeriesCache(series).nets([(12, 26, 9)], StrategyMode.RAW, 0.0)
 
     def test_bad_triple_rejected_like_macd_params(self, series):
         with pytest.raises(ConfigError):
-            BatchBacktest(series, StrategyMode.RAW).nets([(12, 26, 9), (26, 26, 9)])
+            SeriesCache(series).nets([(12, 26, 9), (26, 26, 9)], StrategyMode.RAW)
 
     def test_no_triples(self, series):
-        assert BatchBacktest(series, StrategyMode.RAW).nets([]) == []
+        assert SeriesCache(series).nets([], StrategyMode.RAW) == []
 
     @pytest.mark.parametrize("mode", list(StrategyMode))
     @pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one_row_chunks", "one_chunk"])
     def test_nets_do_not_depend_on_chunking(self, series, mode, chunk_bytes, monkeypatch):
         triples = stride_sample(101)
-        expected = BatchBacktest(series, mode).nets(triples)
+        expected = SeriesCache(series).nets(triples, mode)
         monkeypatch.setattr(backtest, "CHUNK_BYTES", chunk_bytes)
-        assert BatchBacktest(series, mode).nets(triples) == expected
+        assert SeriesCache(series).nets(triples, mode) == expected
 
 
 class TestTrendCache:
-    """A BatchBacktest keeps each (fast, slow) pair's wavelet trend across
+    """A SeriesCache keeps each (fast, slow) pair's wavelet trend across
     calls, as the GA's generations make them: nets stay those of a fresh
     instance and of run_backtest."""
 
@@ -393,25 +392,25 @@ class TestTrendCache:
 
     @pytest.mark.parametrize("mode", [StrategyMode.DENOISED, StrategyMode.DENOISED_WITH_DIVERGENCE])
     def test_reused_batch_matches_fresh_and_run_backtest(self, series, mode):
-        batch = BatchBacktest(series, mode)
+        cache = SeriesCache(series)
         for triples in self.generations():
-            nets = batch.nets(triples)
-            assert nets == BatchBacktest(series, mode).nets(triples)
+            nets = cache.nets(triples, mode)
+            assert nets == SeriesCache(series).nets(triples, mode)
             assert nets == [run_backtest(series, MacdParams(*genes), mode).net for genes in triples]
 
     def test_one_trend_row_per_pair(self, series):
-        batch = BatchBacktest(series, StrategyMode.DENOISED)
+        cache = SeriesCache(series)
         calls = self.generations()
         for triples in calls:
-            batch.nets(triples)
+            cache.nets(triples, StrategyMode.DENOISED)
         pairs = {genes[:2] for triples in calls for genes in triples}
-        assert set(batch.cache._trends) == pairs
-        assert all(trend.shape == (-(-len(series) // 16),) for trend in batch.cache._trends.values())
+        assert set(cache._trends) == pairs
+        assert all(trend.shape == (-(-len(series) // 16),) for trend in cache._trends.values())
 
     def test_raw_mode_keeps_no_trend(self, series):
-        batch = BatchBacktest(series, StrategyMode.RAW)
-        batch.nets(self.generations()[0])
-        assert batch.cache._trends == {}
+        cache = SeriesCache(series)
+        cache.nets(self.generations()[0], StrategyMode.RAW)
+        assert cache._trends == {}
 
 
 class TestSplitBatch:
@@ -445,11 +444,10 @@ class TestSplitBatch:
     def test_nets_equal_one_process_and_run_backtest(self, series, mode, count, split):
         triples = self.triples()
         forked = split(1)
-        one = BatchBacktest(series, mode).nets(triples)
+        one = SeriesCache(series).nets(triples, mode)
         assert forked == []
         forked = split(count)
-        batch = BatchBacktest(series, mode)
-        assert self.bits(batch.nets(triples)) == self.bits(one)
+        assert self.bits(SeriesCache(series).nets(triples, mode)) == self.bits(one)
         assert len(forked) == count - 1 and no_child_left()
         assert self.bits(one) == self.bits([run_backtest(series, MacdParams(*genes), mode).net
                                             for genes in triples])
@@ -458,20 +456,24 @@ class TestSplitBatch:
     def test_cache_keeps_every_pair_trend(self, series, mode, split, monkeypatch):
         triples = self.triples()
         split(1)
-        one = BatchBacktest(series, mode)
-        one.nets(triples)
+        one = SeriesCache(series)
+        one.nets(triples, mode)
         forked = split(3)
-        batch = BatchBacktest(series, mode)
-        batch.nets(triples)
+        cache = SeriesCache(series)
+        cache.nets(triples, mode)
         assert len(forked) == 2
-        trends = {pair: trend.tobytes() for pair, trend in batch.cache._trends.items()}
-        assert trends == {pair: trend.tobytes() for pair, trend in one.cache._trends.items()}
+        trends = {pair: trend.tobytes() for pair, trend in cache._trends.items()}
+        assert trends == {pair: trend.tobytes() for pair, trend in one._trends.items()}
         assert set(trends) == (set() if mode is StrategyMode.RAW
                                else {genes[:2] for genes in triples})
-        # a later call, in one process, analyses none of those pairs again
+        # a later call, in one process, in this mode and then in the other
+        # filtered one, analyses none of those pairs again
         monkeypatch.setattr(backtest, "denoise_analysis", None)
         split(1)
-        assert batch.nets(triples[::7]) == one.nets(triples[::7])
+        later_modes = [mode] if mode.filter == "none" else \
+            [mode, *(m for m in StrategyMode if m.filter != "none" and m is not mode)]
+        for later in later_modes:
+            assert cache.nets(triples[::7], later) == one.nets(triples[::7], later)
 
     @pytest.mark.parametrize("mode", [StrategyMode.DENOISED, StrategyMode.DENOISED_WITH_DIVERGENCE])
     def test_each_pair_is_analysed_in_one_process(self, series, mode, split, tmp_path,
@@ -489,7 +491,7 @@ class TestSplitBatch:
         monkeypatch.setattr(backtest, "denoise_analysis", count_analysis)
         triples = self.triples()
         forked = split(3)
-        BatchBacktest(series, mode).nets(triples)
+        SeriesCache(series).nets(triples, mode)
         assert len(forked) == 2
         rows = map(int, analysed.read_text(encoding="utf-8").split())
         assert sum(rows) == len({genes[:2] for genes in triples})
@@ -505,18 +507,18 @@ class TestSplitBatch:
                                                        vol=0.02))
         triples = [(f, min(s, days), z) for f, s, z in triples]
         split(1)
-        one = BatchBacktest(series, mode).nets(triples)
+        one = SeriesCache(series).nets(triples, mode)
         forked = split(count)
-        assert self.bits(BatchBacktest(series, mode).nets(triples)) == self.bits(one)
+        assert self.bits(SeriesCache(series).nets(triples, mode)) == self.bits(one)
         assert len(forked) == min(count, len({genes[:2] for genes in triples})) - 1
         assert no_child_left()
 
     def test_too_short_series_is_rejected_before_any_fork(self, make_series, split):
         forked = split(2)
-        batch = BatchBacktest(make_series(random_walk_closes(np.random.default_rng(2), 30)),
-                              StrategyMode.DENOISED_WITH_DIVERGENCE)
+        cache = SeriesCache(make_series(random_walk_closes(np.random.default_rng(2), 30)))
         with pytest.raises(DataError, match="series too short: 30 rows < slow period 40"):
-            batch.nets([(5, 26, 9), (6, 26, 9), (5, 40, 9), (7, 28, 9)])
+            cache.nets([(5, 26, 9), (6, 26, 9), (5, 40, 9), (7, 28, 9)],
+                       StrategyMode.DENOISED_WITH_DIVERGENCE)
         assert forked == [] and no_child_left()
 
     @pytest.mark.parametrize("error", [LookupError, KeyboardInterrupt])
@@ -524,17 +526,17 @@ class TestSplitBatch:
     def test_every_child_is_reaped_when_a_block_raises(self, series, raising, error, split,
                                                         monkeypatch):
         parent = os.getpid()
-        prepare = BatchBacktest.prepare
+        prepare = SeriesCache.prepare
 
-        def failing(batch, params):
+        def failing(cache, params, mode):
             if (os.getpid() == parent) == (raising == "this process"):
                 raise error(f"failed in {raising}")
-            return prepare(batch, params)
+            return prepare(cache, params, mode)
 
-        monkeypatch.setattr(BatchBacktest, "prepare", failing)
+        monkeypatch.setattr(SeriesCache, "prepare", failing)
         forked = split(3)
         with pytest.raises(error, match=f"^failed in {raising}$"):
-            BatchBacktest(series, StrategyMode.DENOISED).nets(self.triples())
+            SeriesCache(series).nets(self.triples(), StrategyMode.DENOISED)
         assert len(forked) == 2 and no_child_left()
 
 
@@ -565,14 +567,13 @@ class TestSharedCache:
         for mode in before:
             assert self.logged(run_backtest(cache, params, mode)) == \
                 self.logged(run_backtest(series, params, mode))
-        nets = BatchBacktest(cache, batched).nets(triples)
+        nets = cache.nets(triples, batched)
         assert np.array(nets).tobytes() == \
-            np.array(BatchBacktest(series, batched).nets(triples)).tobytes()
+            np.array(SeriesCache(series).nets(triples, batched)).tobytes()
         for mode in after:
             assert self.logged(run_backtest(cache, params, mode)) == \
                 self.logged(run_backtest(series, params, mode))
-            assert BatchBacktest(cache, mode).nets(triples) == \
-                BatchBacktest(series, mode).nets(triples)
+            assert cache.nets(triples, mode) == SeriesCache(series).nets(triples, mode)
 
 
 def numpy_tallies(pnls):
@@ -612,7 +613,7 @@ def naive(closes, signals, forced, capital):
 
 def batched(closes, signals, forced, capital):
     """Each row's round-trip days and net, walked and tallied as a batch,
-    as BatchBacktest.nets does."""
+    as SeriesCache.nets does."""
     counts, buys, sells = _round_trips(signals, forced)
     ends = np.cumsum(counts).tolist()
     trips = list(zip(buys.tolist(), sells.tolist()))
@@ -633,7 +634,7 @@ def tag_batches(draw):
 
 
 class TestBatchedWalk:
-    """The batched walk BatchBacktest.nets runs and the trade log
+    """The batched walk SeriesCache.nets runs and the trade log
     run_backtest keeps against the day-by-day oracle, bit for bit."""
 
     @settings(max_examples=300, deadline=None)

@@ -287,13 +287,13 @@ import numpy as np
 
 import macdlab.cli
 from macdlab import PriceSeries, StrategyMode
-from macdlab.backtest import BatchBacktest
+from macdlab.backtest import SeriesCache
 
 rng = np.random.default_rng(5)
 closes = 100.0 * np.exp(np.cumsum(rng.normal(4e-4, 0.01, 300)))
 series = PriceSeries("A", [date(2014, 1, 2) + timedelta(days=i) for i in range(300)], closes)
 for mode in StrategyMode:
-    BatchBacktest(series, mode).nets([(12, 26, 9), (5, 30, 9), (8, 40, 14)])
+    SeriesCache(series).nets([(12, 26, 9), (5, 30, 9), (8, 40, 14)], mode)
 print(",".join(sorted({"scipy.signal", "scipy.stats", "numpy.ma"} & set(sys.modules))))
 """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -44,6 +44,15 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=r":3:"):
             load_csv(path)
 
+    @pytest.mark.parametrize("text", ["20200105", "2020-W01-1", "2020W011"])
+    def test_only_yyyy_mm_dd_is_a_date(self, tmp_path, text):
+        """Other ISO 8601 date forms, which date.fromisoformat reads from
+        Python 3.11 on, are bad dates on every Python."""
+        path = write(tmp_path, f"code,date,close\nA,2020-01-06,10\nA, {text} ,11\n")
+        with pytest.raises(DataError, match=f":3: bad date ' {text} ': not YYYY-MM-DD$"):
+            load_csv(path)
+        same_as_naive(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "nope.csv")
