@@ -3,11 +3,9 @@
     python bench/trade_walk.py [--smoke]
 
 Run it from the root of a source checkout: macdlab is imported from
-./src, and only numpy, run_backtest and the batched nets are used, so
-it times older checkouts too. The batched nets are
-`SeriesCache(series).nets(triples, mode)`, or
-`BatchBacktest(series, mode).nets(triples)` on a checkout that still
-has that class (see nets_of).
+./src, and only numpy, run_backtest and the batched nets,
+`SeriesCache(series).nets(triples, mode)`, are used, so it times older
+checkouts that have them too.
 
 For raw and denoised mode, one nets call evaluates every
 valid (fast, slow, signal) triple of the default GA bounds (10,395
@@ -49,8 +47,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from macdlab import MacdParams, PriceSeries, StrategyMode, run_backtest  # noqa: E402
-from macdlab import backtest  # noqa: E402
+from macdlab import MacdParams, PriceSeries, SeriesCache, StrategyMode, run_backtest  # noqa: E402
 
 BOUNDS = ((5, 20), (20, 50), (5, 25))
 CHECK_EVERY = 97
@@ -72,20 +69,12 @@ def walk(days: int, seed: int) -> PriceSeries:
     return PriceSeries(f"WALK{seed}", dates, closes)
 
 
-def nets_of(series: PriceSeries, mode: StrategyMode):
-    """The nets function of a fresh cache of `series` under `mode`."""
-    if hasattr(backtest, "BatchBacktest"):
-        return backtest.BatchBacktest(series, mode).nets
-    cache = backtest.SeriesCache(series)
-    return lambda triples: cache.nets(triples, mode)
-
-
 def check(series: PriceSeries, mode: StrategyMode, triples, every: int) -> tuple[int, float]:
     """Check the batched nets against run_backtest on every `every`-th
     triple; return how many were checked and the total seconds of their
     run_backtest calls."""
     sample = triples[::every]
-    nets = nets_of(series, mode)(sample)
+    nets = SeriesCache(series).nets(sample, mode)
     run_s = 0.0
     for genes, net in zip(sample, nets):
         start = time.perf_counter()
@@ -111,10 +100,10 @@ def main(argv=None) -> None:
         checked, run_backtest_s = check(series, mode, triples, every)
         seconds, minflt = [], 0
         for _ in range(repeats):
-            nets = nets_of(series, mode)
+            cache = SeriesCache(series)
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
-            nets(triples)
+            cache.nets(triples, mode)
             seconds.append(time.perf_counter() - start)
             minflt += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         modes[mode.value] = {"triples": len(triples), "checked": checked,

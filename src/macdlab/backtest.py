@@ -395,15 +395,15 @@ class SeriesCache:
         """Net profit of each (fast, slow, signal) triple under `mode`, in order.
 
         Raises what run_backtest would for the first triple it rejects,
-        before any work is done. From ROW_DAYS_PER_PROCESS rows x days
-        per process (`forks.processes`), the triples, grouped by (fast,
-        slow) pair, run in blocks that `forks.map_pulled` hands to each
-        process as it gets free: no pair is analysed in two processes,
-        and a process on a busy CPU takes fewer blocks. Before forking,
-        this process computes the EMAs and divergence pairs every block
-        shares; after, it keeps the children's pair trends for later
-        calls. A net depends on its own triple only, not on its chunk or
-        process, so the nets are those of one process.
+        before any work is done. The triples, grouped by (fast, slow)
+        pair, run in blocks that `forks.map_pulled` hands to each process
+        as it gets free, one process per ROW_DAYS_PER_PROCESS rows x days
+        at most: no pair is analysed in two processes, and a process on a
+        busy CPU takes fewer blocks. First this process computes the EMAs
+        and divergence pairs every block shares; last, it keeps the
+        children's pair trends for later calls. A net depends on its own
+        triple only, not on its chunk or process, so the nets are those
+        of one process.
         """
         n = len(self)
         params = []
@@ -413,10 +413,9 @@ class SeriesCache:
         groups = {}  # each (fast, slow) pair's rows, in first-seen order
         for row, p in enumerate(params):
             groups.setdefault((p.fast, p.slow), []).append(row)
-        count = forks.processes([len(rows) * n for rows in groups.values()],
-                                ROW_DAYS_PER_PROCESS)
-        if count == 1:
-            return self._nets(params, mode, initial_capital)
+        # Whole pairs by their least signal period, so that a block's
+        # chunks span few periods.
+        groups = sorted(groups.values(), key=lambda rows: min(params[row].signal for row in rows))
         for period in {period for p in params for period in (p.fast, p.slow)}:
             self.ema(period)
         if mode.divergence:
@@ -424,47 +423,34 @@ class SeriesCache:
 
         def block_nets(block):
             """The block's rows, their nets, the pairs it analysed and
-            their trends, as bytes."""
-            rows = [row for group in block for row in group]
+            their trends, stacked."""
+            # Chunks of one signal period need fewer EMA calls; a net does
+            # not depend on the chunk it is computed in.
+            rows = sorted((row for group in block for row in group),
+                          key=lambda row: params[row].signal)
+            size = max(1, CHUNK_BYTES // (8 * max(n, 1)))
             analysed = len(self._trends)
-            values = self._nets([params[row] for row in rows], mode, initial_capital)
+            trips = []
+            for start in range(0, len(rows), size):
+                lines = self.prepare([params[row] for row in rows[start:start + size]], mode)
+                trips.append(_round_trips(lines.signals, lines.forced))
+                del lines  # the chunk's dense lines go before the next chunk's are built
+            if not trips:
+                return rows, [], [], []
+            counts, buys, sells = map(np.concatenate, zip(*trips))
+            del trips
+            pnl = _walk(self.closes, counts, buys, sells, float(initial_capital))[1]
             new = list(self._trends)[analysed:]
-            return rows, values, new, np.array([self._trends[pair] for pair in new]).tobytes()
+            return (rows, [gain - loss for gain, loss in zip(*_tallies(counts, pnl)[1:])],
+                    new, np.array([self._trends[pair] for pair in new]))
 
-        # Whole pairs by their least signal period, so that a block's
-        # chunks span few periods (see _nets).
-        groups = sorted(groups.values(), key=lambda rows: min(params[row].signal for row in rows))
         nets = [0.0] * len(params)
-        for rows, values, new, trends in forks.map_pulled(block_nets, groups,
-                                                          [len(rows) * n for rows in groups],
-                                                          count):
+        for rows, values, new, trends in forks.map_pulled(
+                block_nets, groups, [len(rows) * n for rows in groups], ROW_DAYS_PER_PROCESS):
             for row, value in zip(rows, values):
                 nets[row] = value
-            if new:  # this process already holds the trends of the blocks it ran
-                for pair, trend in zip(new, np.frombuffer(trends).reshape(len(new), -1)):
-                    self._trends.setdefault(pair, trend)
-        return nets
-
-    def _nets(self, params: list[MacdParams], mode: StrategyMode,
-              initial_capital: float) -> list[float]:
-        """`nets` of checked triples, in this process."""
-        # Chunks of one signal period need fewer EMA calls; a net does not
-        # depend on the chunk it is computed in.
-        order = sorted(range(len(params)), key=lambda i: params[i].signal)
-        rows = max(1, CHUNK_BYTES // (8 * max(len(self), 1)))
-        trips = []
-        for start in range(0, len(order), rows):
-            lines = self.prepare([params[i] for i in order[start:start + rows]], mode)
-            trips.append(_round_trips(lines.signals, lines.forced))
-            del lines  # the chunk's dense lines go before the next chunk's are built
-        if not trips:
-            return []
-        counts, buys, sells = map(np.concatenate, zip(*trips))
-        del trips
-        pnl = _walk(self.closes, counts, buys, sells, float(initial_capital))[1]
-        nets = [0.0] * len(params)
-        for i, gain, loss in zip(order, *_tallies(counts, pnl)[1:]):
-            nets[i] = gain - loss
+            for pair, trend in zip(new, trends):  # a no-op for the blocks run here
+                self._trends.setdefault(pair, trend)
         return nets
 
     def prepare(self, params: list[MacdParams], mode: StrategyMode) -> SignalLines:

@@ -1,6 +1,8 @@
 """Work spread over forked processes, results in order: `map_pulled`
-runs blocks of items in processes that take them one at a time from one
-queue as each gets free, and `fork_map` runs items through it.
+runs blocks of items on as many processes as their weight and the CPUs
+allow, which take them one at a time from one queue as each gets free
+(one process runs the whole batch in place), and `fork_map` runs items
+through it.
 
 Stdlib only, and kept out of `macdlab.__all__`.
 """
@@ -35,7 +37,7 @@ _MAX_PULLED = select.PIPE_BUF // _INDEX_BYTES
 _forked = False
 
 
-def processes(weights: list, per_process: int | None = None) -> int:
+def _processes(weights: list, per_process: int | None = None) -> int:
     """One process per CPU this process may run on, at most one per item
     and per `per_process` (DAYS_PER_PROCESS when None) of weight. One
     where os.fork or os.sched_getaffinity is missing, where another
@@ -100,26 +102,31 @@ def _fork(fn) -> tuple:
     return pid, open(read_fd, "rb")
 
 
-def map_pulled(fn, items, weights, count: int) -> list:
+def map_pulled(fn, items, weights, per_process: int | None = None) -> list:
     """`[fn(block) for block in blocks]`, `blocks` being `items` cut into
     `count * PULLS_PER_PROCESS` (at most one per item) contiguous
-    `_blocks` by their weights.
+    `_blocks` by their weights, on `count = _processes(weights,
+    per_process)` processes. One process runs `[fn(items)]`: one block,
+    in place.
 
-    `count` processes, this one and `_fork`ed children, each take the
-    next block from one queue, a pipe of block indices written before
-    the fork, as soon as they are done with the last; so a process whose
-    CPU is slowed by other work takes fewer blocks, and none waits long
-    for the others. Only the results and exceptions must pickle. What
-    `fn` prints comes in process order: this process's as it runs, then
-    each child's. A block that raises empties the queue, so each process
-    ends with the block it holds; the exception ends the call as soon as
-    it reaches this process: it replays that child's text, kills and
-    reaps every child, then raises the exception. A child that ends
-    without its reply is a RuntimeError.
+    Otherwise the processes, this one and `_fork`ed children, each take
+    the next block from one queue, a pipe of block indices written
+    before the fork, as soon as they are done with the last; so a
+    process whose CPU is slowed by other work takes fewer blocks, and
+    none waits long for the others. Only the results and exceptions must
+    pickle. What `fn` prints comes in process order: this process's as
+    it runs, then each child's. A block that raises empties the queue,
+    so each process ends with the block it holds; the exception ends the
+    call as soon as it reaches this process: it replays that child's
+    text, kills and reaps every child, then raises the exception. A
+    child that ends without its reply is a RuntimeError.
     """
     items, weights = list(items), list(weights)
+    count = _processes(weights, per_process)
+    if count == 1:
+        return [fn(items)]
     pulls = min(count * PULLS_PER_PROCESS, len(items), _MAX_PULLED)
-    blocks = _blocks(items, weights, max(1, pulls))
+    blocks = _blocks(items, weights, pulls)
 
     def pull():
         done = {}
@@ -176,8 +183,6 @@ def map_pulled(fn, items, weights, count: int) -> list:
 
 def fork_map(fn, items, weights) -> list:
     """`[fn(x) for x in items]` by `map_pulled`, a weight being an item's
-    cost in days of work, on `processes(weights)` processes."""
-    weights = list(weights)
-    blocks = map_pulled(lambda block: [fn(item) for item in block], items, weights,
-                        processes(weights))
+    cost in days of work (DAYS_PER_PROCESS per process)."""
+    blocks = map_pulled(lambda block: [fn(item) for item in block], items, weights)
     return [result for block in blocks for result in block]

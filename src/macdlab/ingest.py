@@ -152,10 +152,10 @@ class _Columns:
 def load_csv(path: str | Path) -> list[PriceSeries]:
     """Read a close-price CSV into one date-sorted PriceSeries per instrument.
 
-    The file must carry a header row with (case-insensitive) columns
-    ``code``, ``date`` and ``close``; a UTF-8 byte-order mark before it is
-    ignored. Dates are ISO-8601, in any order within an instrument; two
-    rows with the same code and date are an error. An empty close field
+    The file must carry a header row naming (case-insensitive) columns
+    ``code``, ``date`` and ``close`` once each; a UTF-8 byte-order mark
+    before it is ignored. Dates are ISO-8601, in any order within an
+    instrument; two rows with the same code and date are an error. An empty close field
     is kept as NaN for ``clean`` to drop; anything else unparsable is an
     error naming the offending row. A path that cannot be opened (missing,
     a directory, unreadable) is an error naming it.
@@ -179,10 +179,14 @@ def load_csv(path: str | Path) -> list[PriceSeries]:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file, header row required") from None
-        positions = {name.strip().lower(): i for i, name in enumerate(header)}
-        missing = [c for c in REQUIRED_COLUMNS if c not in positions]
+        names = [name.strip().lower() for name in header]
+        missing = [c for c in REQUIRED_COLUMNS if c not in names]
         if missing:
             raise DataError(f"{path}: missing required column(s): {', '.join(missing)}")
+        twice = [c for c in REQUIRED_COLUMNS if names.count(c) > 1]
+        if twice:
+            raise DataError(f"{path}: required column(s) named more than once: {', '.join(twice)}")
+        positions = {name: i for i, name in enumerate(names)}
         columns = _Columns(path, *(positions[c] for c in REQUIRED_COLUMNS))
         lineno = 2
         while True:

@@ -88,7 +88,8 @@ class WaveletFilter:
 
 @dataclass
 class Decomposition:
-    """Detail bands d_1..d_J (finest first) plus the level-J approximation."""
+    """Detail bands d_1..d_J (finest first) plus the level-J approximation,
+    along the last axis; original_length is the signal's length along it."""
 
     details: list[np.ndarray]
     approx: np.ndarray
@@ -169,18 +170,20 @@ def _idwt_step(approx, detail, filt: WaveletFilter) -> np.ndarray:
 
 
 def decompose(signal, filt: WaveletFilter, levels: int = DENOISE_LEVELS) -> Decomposition:
-    """Apply dwt_step recursively to the approximation, `levels` times."""
+    """Apply dwt_step recursively to the approximation, `levels` times,
+    along the last axis."""
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels}")
-    x = np.asarray(signal, dtype=float)
-    if x.size % (1 << levels):
-        raise ValueError(f"signal length {x.size} not divisible by 2^{levels}")
+    x = np.atleast_1d(np.asarray(signal, dtype=float))
+    n = x.shape[-1]
+    if n % (1 << levels):
+        raise ValueError(f"signal length {n} not divisible by 2^{levels}")
     details = []
     cur = x
     for _ in range(levels):
         cur, d = dwt_step(cur, filt)
         details.append(d)
-    return Decomposition(details=details, approx=cur, original_length=x.size, levels=levels)
+    return Decomposition(details=details, approx=cur, original_length=n, levels=levels)
 
 
 def _check_shape(decomp: Decomposition) -> None:
@@ -188,28 +191,31 @@ def _check_shape(decomp: Decomposition) -> None:
     if len(decomp.details) != decomp.levels:
         raise ValueError("decomposition level count does not match its detail bands")
     for j, d in enumerate(decomp.details, start=1):
-        if len(d) != n >> j:
-            raise ValueError(f"detail band {j} has length {len(d)}, expected {n >> j}")
-    if len(decomp.approx) != n >> decomp.levels:
+        if d.shape[-1] != n >> j:
+            raise ValueError(f"detail band {j} has length {d.shape[-1]}, expected {n >> j}")
+    if decomp.approx.shape[-1] != n >> decomp.levels:
         raise ValueError("approximation length does not match the decomposition shape")
+
+
+def _synthesis(approx, details: list, filt: WaveletFilter) -> np.ndarray:
+    """Invert one _idwt_step per detail band (finest first, None for a
+    zero band), coarsest first, from the approximation."""
+    cur = approx
+    for d in reversed(details):
+        cur = _idwt_step(cur, d, filt)
+    return cur
 
 
 def reconstruct(decomp: Decomposition, filt: WaveletFilter) -> np.ndarray:
     """Full inverse transform, details kept. Exact for orthogonal filters."""
     _check_shape(decomp)
-    cur = decomp.approx
-    for d in reversed(decomp.details):
-        cur = _idwt_step(cur, d, filt)
-    return cur
+    return _synthesis(decomp.approx, decomp.details, filt)
 
 
 def reconstruct_approx(decomp: Decomposition, filt: WaveletFilter) -> np.ndarray:
     """Inverse transform with every detail band zeroed: the low-frequency trend."""
     _check_shape(decomp)
-    cur = decomp.approx
-    for d in reversed(decomp.details):
-        cur = _idwt_step(cur, None, filt)
-    return cur
+    return _synthesis(decomp.approx, [None] * decomp.levels, filt)
 
 
 def denoise_dif(dif) -> np.ndarray:
@@ -253,8 +259,4 @@ def denoise_analysis(dif) -> np.ndarray:
 def denoise_synthesis(trend, n: int) -> np.ndarray:
     """The synthesis half of denoise_dif: rebuild a curve of n days from
     its trend (as denoise_analysis makes it), every detail band zero."""
-    cur = np.asarray(trend, dtype=float)
-    filt = coif5_filters()
-    for _ in range(DENOISE_LEVELS):
-        cur = _idwt_step(cur, None, filt)
-    return cur[..., :n]
+    return _synthesis(trend, [None] * DENOISE_LEVELS, coif5_filters())[..., :n]

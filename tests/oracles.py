@@ -275,10 +275,15 @@ def load_csv_naive(path):
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, header row required") from None
-        positions = {name.strip().lower(): i for i, name in enumerate(header)}
-        missing = [c for c in ("code", "date", "close") if c not in positions]
+        names = [name.strip().lower() for name in header]
+        missing = [c for c in ("code", "date", "close") if c not in names]
         if missing:
             raise ValueError(f"{path}: missing required column(s): {', '.join(missing)}")
+        twice = [c for c in ("code", "date", "close") if names.count(c) > 1]
+        if twice:
+            raise ValueError(f"{path}: required column(s) named more than once: "
+                             f"{', '.join(twice)}")
+        positions = {name: i for i, name in enumerate(names)}
         i_code, i_date, i_close = positions["code"], positions["date"], positions["close"]
         rows = {}
         for lineno, row in enumerate(reader, start=2):

@@ -182,20 +182,20 @@ def test_blocks_are_contiguous_and_balanced_by_weight():
 def test_processes_follow_cpus_items_and_weight(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     days = forks.DAYS_PER_PROCESS
-    assert forks.processes([days]) == 1
-    assert forks.processes([days] * 2) == 2
-    assert forks.processes([days - 1] * 2) == 1
-    assert forks.processes([2 * days] * 3) == 3
-    assert forks.processes([days] * 9) == 4
-    assert forks.processes([]) == 1
+    assert forks._processes([days]) == 1
+    assert forks._processes([days] * 2) == 2
+    assert forks._processes([days - 1] * 2) == 1
+    assert forks._processes([2 * days] * 3) == 3
+    assert forks._processes([days] * 9) == 4
+    assert forks._processes([]) == 1
 
 
 def test_processes_follow_a_given_weight_per_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert forks.processes([100] * 8, per_process=400) == 2
-    assert forks.processes([100] * 8, per_process=401) == 1
-    assert forks.processes([100] * 8, per_process=1) == 4
-    count = forks.processes([100] * 8, per_process=200)
+    assert forks._processes([100] * 8, per_process=400) == 2
+    assert forks._processes([100] * 8, per_process=401) == 1
+    assert forks._processes([100] * 8, per_process=1) == 4
+    count = forks._processes([100] * 8, per_process=200)
     assert [len(block) for block in forks._blocks(list(range(8)), [100] * 8, count)] == [2] * 4
 
 
@@ -224,16 +224,38 @@ def block_pids(block):
 
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_pulled_blocks_come_back_in_block_order(count, cpus):
+    """One process runs one block, the whole list."""
     rng = np.random.default_rng(count)
     for size in (1, 5, 40):
         items = list(range(size))
         weights = rng.integers(1, 100, size).tolist()
         forked = cpus(count)
-        results = forks.map_pulled(block_pids, items, weights, count)
-        assert len(forked) == count - 1 and no_child_left()
+        results = forks.map_pulled(block_pids, items, weights, per_process=1)
+        processes = min(count, size)
+        assert len(forked) == processes - 1 and no_child_left()
         blocks = [block for block, _ in results]
-        assert blocks == forks._blocks(items, weights, min(count * forks.PULLS_PER_PROCESS, size))
+        pulls = 1 if processes == 1 else min(processes * forks.PULLS_PER_PROCESS, size)
+        assert blocks == forks._blocks(items, weights, pulls)
         assert {pid for _, pid in results} <= {PARENT, *forked}
+
+
+@pytest.mark.parametrize("cpus_allowed, per_process", [(1, 1), (4, 11)],
+                         ids=["one CPU", "too little weight"])
+def test_one_process_runs_fn_once_in_place(cpus_allowed, per_process, cpus, monkeypatch):
+    """Without a pipe, a fork or a cut: `fn` once, here, on the whole list."""
+    def no_pipe():
+        raise AssertionError("a one-process map made a pipe")
+
+    calls = []
+
+    def fn(block):
+        calls.append((block, os.getpid()))
+        return len(block)
+
+    forked = cpus(cpus_allowed)
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    assert forks.map_pulled(fn, range(10), [1] * 10, per_process=per_process) == [10]
+    assert calls == [(list(range(10)), PARENT)] and forked == []
 
 
 def test_a_slow_process_pulls_fewer_blocks(cpus):
@@ -245,7 +267,7 @@ def test_a_slow_process_pulls_fewer_blocks(cpus):
         return block_pids(block)
 
     forked = cpus(2)
-    pids = [pid for _, pid in forks.map_pulled(fn, range(8), [1] * 8, 2)]
+    pids = [pid for _, pid in forks.map_pulled(fn, range(8), [1] * 8, per_process=1)]
     assert pids.count(PARENT) == 1 and set(pids) == {PARENT, *forked}
     assert no_child_left()
 
@@ -260,5 +282,5 @@ def test_pulled_block_that_raises_reaps_every_child(raising, cpus):
 
     forked = cpus(3)
     with pytest.raises(LookupError, match=f"^failed in {raising}$"):
-        forks.map_pulled(fn, range(12), [1] * 12, 3)
+        forks.map_pulled(fn, range(12), [1] * 12, per_process=1)
     assert len(forked) == 2 and no_child_left()

@@ -65,6 +65,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="close"):
             load_csv(write(tmp_path, "code,date,price\nA,2014-01-01,10\n"))
 
+    def test_column_named_twice(self, tmp_path):
+        path = write(tmp_path, "code,date,close,Close\nA,2014-01-01,10,11\n")
+        with pytest.raises(DataError, match="required column[(]s[)] named more than once: close$"):
+            load_csv(path)
+
     def test_unparsable_price_names_row(self, tmp_path):
         with pytest.raises(DataError, match=r":2:"):
             load_csv(write(tmp_path, "code,date,close\nA,2014-01-01,ten\n"))
@@ -135,6 +140,7 @@ BAD_INPUTS = [
     "code,date,close\n,2014-01-01,10\n",
     "code,date,close\n  ,2014-01-01,\n",
     "close,code,date\n10,A\n",
+    "code,date,close, CLOSE ,Date\nA,2014-01-01,10,11,2014-01-02\n",
     "code,date,close\nA,2014-01-02,1\n,,\n \t, ,\nB,2014-01-01,x\n",
 ]
 

@@ -142,6 +142,23 @@ class TestReconstruct:
         decomp = decompose(np.zeros(64), coif5_filters(), 4)
         assert np.array_equal(reconstruct_approx(decomp, coif5_filters()), np.zeros(64))
 
+    def test_rows_round_trip_like_one_dimensional_calls(self, rng):
+        """A stack of signals transforms along its last axis, each row
+        exactly as it would alone."""
+        x = rng.normal(size=(3, 64))
+        decomp = decompose(x, coif5_filters(), 4)
+        assert decomp.original_length == 64 and decomp.approx.shape == (3, 4)
+        back = reconstruct(decomp, coif5_filters())
+        trend = reconstruct_approx(decomp, coif5_filters())
+        assert back.shape == trend.shape == x.shape
+        for i, row in enumerate(x):
+            alone = decompose(row, coif5_filters(), 4)
+            assert np.array_equal(decomp.approx[i], alone.approx)
+            assert all(np.array_equal(d[i], e) for d, e in zip(decomp.details, alone.details))
+            assert np.array_equal(back[i], reconstruct(alone, coif5_filters()))
+            assert np.array_equal(trend[i], reconstruct_approx(alone, coif5_filters()))
+        assert np.linalg.norm(back - x) / np.linalg.norm(x) < 1e-8
+
     def test_inconsistent_decomposition_rejected(self, rng):
         decomp = decompose(rng.normal(size=64), coif5_filters(), 3)
         decomp.details[1] = decomp.details[1][:-2]
