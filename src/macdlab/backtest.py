@@ -311,16 +311,6 @@ def _walk(closes: np.ndarray, counts: np.ndarray, buys: np.ndarray,
 # array within this many bytes.
 CHUNK_BYTES = 256 * 1024
 
-# The least work, in rows x days, per process of a SeriesCache.nets
-# call. A forked child costs 3-5 ms (the fork, OpenBLAS's fork handlers,
-# copy-on-write faults, the reply, the exit and reaping). On a 2-core
-# x86_64 host (medians of 15, a fresh process each), the default GA's
-# first generation of 496 triples took 88 -> 63 ms in two processes in
-# divergence mode on 1,000 days, and 53 -> 41 ms in raw mode on 2,500;
-# raw batches of 200 x 1,000 days (13 -> 17 ms) and 95 x 2,500 days
-# (16 -> 19 ms) ran slower in two.
-ROW_DAYS_PER_PROCESS = 200_000
-
 
 def _ema_by_row(x: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """EMA of each row of x with that row's period, one call per distinct period."""
@@ -396,14 +386,12 @@ class SeriesCache:
 
         Raises what run_backtest would for the first triple it rejects,
         before any work is done. The triples, grouped by (fast, slow)
-        pair, run in blocks that `forks.map_pulled` hands to each process
-        as it gets free, one process per ROW_DAYS_PER_PROCESS rows x days
-        at most: no pair is analysed in two processes, and a process on a
-        busy CPU takes fewer blocks. First this process computes the EMAs
-        and divergence pairs every block shares; last, it keeps the
-        children's pair trends for later calls. A net depends on its own
-        triple only, not on its chunk or process, so the nets are those
-        of one process.
+        pair, each group weighing its rows x days, run in blocks by
+        `forks.map_pulled`, so that no pair is analysed twice. The EMAs
+        and divergence pairs every block shares are computed first, and
+        the pair trends of every block are kept for later calls. A net
+        depends on its own triple only, not on its chunk or block, so the
+        nets are the same however the blocks are run.
         """
         n = len(self)
         params = []
@@ -446,7 +434,7 @@ class SeriesCache:
 
         nets = [0.0] * len(params)
         for rows, values, new, trends in forks.map_pulled(
-                block_nets, groups, [len(rows) * n for rows in groups], ROW_DAYS_PER_PROCESS):
+                block_nets, groups, [len(rows) * n for rows in groups]):
             for row, value in zip(rows, values):
                 nets[row] = value
             for pair, trend in zip(new, trends):  # a no-op for the blocks run here

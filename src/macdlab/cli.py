@@ -57,6 +57,10 @@ from .wavelet import denoise_dif
 
 MODE_CHOICES = tuple(m.value for m in StrategyMode)
 
+# An instrument-day's weight in row-days (forks.ROW_DAYS_PER_PROCESS): a
+# second process pays for denoise, the cheapest command a day, from 6,000 days.
+ROW_DAYS_PER_DAY = 33
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; this laboratory reserves 2 for data errors."""
@@ -308,7 +312,7 @@ def _each_instrument(run: _Run, done: str, write) -> None:
         except (DataError, ValueError) as exc:
             return [], str(exc)
 
-    results = fork_map(attempt, usable, map(len, usable))
+    results = fork_map(attempt, usable, [len(s) * ROW_DAYS_PER_DAY for s in usable])
     run.written = []
     for series, (names, reason) in zip(usable, results):
         if reason is not None:
@@ -409,7 +413,8 @@ def cmd_compare(args, run: _Run) -> None:
                 reason = str(exc) if reason is None else reason
         return rows, reason
 
-    compared, rows = iter(fork_map(compare, usable, map(len, usable))), []
+    weights = [len(s) * ROW_DAYS_PER_DAY for s in usable]
+    compared, rows = iter(fork_map(compare, usable, weights)), []
     for code, _, cleaned, _ in screened:
         if cleaned is None:
             rows += [[code, mode.value] + [""] * len(REPORT_COLUMNS) + ["unusable"]

@@ -17,12 +17,16 @@ import signal
 import sys
 import threading
 
-# The least weight, in days of series work, per process. A forked child
-# costs 5-10 ms (the fork of a ~35 MB process, copy-on-write faults, the
-# reaping); on a 2-core x86_64 host, denoise, the cheapest command per
-# day, ran no faster in two processes than in one on 4 x 1,500 days, and
-# ~20% faster on 8 x 1,500.
-DAYS_PER_PROCESS = 6000
+# The least work per process, in row-days, a row-day being one (fast,
+# slow, signal) triple's backtest over one day. A forked child costs
+# 3-10 ms (the fork, OpenBLAS's fork handlers, copy-on-write faults, the
+# reply, the reaping). On a 2-core x86_64 host (medians of 15), two
+# processes ran SeriesCache.nets on the default GA's first generation of
+# 496 triples in 88 -> 63 ms (divergence, 1,000 days) and 53 -> 41 ms
+# (raw, 2,500), but raw batches of 200 x 1,000 (13 -> 17 ms) and 95 x
+# 2,500 (16 -> 19 ms) slower; and denoise, at cli.ROW_DAYS_PER_DAY a day,
+# no faster on 4 x 1,500 days, and ~20% faster on 8 x 1,500.
+ROW_DAYS_PER_PROCESS = 198_000
 
 # Blocks per process of a `map_pulled` call: the more, the less a process
 # that ends its last block early waits for the others, and the more
@@ -37,18 +41,16 @@ _MAX_PULLED = select.PIPE_BUF // _INDEX_BYTES
 _forked = False
 
 
-def _processes(weights: list, per_process: int | None = None) -> int:
+def _processes(weights: list) -> int:
     """One process per CPU this process may run on, at most one per item
-    and per `per_process` (DAYS_PER_PROCESS when None) of weight. One
-    where os.fork or os.sched_getaffinity is missing, where another
-    thread runs (a forked child would hold only the calling thread), or
-    in a forked child."""
+    and per ROW_DAYS_PER_PROCESS of weight. One where os.fork or
+    os.sched_getaffinity is missing, where another thread runs (a forked
+    child would hold only the calling thread), or in a forked child."""
     if _forked or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
             or threading.active_count() > 1:
         return 1
-    per_process = DAYS_PER_PROCESS if per_process is None else per_process
     return max(1, min(len(os.sched_getaffinity(0)), len(weights),
-                      sum(weights) // per_process))
+                      sum(weights) // ROW_DAYS_PER_PROCESS))
 
 
 def _blocks(items: list, weights: list, count: int) -> list[list]:
@@ -102,12 +104,12 @@ def _fork(fn) -> tuple:
     return pid, open(read_fd, "rb")
 
 
-def map_pulled(fn, items, weights, per_process: int | None = None) -> list:
+def map_pulled(fn, items, weights) -> list:
     """`[fn(block) for block in blocks]`, `blocks` being `items` cut into
     `count * PULLS_PER_PROCESS` (at most one per item) contiguous
-    `_blocks` by their weights, on `count = _processes(weights,
-    per_process)` processes. One process runs `[fn(items)]`: one block,
-    in place.
+    `_blocks` by their weights in row-days, on `count =
+    _processes(weights)` processes. One process runs `[fn(items)]`: one
+    block, in place.
 
     Otherwise the processes, this one and `_fork`ed children, each take
     the next block from one queue, a pipe of block indices written
@@ -122,7 +124,7 @@ def map_pulled(fn, items, weights, per_process: int | None = None) -> list:
     child that ends without its reply is a RuntimeError.
     """
     items, weights = list(items), list(weights)
-    count = _processes(weights, per_process)
+    count = _processes(weights)
     if count == 1:
         return [fn(items)]
     pulls = min(count * PULLS_PER_PROCESS, len(items), _MAX_PULLED)
@@ -183,6 +185,6 @@ def map_pulled(fn, items, weights, per_process: int | None = None) -> list:
 
 def fork_map(fn, items, weights) -> list:
     """`[fn(x) for x in items]` by `map_pulled`, a weight being an item's
-    cost in days of work (DAYS_PER_PROCESS per process)."""
+    cost in row-days."""
     blocks = map_pulled(lambda block: [fn(item) for item in block], items, weights)
     return [result for block in blocks for result in block]

@@ -55,6 +55,11 @@ SIGNAL_BUY = 1
 SIGNAL_SELL = -1
 
 
+def is_integer(value) -> bool:
+    """An int or numpy integer, not a bool: the type of every period and count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MacdParams:
     """Integer periods of the three moving averages: fast, slow, signal."""
@@ -66,7 +71,7 @@ class MacdParams:
     def __post_init__(self):
         for name in ("fast", "slow", "signal"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ConfigError(f"{name} period must be an integer >= 1, got {value!r}")
         if self.fast >= self.slow:
             raise ConfigError(f"fast period must be below slow period, got {self.fast} >= {self.slow}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import operator
@@ -87,8 +88,6 @@ class _Columns:
         one row at a time into three typed columns."""
         path, codes, days, closes = self.path, [], [], []
         for lineno, row in enumerate(rows, start=lineno):
-            if not row:
-                continue
             if len(row) < self.min_len:
                 if _blank(row):
                     continue
@@ -157,7 +156,8 @@ def load_csv(path: str | Path) -> list[PriceSeries]:
     before it is ignored. Dates are ISO-8601, in any order within an
     instrument; two rows with the same code and date are an error. An empty close field
     is kept as NaN for ``clean`` to drop; anything else unparsable is an
-    error naming the offending row. A path that cannot be opened (missing,
+    error naming the offending row, as is text that is not UTF-8 or a
+    field longer than csv reads. A path that cannot be opened (missing,
     a directory, unreadable) is an error naming it.
 
     The file is streamed in blocks of BLOCK_ROWS rows into typed columns
@@ -172,13 +172,30 @@ def load_csv(path: str | Path) -> list[PriceSeries]:
         raise DataError(f"data file not found: {path}") from None
     except OSError as exc:  # a directory, or no permission to read
         raise DataError(f"cannot read data file {path}: {exc.strerror or exc}") from None
+    try:
+        with fh:
+            return _read(path, fh).series()
+    except UnicodeDecodeError:
+        # Text is decoded 8 KiB at a time, so the first bad byte's line is found
+        # in the file's bytes; the lines before it are read again, bad rows first.
+        text = path.read_bytes().decode("utf-8-sig", "surrogateescape")
+        bad = re.search("[\udc80-\udcff]", text).start()
+        *lines, _ = io.StringIO(text[:bad + 1], newline="")  # _: the bad byte's line, up to it
+        if lines:
+            _read(path, io.StringIO("".join(lines), newline=""))
+        raise DataError(f"{path}:{len(lines) + 1}: byte 0x{ord(text[bad]) - 0xdc00:02x} "
+                        "is not UTF-8") from None
 
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, header row required") from None
+
+def _read(path: Path, fh) -> _Columns:
+    """The rows of the open CSV file `fh` as _Columns, its header checked.
+    A record csv cannot read is a DataError naming its line, raised after a
+    bad row before it; text that is not UTF-8 raises UnicodeDecodeError."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, header row required")
         names = [name.strip().lower() for name in header]
         missing = [c for c in REQUIRED_COLUMNS if c not in names]
         if missing:
@@ -193,17 +210,15 @@ def load_csv(path: str | Path) -> list[PriceSeries]:
             rows: list[list[str]] = []
             try:
                 rows.extend(itertools.islice(reader, BLOCK_ROWS))
-            except (csv.Error, OSError, ValueError):
-                # a file that cannot be read on (bad UTF-8, an over-long
-                # field): a bad row before the failure is reported first
-                if rows:
-                    columns.add(rows, lineno)
+            except csv.Error:
+                columns.add(rows, lineno)
                 raise
             if not rows:
-                break
+                return columns
             columns.add(rows, lineno)
             lineno += len(rows)
-    return columns.series()
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def save_csv(series_list: list[PriceSeries], path: str | Path) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .backtest import DEFAULT_CAPITAL, SeriesCache, StrategyMode, run_backtest
 from .errors import ConfigError
-from .indicators import MacdParams
+from .indicators import MacdParams, is_integer
 from .ingest import PriceSeries
 from .streams import Stream
 
@@ -52,6 +52,9 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population_size", "convergence_patience", "max_generations"):
+            if not is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.population_size < 2:
             raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
         if not 0.0 <= self.crossover_rate <= 1.0:
@@ -62,13 +65,12 @@ class GaConfig:
             raise ConfigError(f"convergence_patience must be >= 1, got {self.convergence_patience}")
         if self.max_generations < 0:
             raise ConfigError(f"max_generations must be >= 0, got {self.max_generations}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if len(self.bounds) != 3 or any(len(b) != 2 for b in self.bounds):
             raise ConfigError(f"bounds must be three (low, high) pairs, got {self.bounds!r}")
         for lo, hi in self.bounds:
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
-                       for v in (lo, hi)):
+            if not all(is_integer(v) and v >= 1 for v in (lo, hi)):
                 # the genes are periods, and the GA keeps them in an integer array
                 raise ConfigError(f"bounds must be integers >= 1, got ({lo!r}, {hi!r})")
             if hi >= 2**32:

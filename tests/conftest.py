@@ -61,9 +61,9 @@ def rng():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """cpus(n) lets `forks` use n CPUs, with every day of a `fork_map`
-    enough for a process of its own; returns the pids of the children
-    this process forked since."""
+    """cpus(n) lets `forks` use n CPUs, with every row-day of a
+    `map_pulled` enough for a process of its own; returns the pids of the
+    children this process forked since."""
     forked = []
     fork = os.fork
 
@@ -78,7 +78,7 @@ def cpus(monkeypatch):
         forked.clear()
         return forked
 
-    monkeypatch.setattr(forks, "DAYS_PER_PROCESS", 1)
+    monkeypatch.setattr(forks, "ROW_DAYS_PER_PROCESS", 1)
     monkeypatch.setattr(os, "fork", counted)
     return allow
 

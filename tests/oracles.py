@@ -265,15 +265,29 @@ def load_csv_naive(path):
     One row at a time: blank rows skipped, every cell stripped, every
     date parsed. Raises ValueError with the message the library's
     DataError carries (a repeated date fails the increasing-dates check).
+    A file that is not UTF-8 is read up to the line of its first bad
+    byte, and fails there unless a row before it does.
     """
     import csv
+    import io
     from datetime import date
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
+    try:
+        decoded, undecodable = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        decoded = head[:head.rfind(b"\n") + 1].decode("utf-8")
+        line = head.count(b"\n") + 1
+        undecodable = ValueError(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8")
+    reader = csv.reader(io.StringIO(decoded, newline=""))
+    try:
         try:
             header = next(reader)
         except StopIteration:
+            if undecodable:
+                raise undecodable from None
             raise ValueError(f"{path}: empty file, header row required") from None
         names = [name.strip().lower() for name in header]
         missing = [c for c in ("code", "date", "close") if c not in names]
@@ -311,6 +325,10 @@ def load_csv_naive(path):
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad close {raw_close!r}") from None
             rows.setdefault(code, []).append((day, close))
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    if undecodable:
+        raise undecodable
     out = []
     for code in sorted(rows):
         pairs = sorted(rows[code], key=lambda p: p[0])

@@ -423,11 +423,6 @@ class TestSplitBatch:
     def series(self):
         return series_from_closes(random_walk_closes(np.random.default_rng(1002), 400, vol=0.015))
 
-    @pytest.fixture
-    def split(self, cpus, monkeypatch):
-        monkeypatch.setattr(backtest, "ROW_DAYS_PER_PROCESS", 1)
-        return cpus
-
     @staticmethod
     def triples():
         """Triples whose (fast, slow) pairs recur under other signals, so
@@ -441,24 +436,24 @@ class TestSplitBatch:
 
     @pytest.mark.parametrize("count", [2, 3])
     @pytest.mark.parametrize("mode", list(StrategyMode))
-    def test_nets_equal_one_process_and_run_backtest(self, series, mode, count, split):
+    def test_nets_equal_one_process_and_run_backtest(self, series, mode, count, cpus):
         triples = self.triples()
-        forked = split(1)
+        forked = cpus(1)
         one = SeriesCache(series).nets(triples, mode)
         assert forked == []
-        forked = split(count)
+        forked = cpus(count)
         assert self.bits(SeriesCache(series).nets(triples, mode)) == self.bits(one)
         assert len(forked) == count - 1 and no_child_left()
         assert self.bits(one) == self.bits([run_backtest(series, MacdParams(*genes), mode).net
                                             for genes in triples])
 
     @pytest.mark.parametrize("mode", list(StrategyMode))
-    def test_cache_keeps_every_pair_trend(self, series, mode, split, monkeypatch):
+    def test_cache_keeps_every_pair_trend(self, series, mode, cpus, monkeypatch):
         triples = self.triples()
-        split(1)
+        cpus(1)
         one = SeriesCache(series)
         one.nets(triples, mode)
-        forked = split(3)
+        forked = cpus(3)
         cache = SeriesCache(series)
         cache.nets(triples, mode)
         assert len(forked) == 2
@@ -469,14 +464,14 @@ class TestSplitBatch:
         # a later call, in one process, in this mode and then in the other
         # filtered one, analyses none of those pairs again
         monkeypatch.setattr(backtest, "denoise_analysis", None)
-        split(1)
+        cpus(1)
         later_modes = [mode] if mode.filter == "none" else \
             [mode, *(m for m in StrategyMode if m.filter != "none" and m is not mode)]
         for later in later_modes:
             assert cache.nets(triples[::7], later) == one.nets(triples[::7], later)
 
     @pytest.mark.parametrize("mode", [StrategyMode.DENOISED, StrategyMode.DENOISED_WITH_DIVERGENCE])
-    def test_each_pair_is_analysed_in_one_process(self, series, mode, split, tmp_path,
+    def test_each_pair_is_analysed_in_one_process(self, series, mode, cpus, tmp_path,
                                                   monkeypatch):
         """The rows each process analyses, written to one file, add up to
         one per distinct pair, though a pair's triples lie far apart."""
@@ -490,7 +485,7 @@ class TestSplitBatch:
 
         monkeypatch.setattr(backtest, "denoise_analysis", count_analysis)
         triples = self.triples()
-        forked = split(3)
+        forked = cpus(3)
         SeriesCache(series).nets(triples, mode)
         assert len(forked) == 2
         rows = map(int, analysed.read_text(encoding="utf-8").split())
@@ -502,19 +497,19 @@ class TestSplitBatch:
            mode=st.sampled_from(list(StrategyMode)), count=st.integers(2, 4),
            triples=st.lists(st.tuples(st.integers(5, 20), st.integers(21, 50),
                                       st.integers(5, 25)), min_size=1, max_size=40))
-    def test_any_batch_splits_bit_for_bit(self, seed, days, mode, count, triples, split):
+    def test_any_batch_splits_bit_for_bit(self, seed, days, mode, count, triples, cpus):
         series = series_from_closes(random_walk_closes(np.random.default_rng(seed), days,
                                                        vol=0.02))
         triples = [(f, min(s, days), z) for f, s, z in triples]
-        split(1)
+        cpus(1)
         one = SeriesCache(series).nets(triples, mode)
-        forked = split(count)
+        forked = cpus(count)
         assert self.bits(SeriesCache(series).nets(triples, mode)) == self.bits(one)
         assert len(forked) == min(count, len({genes[:2] for genes in triples})) - 1
         assert no_child_left()
 
-    def test_too_short_series_is_rejected_before_any_fork(self, make_series, split):
-        forked = split(2)
+    def test_too_short_series_is_rejected_before_any_fork(self, make_series, cpus):
+        forked = cpus(2)
         cache = SeriesCache(make_series(random_walk_closes(np.random.default_rng(2), 30)))
         with pytest.raises(DataError, match="series too short: 30 rows < slow period 40"):
             cache.nets([(5, 26, 9), (6, 26, 9), (5, 40, 9), (7, 28, 9)],
@@ -523,7 +518,7 @@ class TestSplitBatch:
 
     @pytest.mark.parametrize("error", [LookupError, KeyboardInterrupt])
     @pytest.mark.parametrize("raising", ["this process", "a child"])
-    def test_every_child_is_reaped_when_a_block_raises(self, series, raising, error, split,
+    def test_every_child_is_reaped_when_a_block_raises(self, series, raising, error, cpus,
                                                         monkeypatch):
         parent = os.getpid()
         prepare = SeriesCache.prepare
@@ -534,7 +529,7 @@ class TestSplitBatch:
             return prepare(cache, params, mode)
 
         monkeypatch.setattr(SeriesCache, "prepare", failing)
-        forked = split(3)
+        forked = cpus(3)
         with pytest.raises(error, match=f"^failed in {raising}$"):
             SeriesCache(series).nets(self.triples(), StrategyMode.DENOISED)
         assert len(forked) == 2 and no_child_left()

@@ -90,6 +90,17 @@ class TestExitCodes:
         assert main(["ingest", "--data", str(tmp_path / "nope.csv"),
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("data, message", [
+        (b"code,date,close\nA\xe9,2014-01-01,1\n", "2: byte 0xe9 is not UTF-8"),
+        (b"code,date,close\nA,2014-01-01," + b"1" * 200_000 + b"\n",
+         "2: field larger than field limit (131072)"),
+    ], ids=["not UTF-8", "over-long field"])
+    def test_unreadable_file_is_data_error(self, tmp_path, capsys, data, message):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(data)
+        assert main(["ingest", "--data", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"macdlab: data error: {path}:{message}\n"
+
     def test_bad_population_is_config_error(self, data_file, tmp_path):
         assert main(["optimize", "--data", str(data_file), "--out", str(tmp_path / "o"),
                      "--pop", "1", "--max-gen", "1"]) == 1
@@ -350,7 +361,6 @@ def test_split_optimize_does_each_series_work_once(data_file, tmp_path, capsys, 
 
     monkeypatch.setattr(backtest, "divergence_pairs", count_pairs)
     monkeypatch.setattr(backtest, "denoise_analysis", count_analysis)
-    monkeypatch.setattr(backtest, "ROW_DAYS_PER_PROCESS", 1)
     argv = ["optimize", "--pop", "24", "--max-gen", "4", "--mode", "divergence"]
     runs = []
     for count in (1, 2):

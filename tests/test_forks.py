@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from macdlab import forks
+from macdlab import cli, forks
 from macdlab.forks import fork_map
 
 from conftest import no_child_left
@@ -181,7 +181,7 @@ def test_blocks_are_contiguous_and_balanced_by_weight():
 
 def test_processes_follow_cpus_items_and_weight(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    days = forks.DAYS_PER_PROCESS
+    days = forks.ROW_DAYS_PER_PROCESS
     assert forks._processes([days]) == 1
     assert forks._processes([days] * 2) == 2
     assert forks._processes([days - 1] * 2) == 1
@@ -190,13 +190,26 @@ def test_processes_follow_cpus_items_and_weight(monkeypatch):
     assert forks._processes([]) == 1
 
 
-def test_processes_follow_a_given_weight_per_process(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    assert forks._processes([100] * 8, per_process=400) == 2
-    assert forks._processes([100] * 8, per_process=401) == 1
-    assert forks._processes([100] * 8, per_process=1) == 4
-    count = forks._processes([100] * 8, per_process=200)
-    assert [len(block) for block in forks._blocks(list(range(8)), [100] * 8, count)] == [2] * 4
+@pytest.mark.parametrize("weights, processes", [
+    ([1500 * cli.ROW_DAYS_PER_DAY] * 4, 1),
+    ([1500 * cli.ROW_DAYS_PER_DAY] * 8, 2),
+    ([1000] * 200, 1),
+    ([2500] * 95, 1),
+    ([1000] * 496, 2),
+    ([2500] * 498, 2),
+    ([1000] * 101, 1),
+    ([2500] * 125, 1),
+], ids=["cli 4x1500", "cli 8x1500", "nets 200x1000", "nets 95x2500", "nets 496x1000",
+        "nets 498x2500", "nets 101x1000", "nets 125x2500"])
+def test_processes_on_two_cpus_at_the_measured_points(weights, processes, monkeypatch):
+    """Each weight as its caller builds it: the CLI's instrument-days at
+    ROW_DAYS_PER_DAY row-days each (denoise, no faster in two processes
+    on 4 x 1,500 days, faster on 8), and SeriesCache.nets' rows x days,
+    one row per (fast, slow) pair here: raw batches that ran slower in
+    two, the default GA's first generations, which ran faster, and later
+    generations about as large as the benchmark's GA instruments make."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert forks._processes(weights) == processes
 
 
 def test_work_spread_in_a_child_stays_in_its_process(cpus, capsys):
@@ -230,7 +243,7 @@ def test_pulled_blocks_come_back_in_block_order(count, cpus):
         items = list(range(size))
         weights = rng.integers(1, 100, size).tolist()
         forked = cpus(count)
-        results = forks.map_pulled(block_pids, items, weights, per_process=1)
+        results = forks.map_pulled(block_pids, items, weights)
         processes = min(count, size)
         assert len(forked) == processes - 1 and no_child_left()
         blocks = [block for block, _ in results]
@@ -239,9 +252,9 @@ def test_pulled_blocks_come_back_in_block_order(count, cpus):
         assert {pid for _, pid in results} <= {PARENT, *forked}
 
 
-@pytest.mark.parametrize("cpus_allowed, per_process", [(1, 1), (4, 11)],
+@pytest.mark.parametrize("cpus_allowed, weight", [(1, 1), (4, 0)],
                          ids=["one CPU", "too little weight"])
-def test_one_process_runs_fn_once_in_place(cpus_allowed, per_process, cpus, monkeypatch):
+def test_one_process_runs_fn_once_in_place(cpus_allowed, weight, cpus, monkeypatch):
     """Without a pipe, a fork or a cut: `fn` once, here, on the whole list."""
     def no_pipe():
         raise AssertionError("a one-process map made a pipe")
@@ -254,7 +267,7 @@ def test_one_process_runs_fn_once_in_place(cpus_allowed, per_process, cpus, monk
 
     forked = cpus(cpus_allowed)
     monkeypatch.setattr(os, "pipe", no_pipe)
-    assert forks.map_pulled(fn, range(10), [1] * 10, per_process=per_process) == [10]
+    assert forks.map_pulled(fn, range(10), [weight] * 10) == [10]
     assert calls == [(list(range(10)), PARENT)] and forked == []
 
 
@@ -267,7 +280,7 @@ def test_a_slow_process_pulls_fewer_blocks(cpus):
         return block_pids(block)
 
     forked = cpus(2)
-    pids = [pid for _, pid in forks.map_pulled(fn, range(8), [1] * 8, per_process=1)]
+    pids = [pid for _, pid in forks.map_pulled(fn, range(8), [1] * 8)]
     assert pids.count(PARENT) == 1 and set(pids) == {PARENT, *forked}
     assert no_child_left()
 
@@ -282,5 +295,5 @@ def test_pulled_block_that_raises_reaps_every_child(raising, cpus):
 
     forked = cpus(3)
     with pytest.raises(LookupError, match=f"^failed in {raising}$"):
-        forks.map_pulled(fn, range(12), [1] * 12, per_process=1)
+        forks.map_pulled(fn, range(12), [1] * 12)
     assert len(forked) == 2 and no_child_left()

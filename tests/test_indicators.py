@@ -29,6 +29,15 @@ class TestMacdParams:
         with pytest.raises(ConfigError):
             MacdParams(*bad)
 
+    @pytest.mark.parametrize("bad", [(True, 26, 9), (12, 26, False), (12.0, 26, 9),
+                                     (12, 26.5, 9), (12, np.float64(26), 9), (12, 26, "9")])
+    def test_rejects_non_integers_and_bools(self, bad):
+        with pytest.raises(ConfigError, match=r"period must be an integer >= 1, got "):
+            MacdParams(*bad)
+
+    def test_accepts_numpy_integers(self):
+        assert MacdParams(np.int32(12), np.int64(26), np.uint8(9)).as_tuple() == (12, 26, 9)
+
     def test_rejects_fast_not_below_slow(self):
         with pytest.raises(ConfigError):
             MacdParams(26, 12, 9)

@@ -150,6 +150,7 @@ GOOD_INPUTS = [
     "Code , DATE,close,extra\r\n B ,2014-01-02 , 2.5 ,x\r\nB,2014-01-01,\r\nA,2014-01-01,1e3\r\n",
     "date,close,code\n2014-01-03,\u00a07\u2003,A\n2014-01-01,-1,A\n2014-01-02,nan,A\n",
     'code,date,close\n"A,1","2014-01-01","1_000"\nA,2014-01-01,inf\n',
+    "\ufeffcode,date,close\nA,2014-01-01,1\n",
 ]
 
 
@@ -235,7 +236,8 @@ class TestLoadCsvMatchesRowLoop:
 
 def test_bad_row_before_undecodable_text_is_reported(tmp_path, monkeypatch):
     """A read that fails part-way through a block (text past the first
-    8 KiB that is not UTF-8) comes after the bad rows before it."""
+    8 KiB that is not UTF-8) comes after the bad rows before it, and is
+    a data error naming the bad byte's line."""
     monkeypatch.setattr(ingest, "BLOCK_ROWS", 2000)  # one block holds the whole file
     good = "".join(f"A,{date(2014, 1, 1) + timedelta(days=i)},1\n" for i in range(1, 1000))
     path = tmp_path / "prices.csv"
@@ -243,8 +245,53 @@ def test_bad_row_before_undecodable_text_is_reported(tmp_path, monkeypatch):
     with pytest.raises(DataError, match=r"prices\.csv:2: bad close 'x'$"):
         load_csv(path)
     path.write_bytes(f"code,date,close\n{good}B,2014-01-01,\xff\n".encode("latin-1"))
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(DataError, match=r"prices\.csv:1001: byte 0xff is not UTF-8$"):
         load_csv(path)
+
+
+UNDECODABLE = [
+    (b"code,date,close\nA,2014-01-01,1\nB\xe9,2014-01-02,2\n", ":3: byte 0xe9 is not UTF-8$"),
+    (b"code,d\xe9te,close\nA,2014-01-01,1\n", ":1: byte 0xe9 is not UTF-8$"),
+    (b"code,date,close\r\nA,2014-01-01,1\r\rA,2014-01-02,\xff\r\n", ":4: byte 0xff is not UTF-8$"),
+    (b"code,date,close\nA,2014-01-01,1\xc3", ":2: byte 0xc3 is not UTF-8$"),
+    (b"\xef\xbb\xbfcode,date,close\nA\xff,2014-01-01,1\n", ":2: byte 0xff is not UTF-8$"),
+    # a bad row in the same 8 KiB of text as the bad byte, before it
+    (b"code,date,close\nA,2014-01-01,x\nB\xe9,2014-01-02,2\n", ":2: bad close 'x'$"),
+    (b"code,date\nA,2014-01-01,x\nB\xe9,2014-01-02,2\n", ": missing required column"),
+]
+
+
+@pytest.mark.parametrize("block_rows", [1, ingest.BLOCK_ROWS])
+@pytest.mark.parametrize("data, message", UNDECODABLE)
+def test_undecodable_text_names_its_line(tmp_path, monkeypatch, data, message, block_rows):
+    """Text that is not UTF-8 is a data error naming the line of its first
+    bad byte, unless a row before that line is bad; the row loop agrees."""
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+    path = tmp_path / "prices.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataError, match=r"prices\.csv" + message):
+        load_csv(path)
+    same_as_naive(path)
+
+
+OVERLONG = "1" * 200_000
+LIMIT = r"field larger than field limit \(131072\)$"
+
+
+@pytest.mark.parametrize("block_rows", [1, ingest.BLOCK_ROWS])
+@pytest.mark.parametrize("text, message", [
+    (f"code,date,close\nA,2014-01-01,1\nA,2014-01-02,{OVERLONG}\n", ":3: " + LIMIT),
+    (f"code,date,{OVERLONG}\nA,2014-01-01,1\n", ":1: " + LIMIT),
+    (f"code,date,close\nA,2014-01-01,x\nA,2014-01-02,{OVERLONG}\n", ":2: bad close 'x'$"),
+], ids=["row", "header", "bad row before it"])
+def test_overlong_field_names_its_line(tmp_path, monkeypatch, text, message, block_rows):
+    """A field longer than csv reads is a data error naming its line,
+    unless a row before it is bad; the row loop agrees."""
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+    path = write(tmp_path, text)
+    with pytest.raises(DataError, match=r"prices\.csv" + message):
+        load_csv(path)
+    same_as_naive(path)
 
 
 def test_peak_memory_per_row(tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +61,36 @@ class TestGaConfig:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ConfigError):
             GaConfig(**kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(population_size=3.5), "population_size must be an integer, got 3.5"),
+        (dict(population_size=True), "population_size must be an integer, got True"),
+        (dict(max_generations=2.5), "max_generations must be an integer, got 2.5"),
+        (dict(convergence_patience=1.5), "convergence_patience must be an integer, got 1.5"),
+        (dict(seed=True), "seed must be a non-negative integer, got True"),
+        (dict(seed=np.float64(3)), f"seed must be a non-negative integer, got {np.float64(3)!r}"),
+    ])
+    def test_rejects_non_integers_and_bools(self, kw, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            GaConfig(**kw)
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(population_size=1), "population_size must be >= 2, got 1"),
+        (dict(convergence_patience=0), "convergence_patience must be >= 1, got 0"),
+        (dict(max_generations=-1), "max_generations must be >= 0, got -1"),
+        (dict(seed=-1), "seed must be a non-negative integer, got -1"),
+    ])
+    def test_out_of_range_integers_keep_their_messages(self, kw, message):
+        """The values the CLI can pass (--pop, --patience, --max-gen, --seed)."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            GaConfig(**kw)
+
+    def test_numpy_integer_settings_accepted(self):
+        cfg = GaConfig(population_size=np.int64(4), convergence_patience=np.int32(2),
+                       max_generations=np.uint16(3), seed=np.int64(5))
+        assert optimize(None, None, cfg, fitness_fn=surrogate).history == optimize(
+            None, None, GaConfig(population_size=4, convergence_patience=2, max_generations=3,
+                                 seed=5), fitness_fn=surrogate).history
 
     def test_bound_of_2_32_or_more_is_named(self):
         with pytest.raises(ConfigError, match=r"below 2\*\*32, got \(6, 4294967296\)"):
