@@ -14,10 +14,16 @@ by side, one process each.
 
 The corpus is written in-process from fixed seeds, with numpy and the
 pool instruments of perfbench/gen.py (imported, never changed). It has
-ten data files: a 220-day walk, two instruments, a usable and an
+twelve data files: a 220-day walk, two instruments, a usable and an
 unusable one, long/mid/short/unusable instruments, a 5-day series, a
 total loss, a gain past the float range, an `A/B` code, a `Q,"X` code,
-and 12 pool instruments of 1,500 days with 3 blank closes each. Each
+12 pool instruments of 1,500 days with 3 blank closes each, two
+instruments with CRLF line ends and blank closes (the last row's
+among them), and two of 1,500 days whose rows at every multiple of EDGE
+characters of the body have blank closes. load_csv reads plain
+text in blocks cut at a newline and sends any other (the `Q,"X` file's)
+to csv.reader, so the last two files put blank closes on the rows either
+side of each block's cut, and the corpus runs both paths. Each
 file gets ingest, denoise, analyze, compare, `compare --risk-free nan`,
 backtest and `optimize --pop 40 --max-gen 3` in each mode, and
 `optimize --pop 1` (optimize with --code of the file's first instrument
@@ -78,6 +84,12 @@ FORKING = ("denoise", "analyze", "backtest", "compare")
 # optimize with the default population, whose first generation splits
 # its backtests over several processes on a pool instrument.
 LARGE_GA = ["--max-gen", "1"]
+# A power of two up to the characters load_csv reads at a time
+# (macdlab.ingest.TEXT_BLOCK, 8 KiB): the "edges" file blanks the closes
+# of the rows at each multiple of it.
+EDGE = 4096
+# How each file is written when not with csv.writer's defaults.
+WRITE = {"crlf": {"newline": "\r\n"}, "edges": {"blank_edges": EDGE}}
 
 
 def walk(seed: int, n: int) -> np.ndarray:
@@ -99,7 +111,11 @@ def data_files() -> dict[str, list[tuple[str, list[date], np.ndarray]]]:
                                             1e200 * np.linspace(1.0, 0.95, 10)]))],
         "slash": [("A/B", walk(8, 120)), ("GOOD", walk(13, 120))],
         "quote": [('Q,"X', walk(21, 200)), ("PLAIN", walk(22, 200))],
+        "crlf": [("CR.A", walk(41, 300)), ("CR.B", walk(42, 300))],
+        "edges": [("EDGE.A", walk(31, 1500)), ("EDGE.B", walk(32, 1500))],
     }
+    for closes in (files["crlf"][0][1], files["crlf"][1][1]):
+        closes[[3, 150, len(closes) - 1]] = np.nan
     start = date(2014, 1, 2)
     out = {name: [(code, [start + timedelta(days=i) for i in range(len(closes))], closes)
                   for code, closes in instruments] for name, instruments in files.items()}
@@ -108,13 +124,24 @@ def data_files() -> dict[str, list[tuple[str, list[date], np.ndarray]]]:
     return out
 
 
-def write_data(path: Path, instruments) -> None:
+def write_data(path: Path, instruments, newline: str = "\n", blank_edges: int = 0) -> None:
+    """Write the instruments with csv.writer, `newline` ending each row;
+    with `blank_edges`, a row that holds a multiple of it, counted in
+    characters after the header, or ends within 30 characters before one
+    gets a blank close: the last row before each cut and the row across
+    it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator=newline)
         writer.writerow(["code", "date", "close"])
+        at = 0
         for code, dates, closes in instruments:
             for day, close in zip(dates, closes.tolist()):
-                writer.writerow([code, day.isoformat(), "" if close != close else repr(close)])
+                row = [code, day.isoformat(), "" if close != close else repr(close)]
+                end = at + len(",".join(row) + newline)
+                if blank_edges and at // blank_edges != (end + 30) // blank_edges:
+                    row[2] = ""
+                writer.writerow(row)
+                at += len(",".join(row) + newline)
 
 
 def corpus(data_dir: Path, smoke: bool) -> list[tuple[str, list[list[str]], dict[str, str], str]]:
@@ -127,7 +154,7 @@ def corpus(data_dir: Path, smoke: bool) -> list[tuple[str, list[list[str]], dict
     runs = []
     for name, instruments in files.items():
         data = data_dir / f"{name}.csv"
-        write_data(data, instruments)
+        write_data(data, instruments, **WRITE.get(name, {}))
         common = ["--data", str(data), "--out", "out"]
         code = ["--code", instruments[0][0]] if len(instruments) > 1 else []
         commands = [["ingest"], ["denoise"], ["analyze"], ["compare"],

@@ -10,24 +10,29 @@ Each panel of PANELS is a CSV of `instruments` x `days` rows (code, date,
 close), one seeded driftless walk per instrument,
 50 * exp(cumsum(N(0, 0.015))) rounded to 4 places, with BLANKS of its
 closes left empty for clean to drop, written to a temporary directory by
-a forked child. For each panel, REPEATS children are forked in turn,
-each loading and cleaning the file once; the parent takes each child's
-peak resident memory (ru_maxrss from wait4), and the child reports its
-resident memory when it starts (the import and this script, which the
-fork shares) and the seconds of its load_csv and clean calls. One more
+a forked child. The wide panel is also written with CRLF line ends, and
+with every code quoted: a `"` sends the rest of a file from load_csv's
+plain-text block path to csv.reader, so the quoted copy times that
+fallback beside the block path on the same rows. For each panel,
+REPEATS children are forked in turn, each loading and cleaning the file
+once; the parent takes each child's peak resident memory (ru_maxrss
+from wait4), and the child reports its resident memory when it starts
+(the import and this script, which the fork shares) and the seconds of
+its load_csv and clean calls. One more
 child loads the file under tracemalloc and reports the peak of the
 memory Python allocated during the call. Every child checks that it
 loaded every row and that clean dropped exactly the blank closes; a
 mismatch, or any error in a child, is printed to stderr and the harness
 exits with status 1.
 
---smoke runs one small panel once, to show that the harness and its
-checks still run.
+--smoke runs one small panel once in each of the three forms, to show
+that the harness and its checks still run.
 
-Prints one JSON line: the machine, the settings and, per panel, the
-rows, best_s (the best load + clean seconds), load_s and clean_s of
-every repeat, start_rss_mb and maxrss_mb of every repeat,
-tracemalloc_peak_b and tracemalloc_b_per_row.
+Prints one JSON line: the machine, the settings and, per panel, its
+line end and whether its codes are quoted, the rows, best_s (the best
+load + clean seconds), load_s and clean_s of every repeat, start_rss_mb
+and maxrss_mb of every repeat, tracemalloc_peak_b and
+tracemalloc_b_per_row.
 """
 
 from __future__ import annotations
@@ -51,23 +56,29 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from macdlab import clean, load_csv  # noqa: E402
 
-# (name, instruments, days): the first is perfbench's panel_backtest shape.
-PANELS = (("wide", 100, 1500), ("long", 25, 6000))
-SMOKE_PANELS = (("smoke", 10, 200),)
+# (name, instruments, days, line end, codes quoted): the wide panels have
+# perfbench's panel_backtest shape.
+PANELS = (("wide", 100, 1500, "\n", False), ("wide_crlf", 100, 1500, "\r\n", False),
+          ("wide_quoted", 100, 1500, "\n", True), ("long", 25, 6000, "\n", False))
+SMOKE_PANELS = (("smoke", 10, 200, "\n", False), ("smoke_crlf", 10, 200, "\r\n", False),
+                ("smoke_quoted", 10, 200, "\n", True))
 BLANKS, SEED, REPEATS = 3, 14, 5
 
 
-def write_panel(path: Path, instruments: int, days: int, seed: int) -> None:
+def write_panel(path: Path, instruments: int, days: int, seed: int, newline: str = "\n",
+                quoted: bool = False) -> None:
     rng = np.random.default_rng(seed)
     iso = [(date(2010, 1, 4) + timedelta(days=i)).isoformat() for i in range(days)]
+    quote = '"' if quoted else ""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("code,date,close\n")
+        fh.write("code,date,close" + newline)
         for k in range(instruments):
             closes = np.round(50.0 * np.exp(np.cumsum(rng.normal(0.0, 0.015, days))), 4)
             cells = list(map(repr, closes.tolist()))
             for i in rng.choice(np.arange(1, days - 1), size=BLANKS, replace=False).tolist():
                 cells[i] = ""
-            fh.writelines(f"I{k:03d},{day},{cell}\n" for day, cell in zip(iso, cells))
+            code = f"{quote}I{k:03d}{quote}"
+            fh.writelines(f"{code},{day},{cell}{newline}" for day, cell in zip(iso, cells))
 
 
 def load_and_clean(path: Path, instruments: int, days: int) -> tuple[float, float]:
@@ -131,9 +142,9 @@ def main(argv=None) -> None:
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, instruments, days in panels:
+        for name, instruments, days, newline, quoted in panels:
             path = Path(tmp) / f"{name}.csv"
-            in_child(lambda: write_panel(path, instruments, days, SEED) or {})
+            in_child(lambda: write_panel(path, instruments, days, SEED, newline, quoted) or {})
             load_s, clean_s, start_mb, maxrss_mb = [], [], [], []
             for _ in range(repeats):
                 reply, maxrss_kb = in_child(lambda: timed(path, instruments, days))
@@ -143,7 +154,8 @@ def main(argv=None) -> None:
                 maxrss_mb.append(maxrss_kb / 1024.0)
             peak_b = in_child(lambda: traced(path))[0]["peak_b"]
             rows = instruments * days
-            out[name] = {"instruments": instruments, "days": days, "rows": rows,
+            out[name] = {"instruments": instruments, "days": days, "newline": newline,
+                         "quoted": quoted, "rows": rows,
                          "best_s": min(map(sum, zip(load_s, clean_s))),
                          "load_s": load_s, "clean_s": clean_s,
                          "start_rss_mb": start_mb, "maxrss_mb": maxrss_mb,

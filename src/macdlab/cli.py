@@ -100,23 +100,78 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# The value types a flat JSON record holds: the C encoder writes each as
+# json.dumps(indent=2) does.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+# The C encoder, which json.dumps uses only without indent, with a line
+# break after every item: ensure_ascii escapes any newline in a string,
+# so each break in its text is one of these.
+_ITEM_PER_LINE = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
+
+
+def _flat(record) -> bool:
+    return (type(record) is dict and set(map(type, record)) == {str}
+            and set(map(type, record.values())) <= _SCALARS)
+
+
+def _json_text(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`.
+
+    A non-empty list of flat records (non-empty dicts of str keys and
+    scalar values) goes through the C encoder with a break after every
+    item, and the breaks are indented as indent=2 lays the list out: a
+    break between records, which alone follows a `}` (no scalar ends in
+    one), becomes `},` on a line of its own. Any other shape goes
+    through json.dumps.
+    """
+    if type(obj) is list and obj and all(map(_flat, obj)):
+        body = _ITEM_PER_LINE.encode(obj)[2:-2].replace(",\n", ",\n    ")
+        return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _write_json(path: Path, obj) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"  # no file if obj cannot be encoded
+    text = _json_text(obj) + "\n"  # no file if obj cannot be encoded
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+# str of each int8 value (a trade tag), indexed by the value's byte.
+_INT8_TEXT = np.array([str(v) for v in (*range(128), *range(-128, 0))], dtype=object)
+
+
+def _float_text(column: np.ndarray) -> list[str]:
+    """`repr` of each value of a float column as a Python float. A float64
+    column with runs of bit-identical values (equity is flat between
+    trades) is formatted once per run; comparing bits keeps -0.0 apart
+    from 0.0."""
+    values = len(column)
+    if column.dtype.itemsize == 8 and values > 1:
+        bits = column.view(np.int64)
+        change = np.empty(values, bool)
+        change[0] = True
+        np.not_equal(bits[1:], bits[:-1], out=change[1:])
+        starts = np.flatnonzero(change)
+        if 4 * len(starts) <= 3 * values:
+            texts = np.array(list(map(repr, column[starts].tolist())), dtype=object)
+            return np.repeat(texts, np.diff(starts, append=values)).tolist()
+    return list(map(repr, column.tolist()))
 
 
 def _text(column) -> list[str]:
     """The cells of one column, each as `_fmt` writes it.
 
     Whole numpy columns are formatted by dtype: `repr` of the Python
-    float (the text of `repr(float(x))`, `nan` included), `str` of the
-    Python int, and "1"/"0" for bools. Anything else goes cell by cell.
+    float (the text of `repr(float(x))`, `nan` included, `_float_text`),
+    `str` of the Python int (an int8's looked up), and "1"/"0" for bools.
+    Anything else goes cell by cell.
     """
     if isinstance(column, np.ndarray):
         kind = column.dtype.kind
         if kind == "f":
-            return list(map(repr, column.tolist()))
+            return _float_text(column)
+        if column.dtype == np.int8:
+            return _INT8_TEXT[column.view(np.uint8)].tolist()
         if kind in "iu":
             return list(map(str, column.tolist()))
         if kind == "b":
@@ -134,9 +189,13 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_cells(cells: list[str]) -> list[str]:
-    """A column's cells, passed through csv.writer only if one of them
-    holds a character it may quote (cells are never split across a row)."""
+def _csv_cells(column) -> list[str]:
+    """A column's cells as csv.writer writes them: passed through it only
+    if one of them holds a character it may quote (cells are never split
+    across a row). A numeric numpy column's text holds none."""
+    cells = _text(column)
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+        return cells
     joined = "".join(cells)
     if any(char in joined for char in _CSV_SPECIAL):
         return [_csv_cell(cell) for cell in cells]
@@ -157,7 +216,7 @@ def _write_csv(path: Path, header, columns) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(_csv_cells(list(header))) + "\n")
         for lo in range(0, rows, CSV_BLOCK_ROWS):
-            cells = [_csv_cells(_text(column[lo:lo + CSV_BLOCK_ROWS])) for column in columns]
+            cells = [_csv_cells(column[lo:lo + CSV_BLOCK_ROWS]) for column in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

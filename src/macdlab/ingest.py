@@ -8,6 +8,7 @@ import itertools
 import math
 import operator
 import re
+from array import array
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -65,11 +66,20 @@ def _blank(row: list[str]) -> bool:
 # of an optimize command on 4 x 2,500 rows by ~0.8 MB.
 BLOCK_ROWS = 512
 
+# Characters of the body read at a time; each block of text is cut after
+# its last newline, so it holds whole lines, and parsed without csv when
+# it can be (_Columns.add_plain). A block's cells are held as str objects
+# until parsed, and larger blocks parse no faster: 32 KiB ones took the
+# same time on a 100 x 1,500-row panel but raised a command's peak RSS by
+# 0.1-0.25 MB (2-core x86_64, Python 3.11).
+TEXT_BLOCK = 8 * 1024
+
 
 class _Columns:
     """The rows of one CSV file as compact columns, block by block: the
     id of each row's code (`ids`, stripped code -> id, in order of first
-    appearance), its date as a proleptic ordinal, and its close.
+    appearance), its date as a proleptic ordinal, and its close, each
+    column one growing array.
 
     The text of each distinct date cell is parsed once. A row of blank
     cells is skipped, and the first bad row raises a DataError naming it.
@@ -81,11 +91,40 @@ class _Columns:
         self.min_len = max(i_code, i_date, i_close) + 1
         self.ids: dict[str, int] = {}
         self.ordinal: dict[str, int] = {}  # each distinct date text -> ordinal
-        self.blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.code_id: dict[str, int] = {}  # each distinct code text of a plain block -> id
+        self.codes, self.days, self.closes = array("i"), array("i"), array("d")
+
+    def _day(self, raw_date: str) -> int:
+        """The ordinal of a date cell's text, cached; ValueError if it is no date."""
+        text = raw_date.strip()
+        # fromisoformat reads more forms from Python 3.11 on
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+            raise ValueError("not YYYY-MM-DD")
+        day = self.ordinal[raw_date] = date.fromisoformat(text).toordinal()
+        return day
+
+    def _code(self, raw_code: str) -> int:
+        """The id of a code cell's text, cached; ValueError if it is blank."""
+        code = raw_code.strip()
+        if not code:
+            raise ValueError("empty instrument code")
+        code_id = self.code_id[raw_code] = self.ids.setdefault(code, len(self.ids))
+        return code_id
+
+    @staticmethod
+    def _lookup(cache: dict, cells: list[str], parse) -> list:
+        """`cache`'s value of each cell, `parse(cell)` filling it for a
+        distinct cell it lacks."""
+        try:
+            return list(map(cache.__getitem__, cells))
+        except KeyError:
+            for cell in set(cells).difference(cache):
+                parse(cell)
+            return list(map(cache.__getitem__, cells))
 
     def add(self, rows: list[list[str]], lineno: int) -> None:
         """Parse `rows`, the first of them on record `lineno` of the file,
-        one row at a time into three typed columns."""
+        one row at a time into the three columns."""
         path, codes, days, closes = self.path, [], [], []
         for lineno, row in enumerate(rows, start=lineno):
             if len(row) < self.min_len:
@@ -100,12 +139,8 @@ class _Columns:
             raw_date = row[self.i_date]
             day = self.ordinal.get(raw_date)
             if day is None:
-                text = raw_date.strip()
                 try:
-                    # fromisoformat reads more forms from Python 3.11 on
-                    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
-                        raise ValueError("not YYYY-MM-DD")
-                    day = self.ordinal[raw_date] = date.fromisoformat(text).toordinal()
+                    day = self._day(raw_date)
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: bad date {raw_date!r}: {exc}") from None
             try:
@@ -119,8 +154,54 @@ class _Columns:
             codes.append(self.ids.setdefault(code, len(self.ids)))
             days.append(day)
             closes.append(close)
-        self.blocks.append((np.array(codes, np.int32), np.array(days, np.int32),
-                            np.array(closes, float)))
+        self.codes.fromlist(codes)
+        self.days.fromlist(days)
+        self.closes.fromlist(closes)
+
+    def add_plain(self, text: str, width: int) -> bool:
+        """Parse `text`, whole lines holding no `"`, as `add` parses csv's
+        rows of it, when that needs none of `add`'s row checks: True, or
+        False, with nothing added, when a line is not `width` cells, a
+        code is blank, a date or a close bad, or the text holds a NUL, a
+        lone CR or more characters than csv reads in a field.
+
+        The lines are cut into cells by one split, with a newline cell
+        after each line's last: a line of any other width moves those
+        markers off their stride, though the cell total may still add up.
+        Each distinct code is stripped once, each distinct date parsed
+        once, and a blank close is NaN, as in `add`.
+        """
+        if "\0" in text or len(text) > csv.field_size_limit():  # csv before 3.11 rejects a NUL
+            return False
+        if "\r" in text:
+            if text.count("\r") != text.count("\r\n"):
+                return False
+            text = text.replace("\r\n", "\n")  # csv ends a line at CRLF as at LF
+        if not text.endswith("\n"):
+            text += "\n"  # the file's last line
+        lines, stride = text.count("\n"), width + 1
+        cells = text.replace("\n", ",\n,").split(",")
+        cells.pop()  # the empty cell after the last newline
+        if len(cells) != lines * stride or cells[width::stride].count("\n") != lines:
+            return False
+        close_cells = cells[self.i_close::stride]
+        try:
+            at = -1
+            while True:
+                at = close_cells.index("", at + 1)
+                close_cells[at] = "nan"
+        except ValueError:
+            pass
+        try:
+            closes = list(map(float, close_cells))
+            days = self._lookup(self.ordinal, cells[self.i_date::stride], self._day)
+            codes = self._lookup(self.code_id, cells[self.i_code::stride], self._code)
+        except ValueError:
+            return False
+        self.codes.fromlist(codes)
+        self.days.fromlist(days)
+        self.closes.fromlist(closes)
+        return True
 
     def series(self) -> list[PriceSeries]:
         """One PriceSeries per code, sorted by code, each by date. A code
@@ -130,11 +211,16 @@ class _Columns:
         names = sorted(self.ids)
         rank = np.empty(len(names), np.int32)
         rank[[self.ids[name] for name in names]] = np.arange(len(names), dtype=np.int32)
-        codes, days, closes = map(np.concatenate, zip(*self.blocks))
-        self.blocks.clear()
-        codes = rank[codes]
-        order = np.lexsort((days, codes))
-        codes, days, closes = codes[order], days[order], closes[order]
+        # Each column's buffer is let go once it is sorted, so the sort
+        # holds at most one column twice.
+        codes = rank[np.frombuffer(self.codes, np.intc)]
+        self.codes = None
+        order = np.lexsort((np.frombuffer(self.days, np.intc), codes))
+        codes = codes[order]
+        days = np.frombuffer(self.days, np.intc)[order]
+        self.days = None
+        closes = np.frombuffer(self.closes)[order]
+        self.closes = None
         del order
         twice = np.flatnonzero((codes[1:] == codes[:-1]) & (days[1:] == days[:-1]))
         if twice.size:
@@ -160,10 +246,12 @@ def load_csv(path: str | Path) -> list[PriceSeries]:
     field longer than csv reads. A path that cannot be opened (missing,
     a directory, unreadable) is an error naming it.
 
-    The file is streamed in blocks of BLOCK_ROWS rows into typed columns
-    (an int32 code id and date ordinal and a float64 close per row), so
-    the rows are never all held as Python objects; one sort by code and
-    date then splits the columns into the series.
+    The body is streamed in blocks of about TEXT_BLOCK characters into
+    typed columns (an int32 code id and date ordinal and a float64 close
+    per row), so the rows are never all held as Python objects; one sort
+    by code and date then splits the columns into the series. A block of
+    plain lines is cut into cells by one split; any other goes through
+    csv.reader, from the first `"` on to the end of the file.
     """
     path = Path(path)
     try:
@@ -187,25 +275,68 @@ def load_csv(path: str | Path) -> list[PriceSeries]:
                         "is not UTF-8") from None
 
 
+def _blocks(fh):
+    """The rest of the open file `fh` about TEXT_BLOCK characters at a
+    time, as (text, carry): the text up to the last newline read (the
+    file's last line once it is all read) and what was read past it."""
+    carry = ""
+    while chunk := fh.read(TEXT_BLOCK):
+        text = carry + chunk
+        cut = text.rfind("\n") + 1
+        text, carry = text[:cut], text[cut:]
+        if text:
+            yield text, carry
+    if carry:
+        yield carry, ""
+
+
 def _read(path: Path, fh) -> _Columns:
     """The rows of the open CSV file `fh` as _Columns, its header checked.
     A record csv cannot read is a DataError naming its line, raised after a
-    bad row before it; text that is not UTF-8 raises UnicodeDecodeError."""
+    bad row before it; text that is not UTF-8 raises UnicodeDecodeError.
+
+    Records are numbered as csv.reader yields them, and csv's errors name
+    the file's physical line; a plain block's records are its lines."""
     reader = csv.reader(fh)
     try:
         header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file, header row required")
-        names = [name.strip().lower() for name in header]
-        missing = [c for c in REQUIRED_COLUMNS if c not in names]
-        if missing:
-            raise DataError(f"{path}: missing required column(s): {', '.join(missing)}")
-        twice = [c for c in REQUIRED_COLUMNS if names.count(c) > 1]
-        if twice:
-            raise DataError(f"{path}: required column(s) named more than once: {', '.join(twice)}")
-        positions = {name: i for i, name in enumerate(names)}
-        columns = _Columns(path, *(positions[c] for c in REQUIRED_COLUMNS))
-        lineno = 2
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file, header row required")
+    names = [name.strip().lower() for name in header]
+    missing = [c for c in REQUIRED_COLUMNS if c not in names]
+    if missing:
+        raise DataError(f"{path}: missing required column(s): {', '.join(missing)}")
+    twice = [c for c in REQUIRED_COLUMNS if names.count(c) > 1]
+    if twice:
+        raise DataError(f"{path}: required column(s) named more than once: {', '.join(twice)}")
+    positions = {name: i for i, name in enumerate(names)}
+    columns = _Columns(path, *(positions[c] for c in REQUIRED_COLUMNS))
+    lines, lineno = reader.line_num, 2  # lines read, and the next record's number
+    for text, carry in _blocks(fh):
+        if '"' in text:
+            # A quoted field may hold a newline: csv reads the rest of the file.
+            rest = io.StringIO(text + carry + fh.readline(), newline="")
+            _add_records(path, columns, csv.reader(itertools.chain(rest, fh)), lineno, lines)
+            break
+        if columns.add_plain(text, len(header)):
+            count = text.count("\n")  # after the file's last line, no count is read
+            lines, lineno = lines + count, lineno + count
+        else:
+            block = csv.reader(io.StringIO(text, newline=""))
+            lineno = _add_records(path, columns, block, lineno, lines)
+            lines += block.line_num
+    return columns
+
+
+def _add_records(path: Path, columns: _Columns, reader, lineno: int, lines: int) -> int:
+    """Add the rows of `reader`, the first of them record `lineno` and
+    its first line the one after line `lines` of the file, to `columns`
+    BLOCK_ROWS at a time; the number of the record after them. A record
+    csv cannot read is a DataError naming its line, raised after any bad
+    row before it."""
+    try:
         while True:
             rows: list[list[str]] = []
             try:
@@ -214,11 +345,11 @@ def _read(path: Path, fh) -> _Columns:
                 columns.add(rows, lineno)
                 raise
             if not rows:
-                return columns
+                return lineno
             columns.add(rows, lineno)
             lineno += len(rows)
     except csv.Error as exc:
-        raise DataError(f"{path}:{reader.line_num}: {exc}") from None
+        raise DataError(f"{path}:{lines + reader.line_num}: {exc}") from None
 
 
 def save_csv(series_list: list[PriceSeries], path: str | Path) -> None:

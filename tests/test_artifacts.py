@@ -3,6 +3,7 @@ csv.writer reference in oracles.write_csv_rows, and of its JSON
 artifacts with records whose keys are written out here."""
 
 import json
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -149,6 +150,78 @@ class TestWriter:
         _write_csv(tmp_path / "got.csv", header, arrays)
         assert (tmp_path / "got.csv").read_bytes() == expected_bytes(
             tmp_path, header, zip(*arrays))
+
+
+class TestText:
+    """`_text` against `repr(float(v))` and `str(v)`, cell by cell."""
+
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.5, -2.25, 1e-300]),
+        st.integers(1, 5)), max_size=12), st.sampled_from([np.float64, np.float32]))
+    def test_float_runs(self, runs, dtype):
+        column = np.array([v for v, n in runs for _ in range(n)], dtype=dtype)
+        assert cli._text(column) == [repr(float(v)) for v in column]
+
+    def test_float_runs_of_nan_payloads_and_signed_zeros(self):
+        bits = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                         0x8000000000000000, 0], dtype=np.uint64)
+        column = np.repeat(bits.view(np.float64), 3)
+        assert cli._text(column) == ["nan"] * 9 + ["-0.0"] * 3 + ["0.0"] * 3
+        assert cli._text(column[::2]) == [repr(float(v)) for v in column[::2]]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
+    def test_every_byte_value(self, dtype):
+        info = np.iinfo(dtype)
+        column = np.arange(info.min, info.max + 1).astype(dtype)
+        assert cli._text(column) == [str(v) for v in range(info.min, info.max + 1)]
+        assert cli._text(column[::-3]) == [str(int(v)) for v in column[::-3]]
+
+
+JSON_TEXT = st.text(alphabet=st.sampled_from('{},"\n\\:[] aé€\u2028\x00\t'), max_size=6)
+JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), JSON_TEXT,
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestJsonText:
+    """`_json_text` against `json.dumps(obj, indent=2, sort_keys=True)`."""
+
+    @given(st.lists(st.dictionaries(JSON_TEXT, JSON_SCALAR, min_size=1, max_size=6),
+                    min_size=1, max_size=5))
+    def test_flat_records(self, records):
+        assert cli._json_text(records) == json.dumps(records, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [
+        [],
+        [{}],
+        [{"a": 1}, {}],
+        [{"a": [1.0, 2.0]}],
+        [{"a": {"b": None}}],
+        [{"a": (1, 2)}],
+        [{"a": np.float64(1.5)}],
+        [{"a": np.int64(2)}],
+        [{1: "x"}],
+        [{"a": 1}, {None: 2}],
+        {"a": 1.5, "b": "x"},
+        ["a", 1],
+        [[{"a": 1}]],
+        ({"a": 1},),
+    ])
+    def test_other_shapes(self, obj):
+        try:
+            expected = json.dumps(obj, indent=2, sort_keys=True)
+        except TypeError as exc:  # a numpy int is no JSON value
+            with pytest.raises(TypeError, match=str(exc)):
+                cli._json_text(obj)
+            return
+        assert cli._json_text(obj) == expected
+
+    def test_flat_records_skip_the_python_encoder(self, monkeypatch):
+        records = [{"b": 1.5, "a": "x"}, {"a": None, "b": 2**64}]
+        expected = json.dumps(records, indent=2, sort_keys=True)
+        monkeypatch.setattr(json, "dumps", None)
+        assert cli._json_text(records) == expected
 
 
 ODD_CODES = ['A,"B', "C\rD", "E\nF", "G"]

@@ -185,18 +185,78 @@ BLOCK_INPUTS = [
 ]
 
 
+def plain_lines(count, code="A", start=0):
+    return "".join(f"{code},{date(2014, 1, 1) + timedelta(days=start + i)},{i + 1}.5\n"
+                   for i in range(count))
+
+
+# Files for the plain-text block path (ingest._Columns.add_plain), cut
+# into text blocks of a few characters and at the default size: what
+# sends a block, or the rest of the file, to csv.reader, and what the
+# block path must read as csv does.
+PLAIN = "code,date,close\n" + plain_lines(40)
+TEXT_BLOCK_INPUTS = [
+    # a line longer than a block, and one longer than csv's field limit
+    "code,date,close\nA,2014-01-01,1\nA,2014-01-02," + " " * 300 + "2\nA,2014-01-03,3\n",
+    PLAIN + f"A,2014-03-01,{'1' * 140_000}\nA,2014-03-02,x\n",
+    # no final newline, with a blank close on that line
+    "code,date,close\nA,2014-01-01,1\nA,2014-01-02,2\nA,2014-01-03,",
+    "code,date,close\r\nA,2014-01-01,1\r\nA,2014-01-02,",
+    # the first quote, lone CR or NUL in a later block, then a bad row
+    PLAIN + '"B\nC",2014-01-01,1\nB,2014-01-02,2\n' + plain_lines(5, "D") + "D,2014-01-0x,1\n",
+    PLAIN + 'B,2014-01-01,"1"\n' + plain_lines(5, "D") + f"D,2014-01-09,{'1' * 140_000}\n",
+    PLAIN + "B,2014-01-01,1\rB,2014-01-02,2\n" + plain_lines(5, "D") + "D,2014-01-09,z\n",
+    PLAIN + "B,2014-01-01,1\rB,2014-01-02,2\n" + plain_lines(5, "D"),
+    PLAIN + "B,2014-01-01,1\rB,2014-01-02,2\n" + plain_lines(5, "D") + f"D,2014-01-09,{'1' * 140_000}\n",
+    PLAIN + "B\0,2014-01-01,1\n" + plain_lines(5, "D") + "D\0,2014-01-09,\n",
+    PLAIN + "B\0,2014-01-01,1\n" + plain_lines(5, "D") + "D,2014-01-09, 7 x\n",
+    # ragged rows whose cells add up to whole rows
+    "code,date,close\na,b\nc,d,e,f\n",
+    PLAIN + "B,2014-01-01\nB,2014-01-02,1,2\n",
+    "code,date,close,note\nA,2014-01-01,1\nA,2014-01-02,2,n,x\n" + plain_lines(6, "B"),
+    "code,date,close,note\nA,2014-01-01,1\nx,B,2014-01-02,2,n\n",
+    "code,date,close,note\nA,2014-01-01,1,n\rx\nA,2014-01-02,2,n\n",
+    # whitespace-only closes, and blank closes on many lines
+    PLAIN + "B,2014-01-01, \nB,2014-01-02,\t\nB,2014-01-03,3\n",
+    "code,date,close\n" + "".join(f"A,{date(2014, 1, 1) + timedelta(days=i)},{'' if i % 3 else i}\n"
+                                  for i in range(30)),
+    # blank rows in mid-file
+    PLAIN + "\n,,\n \t\n" + plain_lines(5, "B"),
+    PLAIN + ",,\n" + plain_lines(5, "B") + ", ,x\n",
+    # codes that differ only by spaces: one instrument
+    PLAIN + " A,2014-03-01,1\nA ,2014-03-02,2\n\tA,2014-03-03,3\n",
+    # CRLF line ends, a bad row among them
+    PLAIN.replace("\n", "\r\n") + "B,2014-01-01,\r\n",
+    PLAIN.replace("\n", "\r\n") + "B,2014-01-01,5\r\nB,2014-02-30,6\r\n",
+    # bad cells in a later block: each block checks its own
+    PLAIN + "B,2014-01-01,x\n",
+    PLAIN + ",2014-01-01,1\n",
+    PLAIN + "B,2014-13-01,1\n",
+]
+CORPUS = BAD_INPUTS + GOOD_INPUTS + BLOCK_INPUTS + [
+    pytest.param(text, id=f"text_block_{i}") for i, text in enumerate(TEXT_BLOCK_INPUTS)]
+
+
 class TestLoadCsvMatchesRowLoop:
     """The block-streaming loader against the naive row loop, at the
-    default block size and at blocks of 1-3 rows."""
+    default block sizes, at csv blocks of 1-3 rows and at text blocks of
+    a few characters."""
 
-    @pytest.mark.parametrize("text", BAD_INPUTS + GOOD_INPUTS + BLOCK_INPUTS)
+    @pytest.mark.parametrize("text", CORPUS)
     def test_corpus(self, tmp_path, text):
         same_as_naive(write(tmp_path, text))
 
     @pytest.mark.parametrize("block_rows", [1, 2, 3])
-    @pytest.mark.parametrize("text", BAD_INPUTS + GOOD_INPUTS + BLOCK_INPUTS)
+    @pytest.mark.parametrize("text", CORPUS)
     def test_corpus_in_small_blocks(self, tmp_path, monkeypatch, text, block_rows):
         monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        same_as_naive(write(tmp_path, text))
+
+    @pytest.mark.parametrize("text_block", [1, 7, 40, 100])
+    @pytest.mark.parametrize("text", CORPUS)
+    def test_corpus_in_small_text_blocks(self, tmp_path, monkeypatch, text, text_block):
+        monkeypatch.setattr(ingest, "TEXT_BLOCK", text_block)
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 2)
         same_as_naive(write(tmp_path, text))
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -211,10 +271,12 @@ class TestLoadCsvMatchesRowLoop:
         st.sampled_from(["\n", "\r\n"]),
         st.lists(st.integers(0, 12), max_size=3),
         st.sampled_from([1, 2, 3, ingest.BLOCK_ROWS]),
+        st.sampled_from([1, 5, 24, ingest.TEXT_BLOCK]),
     )
     def test_fuzzed_files(self, tmp_path, monkeypatch, columns, rows, newline, blank_at,
-                          block_rows):
+                          block_rows, text_block):
         monkeypatch.setattr(ingest, "BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(ingest, "TEXT_BLOCK", text_block)
         lines = [",".join(columns)]
         for row in rows:
             cells = dict(zip(("code", "date", "close", "note"), row))
@@ -238,7 +300,7 @@ def test_bad_row_before_undecodable_text_is_reported(tmp_path, monkeypatch):
     """A read that fails part-way through a block (text past the first
     8 KiB that is not UTF-8) comes after the bad rows before it, and is
     a data error naming the bad byte's line."""
-    monkeypatch.setattr(ingest, "BLOCK_ROWS", 2000)  # one block holds the whole file
+    monkeypatch.setattr(ingest, "TEXT_BLOCK", 1 << 20)  # one block holds the whole file
     good = "".join(f"A,{date(2014, 1, 1) + timedelta(days=i)},1\n" for i in range(1, 1000))
     path = tmp_path / "prices.csv"
     path.write_bytes(f"code,date,close\nA,2014-01-01,x\n{good}B,2014-01-01,\xff\n".encode("latin-1"))
@@ -291,6 +353,25 @@ def test_overlong_field_names_its_line(tmp_path, monkeypatch, text, message, blo
     path = write(tmp_path, text)
     with pytest.raises(DataError, match=r"prices\.csv" + message):
         load_csv(path)
+    same_as_naive(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("text_block", [64, ingest.TEXT_BLOCK])
+def test_plain_text_never_reaches_csv(tmp_path, monkeypatch, newline, text_block):
+    """Plain lines, blank closes, codes padded with spaces and the last
+    line's missing newline included, are read by the block path alone."""
+    monkeypatch.setattr(ingest, "TEXT_BLOCK", text_block)
+    monkeypatch.setattr(ingest._Columns, "add", None)  # csv's rows would call it
+    lines = ["code,date,close"] + [
+        f"{' A' if i % 5 else 'B '},{date(2014, 1, 1) + timedelta(days=i)},{i if i % 7 else ''}"
+        for i in range(400)]
+    path = tmp_path / "plain.csv"
+    path.write_text(newline.join(lines), encoding="utf-8", newline="")
+    got = load_csv(path)
+    assert [(s.code, len(s)) for s in got] == [("A", 320), ("B", 80)]
+    assert int(np.isnan(got[0].closes).sum()) + int(np.isnan(got[1].closes).sum()) == 58
+    monkeypatch.undo()
     same_as_naive(path)
 
 
