@@ -21,9 +21,10 @@ total loss, a gain past the float range, an `A/B` code, a `Q,"X` code,
 instruments with CRLF line ends and blank closes (the last row's
 among them), and two of 1,500 days whose rows at every multiple of EDGE
 characters of the body have blank closes. load_csv reads plain
-text in blocks cut at a newline and sends any other (the `Q,"X` file's)
-to csv.reader, so the last two files put blank closes on the rows either
-side of each block's cut, and the corpus runs both paths. Each
+text in blocks cut at a newline and sends the rest of a file, from its
+first other block (the `Q,"X` file's), to csv.reader, so the last two
+files put blank closes on the rows either side of each block's cut, and
+the corpus runs both paths. Each
 file gets ingest, denoise, analyze, compare, `compare --risk-free nan`,
 backtest and `optimize --pop 40 --max-gen 3` in each mode, and
 `optimize --pop 1` (optimize with --code of the file's first instrument

@@ -11,14 +11,15 @@ close), one seeded driftless walk per instrument,
 50 * exp(cumsum(N(0, 0.015))) rounded to 4 places, with BLANKS of its
 closes left empty for clean to drop, written to a temporary directory by
 a forked child. The wide panel is also written with CRLF line ends, and
-with every code quoted: a `"` sends the rest of a file from load_csv's
-plain-text block path to csv.reader, so the quoted copy times that
-fallback beside the block path on the same rows. For each panel,
-REPEATS children are forked in turn, each loading and cleaning the file
-once; the parent takes each child's peak resident memory (ru_maxrss
-from wait4), and the child reports its resident memory when it starts
-(the import and this script, which the fork shares) and the seconds of
-its load_csv and clean calls. One more
+with every code quoted: the first block that load_csv's plain-text block
+path rejects (in the quoted copy the first, for its `"`) sends the rest
+of the file to csv.reader, so the quoted copy times that fallback beside
+the block path on the same rows. For each panel, REPEATS children are
+forked in turn, each loading and cleaning the file once; the parent
+takes each child's peak resident memory (ru_maxrss) and CPU seconds
+(ru_utime + ru_stime) from wait4, and the child reports its resident
+memory when it starts (the import and this script, which the fork
+shares) and the seconds of its load_csv and clean calls. One more
 child loads the file under tracemalloc and reports the peak of the
 memory Python allocated during the call. Every child checks that it
 loaded every row and that clean dropped exactly the blank closes; a
@@ -30,9 +31,11 @@ that the harness and its checks still run.
 
 Prints one JSON line: the machine, the settings and, per panel, its
 line end and whether its codes are quoted, the rows, best_s (the best
-load + clean seconds), load_s and clean_s of every repeat, start_rss_mb
-and maxrss_mb of every repeat, tracemalloc_peak_b and
-tracemalloc_b_per_row.
+load + clean seconds), best_cpu_s (the least CPU seconds of a repeat's
+child), load_s, clean_s and cpu_s of every repeat, start_rss_mb and
+maxrss_mb of every repeat, tracemalloc_peak_b and tracemalloc_b_per_row.
+A child's CPU seconds are its whole life's, from the fork to its exit;
+unlike wall seconds they leave out the time it waits for a core.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ def load_and_clean(path: Path, instruments: int, days: int) -> tuple[float, floa
     return loaded - start, done - loaded
 
 
-def in_child(work) -> tuple[dict, int]:
-    """Run `work()` in a forked child; its JSON reply and the child's ru_maxrss (KiB)."""
+def in_child(work) -> tuple[dict, resource.struct_rusage]:
+    """Run `work()` in a forked child; its JSON reply and the child's resource usage."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -117,7 +120,7 @@ def in_child(work) -> tuple[dict, int]:
     code = os.waitstatus_to_exitcode(status)
     if code != 0 or not data:
         sys.exit(f"ingest: a child ended without a reply (exit code {code})")
-    return json.loads(data), usage.ru_maxrss
+    return json.loads(data), usage
 
 
 def timed(path: Path, instruments: int, days: int) -> dict:
@@ -145,19 +148,21 @@ def main(argv=None) -> None:
         for name, instruments, days, newline, quoted in panels:
             path = Path(tmp) / f"{name}.csv"
             in_child(lambda: write_panel(path, instruments, days, SEED, newline, quoted) or {})
-            load_s, clean_s, start_mb, maxrss_mb = [], [], [], []
+            load_s, clean_s, cpu_s, start_mb, maxrss_mb = [], [], [], [], []
             for _ in range(repeats):
-                reply, maxrss_kb = in_child(lambda: timed(path, instruments, days))
+                reply, usage = in_child(lambda: timed(path, instruments, days))
                 load_s.append(reply["load_s"])
                 clean_s.append(reply["clean_s"])
+                cpu_s.append(usage.ru_utime + usage.ru_stime)
                 start_mb.append(reply["start_kb"] / 1024.0)
-                maxrss_mb.append(maxrss_kb / 1024.0)
+                maxrss_mb.append(usage.ru_maxrss / 1024.0)
             peak_b = in_child(lambda: traced(path))[0]["peak_b"]
             rows = instruments * days
             out[name] = {"instruments": instruments, "days": days, "newline": newline,
                          "quoted": quoted, "rows": rows,
                          "best_s": min(map(sum, zip(load_s, clean_s))),
-                         "load_s": load_s, "clean_s": clean_s,
+                         "best_cpu_s": min(cpu_s),
+                         "load_s": load_s, "clean_s": clean_s, "cpu_s": cpu_s,
                          "start_rss_mb": start_mb, "maxrss_mb": maxrss_mb,
                          "tracemalloc_peak_b": peak_b, "tracemalloc_b_per_row": peak_b / rows}
     print(json.dumps({

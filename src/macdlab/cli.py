@@ -161,10 +161,10 @@ def _float_text(column: np.ndarray) -> list[str]:
 def _text(column) -> list[str]:
     """The cells of one column, each as `_fmt` writes it.
 
-    Whole numpy columns are formatted by dtype: `repr` of the Python
-    float (the text of `repr(float(x))`, `nan` included, `_float_text`),
-    `str` of the Python int (an int8's looked up), and "1"/"0" for bools.
-    Anything else goes cell by cell.
+    Float, int8 and bool numpy columns are formatted whole: `repr` of
+    the Python float (the text of `repr(float(x))`, `nan` included,
+    `_float_text`), `str` of the int8 (looked up), and "1"/"0". Anything
+    else goes cell by cell.
     """
     if isinstance(column, np.ndarray):
         kind = column.dtype.kind
@@ -172,8 +172,6 @@ def _text(column) -> list[str]:
             return _float_text(column)
         if column.dtype == np.int8:
             return _INT8_TEXT[column.view(np.uint8)].tolist()
-        if kind in "iu":
-            return list(map(str, column.tolist()))
         if kind == "b":
             return ["1" if v else "0" for v in column.tolist()]
     return [v if type(v) is str else _fmt(v) for v in column]
@@ -294,8 +292,15 @@ class _Run:
         (only plain names directly inside --out), move each artifact, then
         the manifest, into --out (made here), and print a `wrote` line for
         each, in write order. The manifest records every option but --data
-        and --out, a MacdParams as its list."""
+        and --out, a MacdParams as its list. A directory in --out where an
+        artifact or the manifest goes (a symlink is replaced like a file) is
+        a config error, raised before anything in --out changes."""
         args = self.args
+        names = [*self.written, "manifest.json"]
+        staging, out = f"{self.staging}/", f"{self.out}/"  # str joins cost less than Paths
+        for name in names:
+            if os.path.isdir(out + name) and not os.path.islink(out + name):
+                raise ConfigError(f"--out {args.out}: {out + name} is a directory")
         options = {name: list(value.as_tuple()) if isinstance(value, MacdParams) else value
                    for name, value in vars(args).items()
                    if name not in ("command", "func", "data", "out")}
@@ -319,8 +324,6 @@ class _Run:
                 if Path(name).name == name and (self.out / name).is_file():
                     (self.out / name).unlink()
         self.out.mkdir(parents=True, exist_ok=True)
-        names = [*self.written, "manifest.json"]
-        staging, out = f"{self.staging}/", f"{self.out}/"  # str joins cost less than Paths
         for name in names:
             os.replace(staging + name, out + name)
         print(*(f"wrote {self.out / name}" for name in names), sep="\n")

@@ -60,18 +60,18 @@ def _blank(row: list[str]) -> bool:
     return all(not cell.strip() for cell in row)
 
 
-# csv.reader rows read and parsed per block. A block's rows are held
-# whole until parsed, each a list of str cells at ~15x the memory of its
-# parsed columns, so blocks stay small: 4,096 rows raised the peak RSS
-# of an optimize command on 4 x 2,500 rows by ~0.8 MB.
+# Rows of the csv tail (_read) read and parsed at a time, each held as a
+# list of str cells at ~15x the memory of its parsed columns until then:
+# 4,096 rows raised the peak RSS of an optimize command on 4 x 2,500 rows
+# by ~0.8 MB, when every row went through csv.reader.
 BLOCK_ROWS = 512
 
-# Characters of the body read at a time; each block of text is cut after
-# its last newline, so it holds whole lines, and parsed without csv when
-# it can be (_Columns.add_plain). A block's cells are held as str objects
-# until parsed, and larger blocks parse no faster: 32 KiB ones took the
-# same time on a 100 x 1,500-row panel but raised a command's peak RSS by
-# 0.1-0.25 MB (2-core x86_64, Python 3.11).
+# Characters of the body read at a time, cut after the last newline, for
+# _Columns.add_plain up to the first block it rejects (csv.reader reads
+# the rest). A block's cells are held as str objects until parsed, and
+# larger blocks parse no faster: 32 KiB ones took the same time on a
+# 100 x 1,500-row panel but raised a command's peak RSS by 0.1-0.25 MB
+# (2-core x86_64, Python 3.11).
 TEXT_BLOCK = 8 * 1024
 
 
@@ -159,11 +159,11 @@ class _Columns:
         self.closes.fromlist(closes)
 
     def add_plain(self, text: str, width: int) -> bool:
-        """Parse `text`, whole lines holding no `"`, as `add` parses csv's
-        rows of it, when that needs none of `add`'s row checks: True, or
+        """Parse `text`, whole lines, as `add` parses csv's rows of it, when
+        that needs none of csv's quoting or `add`'s row checks: True, or
         False, with nothing added, when a line is not `width` cells, a
-        code is blank, a date or a close bad, or the text holds a NUL, a
-        lone CR or more characters than csv reads in a field.
+        code is blank, a date or a close bad, or the text holds a `"`, a
+        NUL, a lone CR or more characters than csv reads in a field.
 
         The lines are cut into cells by one split, with a newline cell
         after each line's last: a line of any other width moves those
@@ -171,8 +171,8 @@ class _Columns:
         Each distinct code is stripped once, each distinct date parsed
         once, and a blank close is NaN, as in `add`.
         """
-        if "\0" in text or len(text) > csv.field_size_limit():  # csv before 3.11 rejects a NUL
-            return False
+        if '"' in text or "\0" in text or len(text) > csv.field_size_limit():
+            return False  # csv unquotes a `"`, and before 3.11 rejects a NUL
         if "\r" in text:
             if text.count("\r") != text.count("\r\n"):
                 return False
@@ -249,9 +249,9 @@ def load_csv(path: str | Path) -> list[PriceSeries]:
     The body is streamed in blocks of about TEXT_BLOCK characters into
     typed columns (an int32 code id and date ordinal and a float64 close
     per row), so the rows are never all held as Python objects; one sort
-    by code and date then splits the columns into the series. A block of
-    plain lines is cut into cells by one split; any other goes through
-    csv.reader, from the first `"` on to the end of the file.
+    by code and date then splits the columns into the series. Blocks of
+    plain lines are cut into cells by one split each, up to the first other
+    block, from which one csv.reader reads to the end of the file.
     """
     path = Path(path)
     try:
@@ -296,7 +296,7 @@ def _read(path: Path, fh) -> _Columns:
     bad row before it; text that is not UTF-8 raises UnicodeDecodeError.
 
     Records are numbered as csv.reader yields them, and csv's errors name
-    the file's physical line; a plain block's records are its lines."""
+    the file's physical line; before the csv tail each line is a record."""
     reader = csv.reader(fh)
     try:
         header = next(reader, None)
@@ -313,29 +313,23 @@ def _read(path: Path, fh) -> _Columns:
         raise DataError(f"{path}: required column(s) named more than once: {', '.join(twice)}")
     positions = {name: i for i, name in enumerate(names)}
     columns = _Columns(path, *(positions[c] for c in REQUIRED_COLUMNS))
-    lines, lineno = reader.line_num, 2  # lines read, and the next record's number
+    plain = 0  # body lines add_plain parsed, each one record
     for text, carry in _blocks(fh):
-        if '"' in text:
-            # A quoted field may hold a newline: csv reads the rest of the file.
+        if not columns.add_plain(text, len(header)):
+            # A `"` may open a quoted field that holds newlines: csv reads the rest.
             rest = io.StringIO(text + carry + fh.readline(), newline="")
-            _add_records(path, columns, csv.reader(itertools.chain(rest, fh)), lineno, lines)
+            _add_records(path, columns, csv.reader(itertools.chain(rest, fh)),
+                         2 + plain, reader.line_num + plain)
             break
-        if columns.add_plain(text, len(header)):
-            count = text.count("\n")  # after the file's last line, no count is read
-            lines, lineno = lines + count, lineno + count
-        else:
-            block = csv.reader(io.StringIO(text, newline=""))
-            lineno = _add_records(path, columns, block, lineno, lines)
-            lines += block.line_num
+        plain += text.count("\n")  # after the file's last line, no count is read
     return columns
 
 
-def _add_records(path: Path, columns: _Columns, reader, lineno: int, lines: int) -> int:
+def _add_records(path: Path, columns: _Columns, reader, lineno: int, lines: int) -> None:
     """Add the rows of `reader`, the first of them record `lineno` and
     its first line the one after line `lines` of the file, to `columns`
-    BLOCK_ROWS at a time; the number of the record after them. A record
-    csv cannot read is a DataError naming its line, raised after any bad
-    row before it."""
+    BLOCK_ROWS at a time. A record csv cannot read is a DataError naming
+    its line, raised after any bad row before it."""
     try:
         while True:
             rows: list[list[str]] = []
@@ -345,7 +339,7 @@ def _add_records(path: Path, columns: _Columns, reader, lineno: int, lines: int)
                 columns.add(rows, lineno)
                 raise
             if not rows:
-                return lineno
+                return
             columns.add(rows, lineno)
             lineno += len(rows)
     except csv.Error as exc:

@@ -163,15 +163,15 @@ def trade_inputs_naive(prices, params, mode):
     than the prominence window plus two days has no events. Returns
     (raw indicators, trading indicators, signals, {day: forced tag}).
     """
-    from macdlab import (StrategyMode, compute_indicators, cross_signals, denoise_dif,
-                         detect_divergences, recompute_dea_from_denoised)
+    from macdlab import (compute_indicators, cross_signals, denoise_dif, detect_divergences,
+                         recompute_dea_from_denoised)
 
     raw_ind = compute_indicators(prices, params)
     trade_ind = raw_ind
-    if mode is not StrategyMode.RAW:
+    if mode.filter != "none":
         trade_ind = recompute_dea_from_denoised(denoise_dif(raw_ind.dif), params.signal)
     forced = {}
-    if mode is StrategyMode.DENOISED_WITH_DIVERGENCE and len(prices) >= 15 + 2:
+    if mode.divergence and len(prices) >= 15 + 2:
         for event in detect_divergences(prices, raw_ind):
             forced[event.current_extreme_index + 1] = -1 if event.kind == "top" else 1
     return raw_ind, trade_ind, cross_signals(trade_ind).signals, forced

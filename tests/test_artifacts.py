@@ -54,7 +54,7 @@ def chart_rows(series, mode):
     """The chart rows as the CLI used to build them, day by day."""
     ind = compute_indicators(series, PARAMS)
     smooth = denoise_dif(ind.dif)
-    trade = ind if mode is StrategyMode.RAW else recompute_dea_from_denoised(smooth, PARAMS.signal)
+    trade = ind if mode.filter == "none" else recompute_dea_from_denoised(smooth, PARAMS.signal)
     signals = cross_signals(trade).signals
     return [[d, series.closes[i], ind.dif[i], smooth[i], trade.dea[i], int(signals[i])]
             for i, d in enumerate(iso(series))]

@@ -159,6 +159,10 @@ class TestRecomputeDea:
         ind = recompute_dea_from_denoised(dif, 7)
         assert np.array_equal(ind.dea, ema(dif, 7))
 
+    def test_empty_dif_rejected(self):
+        with pytest.raises(ValueError, match="^empty denoised DIF$"):
+            recompute_dea_from_denoised([], 9)
+
 
 class TestDivergenceMode:
     # steady rally with a sharp one-day dip and a marginal higher high on

@@ -109,7 +109,7 @@ class TestExitCodes:
         assert main(["backtest", "--data", str(data_file), "--out", str(tmp_path / "o"),
                      "--params", "26,12,9"]) == 1
 
-    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf", "abc"])
     @pytest.mark.parametrize("command", ["backtest", "compare", "optimize"])
     def test_bad_capital_is_usage_error(self, data_file, tmp_path, capsys, command, value):
         out = tmp_path / "o"
@@ -1211,6 +1211,30 @@ def test_stale_staging_directory_is_left_alone(four_file, tmp_path):
     assert main(["backtest", "--data", str(four_file), "--out", str(out)]) == 0
     assert snapshot(out) == {**snapshot(clean), stale.name: None,
                              f"{stale.name}/chart_I1.csv": b"date,close\n"}
+
+
+def test_directory_where_an_artifact_goes_is_config_error(two_instrument_file, tmp_path, capsys):
+    """A directory in --out named as an artifact of the run is a config
+    error that leaves --out as it was; a symlink to a directory is
+    replaced like a file."""
+    out = tmp_path / "out"
+    assert main(["backtest", "--data", str(two_instrument_file), "--out", str(out)]) == 0
+    blocked, linked = out / "trades_BBB.Y.json", out / "chart_AAA.X.csv"
+    blocked.unlink()
+    blocked.mkdir()
+    linked.unlink()
+    linked.symlink_to(blocked)
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    argv = ["backtest", "--mode", "denoised", "--data", str(two_instrument_file), "--out", str(out)]
+    assert main(argv) == 1
+    error = f"macdlab: config error: --out {out}: {blocked} is a directory\n"
+    assert capsys.readouterr() == ("", error)
+    assert snapshot(tmp_path) == before
+
+    blocked.rmdir()
+    assert main(argv) == 0
+    assert linked.is_file() and not linked.is_symlink()
 
 
 def test_staging_directory_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatch):

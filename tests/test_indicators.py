@@ -89,7 +89,17 @@ class TestEma:
             assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
+class TestIndicatorSeries:
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(ValueError, match="^dif, dea and macd must have equal length$"):
+            IndicatorSeries(dif=[1.0, 2.0], dea=[1.0], macd=[0.0, 2.0])
+
+
 class TestComputeIndicators:
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="^cannot compute indicators on an empty series$"):
+            compute_indicators([], MacdParams())
+
     def test_constant_series_all_zero(self, make_series):
         ind = compute_indicators(make_series([100.0] * 50), MacdParams())
         assert np.allclose(ind.dif, 0) and np.allclose(ind.dea, 0) and np.allclose(ind.macd, 0)
@@ -142,6 +152,10 @@ class TestComputeIndicators:
 
 
 class TestCrossSignals:
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="^cross_signals on empty indicator series$"):
+            cross_signals(IndicatorSeries.from_dif_dea([], []))
+
     def test_upward_cross_is_buy(self):
         ind = IndicatorSeries.from_dif_dea(np.array([-1.0, 1.0]), np.array([0.0, 0.0]))
         assert list(cross_signals(ind).signals) == [SIGNAL_NONE, SIGNAL_BUY]

@@ -192,8 +192,8 @@ def plain_lines(count, code="A", start=0):
 
 # Files for the plain-text block path (ingest._Columns.add_plain), cut
 # into text blocks of a few characters and at the default size: what
-# sends a block, or the rest of the file, to csv.reader, and what the
-# block path must read as csv does.
+# sends the rest of the file to csv.reader, and what the block path must
+# read as csv does.
 PLAIN = "code,date,close\n" + plain_lines(40)
 TEXT_BLOCK_INPUTS = [
     # a line longer than a block, and one longer than csv's field limit
@@ -228,10 +228,13 @@ TEXT_BLOCK_INPUTS = [
     # CRLF line ends, a bad row among them
     PLAIN.replace("\n", "\r\n") + "B,2014-01-01,\r\n",
     PLAIN.replace("\n", "\r\n") + "B,2014-01-01,5\r\nB,2014-02-30,6\r\n",
-    # bad cells in a later block: each block checks its own
+    # bad cells in a later block: the csv tail from that block checks them
     PLAIN + "B,2014-01-01,x\n",
     PLAIN + ",2014-01-01,1\n",
     PLAIN + "B,2014-13-01,1\n",
+    # a header over two lines: a record's number is one less than its line's
+    '"code\n",date,close\n' + PLAIN[16:] + "B,2014-01-01,x\n",
+    '"code\n",date,close\n' + PLAIN[16:] + f"B,2014-01-01,{'1' * 140_000}\n",
 ]
 CORPUS = BAD_INPUTS + GOOD_INPUTS + BLOCK_INPUTS + [
     pytest.param(text, id=f"text_block_{i}") for i, text in enumerate(TEXT_BLOCK_INPUTS)]

@@ -126,6 +126,14 @@ class TestSevenMetrics:
         with pytest.raises(ValueError):
             compute_metrics(log, 10)
 
+    @pytest.mark.parametrize("equity, span, message", [
+        (np.full(10, 500_000.0), 0, "series span must be >= 1 day, got 0"),
+        ([], 10, "empty equity curve"),
+    ])
+    def test_bad_span_or_empty_equity_rejected(self, equity, span, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            compute_metrics(make_log([], equity), span)
+
     def test_report_dict_round_trip(self):
         log = make_log([5.0], np.linspace(500_000, 500_005, 40))
         report = compute_metrics(log, 40)

@@ -92,6 +92,10 @@ class TestGaConfig:
             None, None, GaConfig(population_size=4, convergence_patience=2, max_generations=3,
                                  seed=5), fitness_fn=surrogate).history
 
+    def test_bound_low_above_high_is_named(self):
+        with pytest.raises(ConfigError, match="^bound low 50 exceeds high 30$"):
+            GaConfig(bounds=((5, 20), (50, 30), (5, 25)))
+
     def test_bound_of_2_32_or_more_is_named(self):
         with pytest.raises(ConfigError, match=r"below 2\*\*32, got \(6, 4294967296\)"):
             GaConfig(bounds=((1, 5), (6, 2**32), (1, 3)))
@@ -124,8 +128,16 @@ class TestEliteCount:
     def test_ten(self):
         assert elite_count(10) == 1
 
+    def test_empty_population_rejected(self):
+        with pytest.raises(ConfigError, match="^population_size must be >= 1, got 0$"):
+            elite_count(0)
+
 
 class TestSelectionProbabilities:
+    def test_empty_fitness_rejected(self):
+        with pytest.raises(ValueError, match="^empty fitness list$"):
+            selection_probabilities([])
+
     def test_uniform_for_equal_fitness(self):
         prob = selection_probabilities([3.0] * 8)
         assert np.allclose(prob, 1.0 / 8.0)

@@ -170,6 +170,7 @@ def first_sentence(message):
     [0.5, 0.5, 1e-9],
     [0.5, 0.5, 1e-8],
     [0.5, 0.5, 3e-8],
+    [0.5, 0.5],
 ])
 def test_choice_checks_p_as_numpy_does(p):
     try:
@@ -180,6 +181,14 @@ def test_choice_checks_p_as_numpy_does(p):
         assert first_sentence(str(got.value)) == first_sentence(str(error))
     else:
         assert_same(Stream(0).choice(3, size=4, replace=True, p=p), want)
+
+
+@pytest.mark.parametrize("kwargs", [dict(replace=False, p=[0.5, 0.5]), dict(replace=True)],
+                         ids=["without replacement", "without p"])
+def test_choice_reproduces_only_weighted_draws_with_replacement(kwargs):
+    with pytest.raises(NotImplementedError,
+                       match=r"^only choice\(a, size, replace=True, p=p\) is reproduced$"):
+        Stream(0).choice(2, size=4, **kwargs)
 
 
 CALLS = st.one_of(

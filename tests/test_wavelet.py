@@ -162,7 +162,17 @@ class TestReconstruct:
     def test_inconsistent_decomposition_rejected(self, rng):
         decomp = decompose(rng.normal(size=64), coif5_filters(), 3)
         decomp.details[1] = decomp.details[1][:-2]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^detail band 2 has length 14, expected 16$"):
+            reconstruct(decomp, coif5_filters())
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("levels", 2, "decomposition level count does not match its detail bands"),
+        ("approx", np.zeros(9), "approximation length does not match the decomposition shape"),
+    ])
+    def test_decomposition_of_another_shape_rejected(self, rng, field, value, message):
+        decomp = decompose(rng.normal(size=64), coif5_filters(), 3)
+        setattr(decomp, field, value)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             reconstruct(decomp, coif5_filters())
 
 
