@@ -36,6 +36,11 @@ child), load_s, clean_s and cpu_s of every repeat, start_rss_mb and
 maxrss_mb of every repeat, tracemalloc_peak_b and tracemalloc_b_per_row.
 A child's CPU seconds are its whole life's, from the fork to its exit;
 unlike wall seconds they leave out the time it waits for a core.
+
+To compare two sources, run both from copies made alike, in one
+directory (say, `git archive` of each into sibling folders), in
+alternating turns. Run from two checkouts in different directories, the
+same code has read 2-4% apart, in wall and in CPU seconds alike.
 """
 
 from __future__ import annotations

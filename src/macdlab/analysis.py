@@ -17,6 +17,9 @@ BAND_HIGH = 1.015
 # A new extreme must beat every close in this many preceding days to
 # qualify for divergence pairing.
 PROMINENCE_WINDOW = 15
+# The fewest days divergence pairing runs on: the window and an extreme
+# past it, with the close after that extreme.
+MIN_DIVERGENCE_DAYS = PROMINENCE_WINDOW + 2
 # ... and is paired with the most recent earlier qualifying extreme no
 # further back than this.
 PAIRING_LOOKBACK = 60
@@ -113,8 +116,8 @@ def divergence_pairs(closes) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     per histogram, which pairs are divergences.
     """
     closes = np.asarray(closes, dtype=float)
-    if closes.size < PROMINENCE_WINDOW + 2:
-        raise ValueError(f"need at least {PROMINENCE_WINDOW + 2} days, got {closes.size}")
+    if closes.size < MIN_DIVERGENCE_DAYS:
+        raise ValueError(f"need at least {MIN_DIVERGENCE_DAYS} days, got {closes.size}")
     peaks, troughs = find_local_extrema(closes)
     pairs = {}
     for kind, extrema in (("top", peaks), ("bottom", troughs)):

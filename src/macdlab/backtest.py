@@ -36,7 +36,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import forks
-from .analysis import PROMINENCE_WINDOW, divergence_pairs, macd_disagrees
+from .analysis import MIN_DIVERGENCE_DAYS, divergence_pairs, macd_disagrees
 from .errors import DataError
 from .indicators import (
     SIGNAL_BUY,
@@ -376,7 +376,7 @@ class SeriesCache:
     def pairs(self) -> dict:
         """divergence_pairs of the closes; none on a series too short for them."""
         if self._pairs is None:
-            enough = len(self.closes) >= PROMINENCE_WINDOW + 2
+            enough = len(self.closes) >= MIN_DIVERGENCE_DAYS
             self._pairs = divergence_pairs(self.closes) if enough else {}
         return self._pairs
 

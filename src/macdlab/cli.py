@@ -14,14 +14,15 @@ skipped. Its last step, `_Run.finish`, which `main` runs after every
 command, moves the artifacts, then the manifest, into --out and alone
 prints the `wrote` lines; the staging directory is removed however the
 command ends, so --out changes only when a command succeeds. denoise,
-analyze and backtest run each instrument through
-`_each_instrument(run, done, write)`, whose `write(run, series, iso)`
-writes its artifacts. An instrument a command
-cannot process (unusable, too short, or a write raised a data error) is
-skipped: its reason goes to stderr and to the manifest's "skipped".
-compare and optimize skip by the same rule. The run fails only when no
-instrument was processed. On large inputs the runner and compare spread
-the instruments over up to one process per CPU (`forks.fork_map`), and
+analyze, backtest and compare run each instrument through one runner,
+`_each_instrument(run, done, work)`, where `work(run, series)` writes the
+instrument's artifacts (compare's returns its table's values). An
+instrument a command cannot process (unusable, too short, or its work
+raised a data error, such as a code that cannot name a file) is skipped:
+its reason goes to stderr and to the manifest's "skipped". optimize
+skips an unusable instrument by the same rule. The run fails only when
+no instrument was processed. On large inputs the runner spreads the
+instruments over up to one process per CPU (`forks.fork_map`), and
 optimize a large generation's backtests (`SeriesCache.nets`).
 
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import errno
 import functools
 import io
 import json
@@ -218,10 +220,23 @@ def _write_csv(path: Path, header, columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+class _IsoDates(dict):
+    """Date -> ISO text, each date formatted once per command: a panel's
+    instruments mostly share their trading days."""
+
+    def __missing__(self, day):
+        text = self[day] = day.isoformat()
+        return text
+
+    def column(self, series) -> list[str]:
+        return list(map(self.__getitem__, series.dates))
+
+
 class _Run:
     """One command's output: its --out directory, the staging directory
     its artifacts are written into, their names, the instruments skipped,
-    and the manifest that lists both.
+    and the manifest that lists both; and `iso`, the command's dates as
+    ISO text.
 
     The staging directory is made at the start, before any fork, so that
     every process writes into it: by `tempfile.mkdtemp` in the deepest
@@ -230,7 +245,8 @@ class _Run:
     however it ends. A --out that is, or lies under, something other than
     a directory, or where no staging directory can be made, is a config
     error. An artifact name that is not a plain file name (a code with a
-    `/`) is a data error. A write that raises lists nothing.
+    `/`), or that is too long for one, is a data error. A write that
+    raises lists nothing.
     """
 
     def __init__(self, args) -> None:
@@ -245,6 +261,7 @@ class _Run:
             raise ConfigError(f"--out {args.out}: cannot make a staging directory: {exc}") from None
         self.written: list[str] = []
         self.skipped: dict[str, str] = {}
+        self.iso = _IsoDates()
 
     def __enter__(self) -> _Run:
         return self
@@ -252,18 +269,23 @@ class _Run:
     def __exit__(self, *exc_info) -> None:
         shutil.rmtree(self.staging, ignore_errors=True)
 
-    def _path(self, name: str) -> Path:
+    def _write(self, name: str, write, *args) -> None:
+        """`write(path, *args)` to the staging directory's `name`, then list it."""
         if Path(name).name != name:
             raise DataError(f"artifact name {name!r} is not a plain file name")
-        return self.staging / name
+        try:
+            write(self.staging / name, *args)
+        except OSError as exc:
+            if exc.errno != errno.ENAMETOOLONG:
+                raise
+            raise DataError(f"artifact name {name!r} is too long for a file name") from None
+        self.written.append(name)
 
     def write_csv(self, name: str, header, columns) -> None:
-        _write_csv(self._path(name), header, columns)
-        self.written.append(name)
+        self._write(name, _write_csv, header, columns)
 
     def write_json(self, name: str, obj) -> None:
-        _write_json(self._path(name), obj)
-        self.written.append(name)
+        self._write(name, _write_json, obj)
 
     def skip(self, code: str, reason) -> None:
         """Record an instrument the command cannot process, for the manifest and stderr."""
@@ -280,11 +302,6 @@ class _Run:
             if unusable is not None:
                 self.skip(code, unusable)
         return usable
-
-    def none_done(self, done: str) -> DataError:
-        """The data error when no instrument could be `done`, with every reason."""
-        return DataError(f"no instrument in {self.args.data} could be {done}: "
-                         + "; ".join(f"{code}: {why}" for code, why in self.skipped.items()))
 
     def finish(self) -> int:
         """Write the manifest into the staging directory, delete the files
@@ -344,58 +361,53 @@ def _screen(path) -> list[tuple]:
     return screened
 
 
-class _IsoDates(dict):
-    """Date -> ISO text, each date formatted once per command: a panel's
-    instruments mostly share their trading days."""
-
-    def __missing__(self, day):
-        text = self[day] = day.isoformat()
-        return text
-
-    def column(self, series) -> list[str]:
-        return list(map(self.__getitem__, series.dates))
-
-
-def _each_instrument(run: _Run, done: str, write) -> None:
-    """Run `write(run, series, iso)`, which writes an instrument's
-    artifacts through `run`, on each usable instrument by `fork_map`. A
-    data error skips its instrument; any other exception ends the
-    command, each process stopping with the instrument it holds. A data
-    error when none could be `done`."""
-    iso = _IsoDates()
-    usable = run.usable(_screen(run.args.data))
+def _each_instrument(run: _Run, done: str, work) -> list[tuple]:
+    """Run `work(run, series)`, which may write artifacts through `run`,
+    on each usable instrument by `fork_map`; return every instrument of
+    --data in file order as (code, work's result, status), status "ok",
+    "unusable" or "error" (result None). An unusable instrument, or one
+    whose work raised a data error, is skipped; any other exception ends
+    the command, each process stopping with the instrument it holds. A
+    data error when none could be `done`."""
+    screened = _screen(run.args.data)
+    usable = run.usable(screened)
 
     def attempt(series) -> tuple:
-        """(names written, None), or ([], a data error's text)."""
+        """(work's result, names written, None), or (None, [], a data error's text)."""
         run.written = []
         try:
-            write(run, series, iso)
-            return run.written, None
+            return work(run, series), run.written, None
         except (DataError, ValueError) as exc:
-            return [], str(exc)
+            return None, [], str(exc)
 
-    results = fork_map(attempt, usable, [len(s) * ROW_DAYS_PER_DAY for s in usable])
-    run.written = []
-    for series, (names, reason) in zip(usable, results):
+    results = iter(fork_map(attempt, usable, [len(s) * ROW_DAYS_PER_DAY for s in usable]))
+    run.written, outcomes = [], []
+    for code, _, cleaned, _ in screened:
+        if cleaned is None:
+            outcomes.append((code, None, "unusable"))
+            continue
+        result, names, reason = next(results)
         if reason is not None:
-            run.skip(series.code, reason)
+            run.skip(code, reason)
         run.written += names
-    if not run.written:
-        raise run.none_done(done)
+        outcomes.append((code, result, "ok" if reason is None else "error"))
+    if all(status != "ok" for _, _, status in outcomes):
+        raise DataError(f"no instrument in {run.args.data} could be {done}: "
+                        + "; ".join(f"{code}: {why}" for code, why in run.skipped.items()))
+    return outcomes
 
 
 # ---------------------------------------------------------------- commands
 
 
 def cmd_ingest(args, run: _Run) -> None:
-    iso = _IsoDates()
     summary, codes, dates, closes = [], [], [], []
     for code, rows, cleaned, unusable in _screen(args.data):
         if unusable is not None:
             summary.append([code, rows, "", unusable.dropped, "unusable"])
             continue
         codes += [code] * len(cleaned)
-        dates += iso.column(cleaned)
+        dates += run.iso.column(cleaned)
         closes.append(cleaned.closes)
         summary.append([code, rows, len(cleaned), rows - len(cleaned), "ok"])
     run.write_csv("instruments.csv",
@@ -405,20 +417,20 @@ def cmd_ingest(args, run: _Run) -> None:
 
 
 def cmd_denoise(args, run: _Run) -> None:
-    def write(run, series, iso) -> None:
+    def write(run, series) -> None:
         ind = compute_indicators(series, args.params)
         smooth = denoise_dif(ind.dif)
         run.write_csv(f"denoise_{series.code}.csv", ["date", "dif", "dif_denoised"],
-                      [iso.column(series), ind.dif, smooth])
+                      [run.iso.column(series), ind.dif, smooth])
 
     _each_instrument(run, "denoised", write)
 
 
 def cmd_analyze(args, run: _Run) -> None:
-    def write(run, series, iso) -> None:
+    def write(run, series) -> None:
         osc = detect_oscillation(series)  # both raise ValueError on too few days
         events = detect_divergences(series, compute_indicators(series, args.params))
-        code, dates = series.code, iso.column(series)
+        code, dates = series.code, run.iso.column(series)
         run.write_csv(f"oscillation_{code}.csv",
                       ["date", "close", "mean10", "inband", "pairflag", "mask"],
                       [dates, series.closes, osc.mean10, osc.inband, osc.pairflag, osc.mask])
@@ -433,14 +445,14 @@ def cmd_backtest(args, run: _Run) -> None:
     mode = StrategyMode(args.mode)
     risk = RiskConfig(risk_free_rate=args.risk_free)
 
-    def write(run, series, iso) -> None:
+    def write(run, series) -> None:
         log = run_backtest(series, args.params, mode, args.capital)  # DataError when too short
         report = compute_metrics(log, series.span_days, risk)
         # The lines the run traded on; signal is the crossover tag before
         # divergence overrides. An unfiltered mode trades on no smoothed DIF.
         lines = log.lines
         smooth = denoise_dif(lines.dif) if mode.filter == "none" else lines.trade_dif
-        code, dates = series.code, iso.column(series)
+        code, dates = series.code, run.iso.column(series)
         run.write_json(f"metrics_{code}.json", report.as_dict())
         run.write_json(f"trades_{code}.json", [
             {**vars(t), "buy_date": dates[t.buy_index], "sell_date": dates[t.sell_index]}
@@ -454,40 +466,23 @@ def cmd_backtest(args, run: _Run) -> None:
 
 
 def cmd_compare(args, run: _Run) -> None:
-    """A row per instrument and mode, by `fork_map`, an unusable or failing
-    instrument's marked so; each such instrument is also skipped, once,
-    with its first reason. A data error when no row could be compared."""
+    """A row per instrument and mode; an instrument the runner did not
+    compare has blank cells, marked with its status."""
     risk = RiskConfig(risk_free_rate=args.risk_free)
-    screened = _screen(args.data)
-    usable = run.usable(screened)
 
-    def compare(series) -> tuple:
-        """The instrument's row per mode, and the first reason a mode failed."""
-        cache = SeriesCache(series)  # the modes share its EMAs, trends and divergence pairs
-        rows, reason = [], None
-        for mode in StrategyMode:
-            try:
-                log = run_backtest(cache, args.params, mode, args.capital)
-                report = compute_metrics(log, series.span_days, risk)
-                rows.append([series.code, mode.value, *report.as_dict().values(), "ok"])
-            except (DataError, ValueError) as exc:
-                rows.append([series.code, mode.value] + [""] * len(REPORT_COLUMNS) + ["error"])
-                reason = str(exc) if reason is None else reason
-        return rows, reason
+    def compare(run, series) -> list[list]:
+        """Each mode's metric values. The modes share one SeriesCache (its
+        EMAs, trends and divergence pairs); what any mode rejects, the
+        series' length or the capital, every mode rejects."""
+        cache = SeriesCache(series)
+        return [list(compute_metrics(run_backtest(cache, args.params, mode, args.capital),
+                                     series.span_days, risk).as_dict().values())
+                for mode in StrategyMode]
 
-    weights = [len(s) * ROW_DAYS_PER_DAY for s in usable]
-    compared, rows = iter(fork_map(compare, usable, weights)), []
-    for code, _, cleaned, _ in screened:
-        if cleaned is None:
-            rows += [[code, mode.value] + [""] * len(REPORT_COLUMNS) + ["unusable"]
-                     for mode in StrategyMode]
-            continue
-        mode_rows, reason = next(compared)
-        rows += mode_rows
-        if reason is not None:
-            run.skip(code, reason)
-    if all(row[-1] != "ok" for row in rows):
-        raise run.none_done("compared")
+    blank = [[""] * len(REPORT_COLUMNS)] * len(StrategyMode)
+    rows = [[code, mode.value, *cells, status]
+            for code, values, status in _each_instrument(run, "compared", compare)
+            for mode, cells in zip(StrategyMode, values or blank)]
     run.write_csv("comparison.csv", ["name", "mode", *REPORT_COLUMNS, "status"], zip(*rows))
 
 

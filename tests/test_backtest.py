@@ -15,7 +15,7 @@ from macdlab import (
     recompute_dea_from_denoised,
     run_backtest,
 )
-from macdlab.analysis import PROMINENCE_WINDOW
+from macdlab.analysis import MIN_DIVERGENCE_DAYS
 from macdlab import backtest
 from macdlab.backtest import SeriesCache, _round_trips, _tallies, _trade_log, _walk
 from macdlab.errors import ConfigError, DataError
@@ -71,19 +71,32 @@ class TestRunBacktestBasics:
         assert last.sell_index == len(closes) - 1
         assert log.equity[-1] > 500_000.0
 
-    def test_too_short_series_rejected(self, make_series):
-        with pytest.raises(DataError, match="too short"):
-            run_backtest(make_series(np.full(5, 100.0)), MacdParams(), StrategyMode.RAW)
+    # Every mode rejects the same runs, on the series' length or the
+    # capital alone, so a mode never fails where another runs.
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_too_short_series_rejected(self, make_series, mode):
+        with pytest.raises(DataError, match="series too short: 5 rows < slow period 26"):
+            run_backtest(make_series(np.full(5, 100.0)), MacdParams(), mode)
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    @pytest.mark.parametrize("params", [MacdParams(3, 5, 2), MacdParams()])
+    def test_series_of_slow_days_runs(self, make_series, rng, mode, params):
+        # 5 days is under MIN_DIVERGENCE_DAYS: the overlay pairs nothing
+        series = make_series(random_walk_closes(rng, params.slow))
+        log = run_backtest(series, params, mode)
+        assert len(log.equity) == params.slow
+        assert SeriesCache(series).nets([params.as_tuple()], mode) == [log.net]
 
     def test_bad_capital_rejected(self, make_series):
         with pytest.raises(ValueError):
             run_backtest(make_series(np.full(60, 100.0)), MacdParams(), StrategyMode.RAW, 0.0)
 
+    @pytest.mark.parametrize("mode", list(StrategyMode))
     @pytest.mark.parametrize("capital", [0.0, -5.0, float("nan"), float("inf")])
-    def test_capital_must_be_finite_and_positive(self, make_series, capital):
+    def test_capital_must_be_finite_and_positive(self, make_series, capital, mode):
         series = make_series(np.full(60, 100.0))
-        for run in (lambda: run_backtest(series, MacdParams(), StrategyMode.RAW, capital),
-                    lambda: SeriesCache(series).nets([(12, 26, 9)], StrategyMode.RAW, capital)):
+        for run in (lambda: run_backtest(series, MacdParams(), mode, capital),
+                    lambda: SeriesCache(series).nets([(12, 26, 9)], mode, capital)):
             with pytest.raises(ValueError, match="initial capital must be positive and finite"):
                 run()
 
@@ -257,7 +270,7 @@ class TestNaiveParity:
         # for a divergence: no forced action in any mode
         rng = np.random.default_rng(17)
         params = MacdParams(3, 5, 2)
-        for n in range(params.slow, PROMINENCE_WINDOW + 3):
+        for n in range(params.slow, MIN_DIVERGENCE_DAYS + 1):
             self.assert_matches_naive(random_walk_closes(rng, n, vol=0.02), params, mode)
 
 

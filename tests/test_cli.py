@@ -573,31 +573,38 @@ def test_compare_skip_rule(good_bad_file, tmp_path, capsys):
         assert not out.exists()
 
 
+# Codes that cannot name an artifact, each with the end of its skip reason.
+UNNAMEABLE = {"A/B": "is not a plain file name", "L" * 300: "is too long for a file name"}
+
+
 @pytest.mark.parametrize("command", PER_INSTRUMENT)
 def test_code_that_cannot_name_a_file_is_skipped(command, tmp_path, capsys):
-    """An instrument code holding a `/` cannot name an artifact: the
-    instrument is skipped with that reason and nothing is written for it,
-    inside --out or out of it; alone in the file, it makes a data error
-    that leaves no --out."""
-    slash = synthetic_rows("A/B", random_walk_closes(np.random.default_rng(8), 120))
+    """An instrument code holding a `/`, or too long for a file name,
+    cannot name an artifact: the instrument is skipped with that reason
+    and nothing is written for it, inside --out or out of it; alone in
+    the file, it makes a data error that leaves no --out."""
     good = synthetic_rows("GOOD", random_walk_closes(np.random.default_rng(13), 120))
-    data = write_csv(tmp_path / "slash.csv", slash + good)
-    out = tmp_path / "out"
-    assert main([command, "--data", str(data), "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["artifacts"] == artifacts_of(command, "GOOD")
-    [(code, reason)] = manifest["skipped"].items()
-    assert code == "A/B"
-    assert re.fullmatch(r"artifact name '[a-z]+_A/B\.(csv|json)' is not a plain file name", reason)
-    assert f"skipped A/B: {reason}\n" in capsys.readouterr().err
-    assert listing(out) == sorted(manifest["artifacts"] + ["manifest.json"])
-    assert listing(tmp_path) == ["out", "slash.csv"]
+    for case, (code, why) in enumerate(UNNAMEABLE.items()):
+        root = tmp_path / str(case)
+        root.mkdir()
+        bad = synthetic_rows(code, random_walk_closes(np.random.default_rng(8), 120))
+        data = write_csv(root / "bad.csv", bad + good)
+        out = root / "out"
+        assert main([command, "--data", str(data), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"] == artifacts_of(command, "GOOD")
+        [(skipped, reason)] = manifest["skipped"].items()
+        assert skipped == code
+        assert re.fullmatch(rf"artifact name '[a-z]+_{re.escape(code)}\.(csv|json)' {why}", reason)
+        assert f"skipped {code}: {reason}\n" in capsys.readouterr().err
+        assert listing(out) == sorted(manifest["artifacts"] + ["manifest.json"])
+        assert listing(root) == ["bad.csv", "out"]
 
-    only = write_csv(tmp_path / "only.csv", slash)
-    out = tmp_path / "nothing"
-    assert main([command, "--data", str(only), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.endswith(f"could be {DONE[command]}: A/B: {reason}\n")
-    assert not out.exists()
+        only = write_csv(root / "only.csv", bad)
+        out = root / "nothing"
+        assert main([command, "--data", str(only), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(f"could be {DONE[command]}: {code}: {reason}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["backtest", "compare", "optimize"])
