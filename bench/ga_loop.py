@@ -18,17 +18,18 @@ the second would time the first again; equal counts exit with status 1.
 Each config is timed twice over:
 
   cold  the first optimize call in a child forked for it alone from this
-        process, which has imported macdlab and built the table and done
-        nothing else, as the CLI runs optimize once per process: what the
-        call imports or builds on first use is paid here. The table is
-        drawn in a forked child too, so that numpy.random is not already
-        loaded here;
+        process by bench/_child.py's `forked`; this process has imported
+        macdlab and built the table and done nothing else, as the CLI
+        runs optimize once per process: what the call imports or builds
+        on first use is paid here. The table is drawn in a forked child
+        too, so that numpy.random is not already loaded here;
   warm  REPEATS calls in this process, once every cold child has run.
 
 The best wall time of REPEATS of each is reported. Every cold call must
 give the result of the warm ones, and two warm calls of one config must
 give identical results (best genes and fitness, generations, converged,
-every generation's stats); a mismatch exits with status 1.
+every generation's stats); a mismatch, in this process or in a child,
+exits with status 1.
 
 --smoke runs one small config (SMOKE_POP individuals, SMOKE_GENS
 generations) once cold and once warm, with the same identity checks, to
@@ -44,15 +45,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import pickle
-import platform
 import sys
 import time
-import traceback
 from pathlib import Path
 
 import numpy as np
+
+from _child import forked, machine
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -71,35 +70,8 @@ def table() -> dict[tuple[int, int, int], float]:
     triples = [(f, s, z) for f in range(f0, f1 + 1) for s in range(s0, s1 + 1)
                for z in range(z0, z1 + 1)]
     values = forked(lambda: np.random.default_rng(TABLE_SEED)
-                    .normal(0.0, 1000.0, len(triples)).tolist())
+                    .normal(0.0, 1000.0, len(triples)).tolist())[0]
     return dict(zip(triples, values))
-
-
-def forked(work):
-    """work() run in a child forked for it; its result, pickled through a
-    pipe. A child that fails exits the harness with status 1."""
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            with os.fdopen(write, "wb") as pipe:
-                pickle.dump(work(), pipe)
-            status = 0
-        except BaseException:
-            traceback.print_exc()
-        finally:
-            os._exit(status)
-    os.close(write)
-    with os.fdopen(read, "rb") as pipe:
-        reply = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        sys.exit("ga_loop: a forked child failed")
-    return pickle.loads(reply)
 
 
 def timed(cfg, fitness) -> tuple[float, tuple]:
@@ -111,7 +83,7 @@ def timed(cfg, fitness) -> tuple[float, tuple]:
 def cold(cfg, fitness) -> tuple[float, tuple, bool]:
     """One optimize call in a fresh fork: its seconds, its outcome and
     whether numpy.random was loaded after it."""
-    return forked(lambda: (*timed(cfg, fitness), "numpy.random" in sys.modules))
+    return forked(lambda: (*timed(cfg, fitness), "numpy.random" in sys.modules))[0]
 
 
 def outcome(result) -> tuple:
@@ -153,8 +125,7 @@ def main(argv=None) -> None:
     if len({run["generations"] for run in runs.values()}) < len(runs):
         sys.exit("ga_loop: two configs run the same number of generations")
     print(json.dumps({
-        "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                    "numpy": np.__version__, "machine": platform.machine()},
+        "machine": machine(),
         "seed": SEED, "table_seed": TABLE_SEED, "repeats": repeats, "configs": runs,
     }))
 

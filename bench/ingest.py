@@ -15,16 +15,16 @@ with every code quoted: the first block that load_csv's plain-text block
 path rejects (in the quoted copy the first, for its `"`) sends the rest
 of the file to csv.reader, so the quoted copy times that fallback beside
 the block path on the same rows. For each panel, REPEATS children are
-forked in turn, each loading and cleaning the file once; the parent
-takes each child's peak resident memory (ru_maxrss) and CPU seconds
-(ru_utime + ru_stime) from wait4, and the child reports its resident
-memory when it starts (the import and this script, which the fork
-shares) and the seconds of its load_csv and clean calls. One more
-child loads the file under tracemalloc and reports the peak of the
-memory Python allocated during the call. Every child checks that it
-loaded every row and that clean dropped exactly the blank closes; a
-mismatch, or any error in a child, is printed to stderr and the harness
-exits with status 1.
+forked in turn by bench/_child.py's `forked`, each loading and cleaning
+the file once; the parent takes each child's peak resident memory
+(ru_maxrss) and CPU seconds (ru_utime + ru_stime) from wait4, and the
+child reports its resident memory when it starts (the import and this
+script, which the fork shares) and the seconds of its load_csv and clean
+calls. One more child loads the file under tracemalloc and reports the
+peak of the memory Python allocated during the call. Every child checks
+that it loaded every row and that clean dropped exactly the blank
+closes; a mismatch, or any error in a child, prints its traceback on
+stderr and the harness exits with status 1.
 
 --smoke runs one small panel once in each of the three forms, to show
 that the harness and its checks still run.
@@ -47,18 +47,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import resource
 import sys
 import tempfile
 import time
-import traceback
 import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
+
+from _child import forked, machine
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -103,31 +102,6 @@ def load_and_clean(path: Path, instruments: int, days: int) -> tuple[float, floa
     return loaded - start, done - loaded
 
 
-def in_child(work) -> tuple[dict, resource.struct_rusage]:
-    """Run `work()` in a forked child; its JSON reply and the child's resource usage."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        os.close(read_fd)
-        status = 1
-        try:
-            os.write(write_fd, json.dumps(work()).encode())
-            status = 0
-        except BaseException:  # a failed check's SystemExit too: say why on stderr
-            traceback.print_exc()
-            raise
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as fh:
-        data = fh.read()
-    _, status, usage = os.wait4(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0 or not data:
-        sys.exit(f"ingest: a child ended without a reply (exit code {code})")
-    return json.loads(data), usage
-
-
 def timed(path: Path, instruments: int, days: int) -> dict:
     start_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     load_s, clean_s = load_and_clean(path, instruments, days)
@@ -152,16 +126,16 @@ def main(argv=None) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name, instruments, days, newline, quoted in panels:
             path = Path(tmp) / f"{name}.csv"
-            in_child(lambda: write_panel(path, instruments, days, SEED, newline, quoted) or {})
+            forked(lambda: write_panel(path, instruments, days, SEED, newline, quoted))
             load_s, clean_s, cpu_s, start_mb, maxrss_mb = [], [], [], [], []
             for _ in range(repeats):
-                reply, usage = in_child(lambda: timed(path, instruments, days))
+                reply, usage, _ = forked(lambda: timed(path, instruments, days))
                 load_s.append(reply["load_s"])
                 clean_s.append(reply["clean_s"])
                 cpu_s.append(usage.ru_utime + usage.ru_stime)
                 start_mb.append(reply["start_kb"] / 1024.0)
                 maxrss_mb.append(usage.ru_maxrss / 1024.0)
-            peak_b = in_child(lambda: traced(path))[0]["peak_b"]
+            peak_b = forked(lambda: traced(path))[0]["peak_b"]
             rows = instruments * days
             out[name] = {"instruments": instruments, "days": days, "newline": newline,
                          "quoted": quoted, "rows": rows,
@@ -171,8 +145,7 @@ def main(argv=None) -> None:
                          "start_rss_mb": start_mb, "maxrss_mb": maxrss_mb,
                          "tracemalloc_peak_b": peak_b, "tracemalloc_b_per_row": peak_b / rows}
     print(json.dumps({
-        "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                    "numpy": np.__version__, "machine": platform.machine()},
+        "machine": machine(),
         "blanks": BLANKS, "seed": SEED, "repeats": repeats, "panels": out,
     }))
 

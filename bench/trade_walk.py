@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import resource
 import sys
 import time
@@ -44,6 +42,8 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
+
+from _child import machine
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -110,8 +110,7 @@ def main(argv=None) -> None:
                              "run_backtest_s": run_backtest_s,
                              "best_s": min(seconds), "minflt": minflt, "seconds": seconds}
     print(json.dumps({
-        "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
-                    "numpy": np.__version__, "machine": platform.machine()},
+        "machine": machine(),
         "days": days, "seed": SEED, "repeats": repeats, "modes": modes,
     }))
 

@@ -431,9 +431,8 @@ def cmd_analyze(args, run: _Run) -> None:
         osc = detect_oscillation(series)  # both raise ValueError on too few days
         events = detect_divergences(series, compute_indicators(series, args.params))
         code, dates = series.code, run.iso.column(series)
-        run.write_csv(f"oscillation_{code}.csv",
-                      ["date", "close", "mean10", "inband", "pairflag", "mask"],
-                      [dates, series.closes, osc.mean10, osc.inband, osc.pairflag, osc.mask])
+        run.write_csv(f"oscillation_{code}.csv", ["date", "close", *vars(osc)],
+                      [dates, series.closes, *vars(osc).values()])
         run.write_json(f"divergences_{code}.json", [
             {**vars(e), "current_date": dates[e.current_extreme_index],
              "previous_date": dates[e.previous_extreme_index]} for e in events])
@@ -521,9 +520,7 @@ def cmd_optimize(args, run: _Run) -> None:
     run.write_json("best.json", {
         "code": series.code,
         "mode": mode.value,
-        "fast": best.fast,
-        "slow": best.slow,
-        "signal": best.signal,
+        **vars(best),
         "fitness": result.best_fitness,
         "generations": result.generations,
         "converged": result.converged,
@@ -531,7 +528,7 @@ def cmd_optimize(args, run: _Run) -> None:
 
     run.write_csv("history.csv",
                   ["generation", "best_fitness", "mean_fitness",
-                   "best_fast", "best_slow", "best_signal"],
+                   *(f"best_{name}" for name in vars(best))],
                   zip(*([g.generation, g.best_fitness, g.mean_fitness, *g.best_genes]
                         for g in result.history)))
 

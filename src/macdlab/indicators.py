@@ -69,8 +69,7 @@ class MacdParams:
     signal: int = 9
 
     def __post_init__(self):
-        for name in ("fast", "slow", "signal"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not is_integer(value) or value < 1:
                 raise ConfigError(f"{name} period must be an integer >= 1, got {value!r}")
         if self.fast >= self.slow:

@@ -8,22 +8,12 @@ variance to measure it against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .backtest import TradeLog
 from .errors import ConfigError
-
-REPORT_COLUMNS = (
-    "win_rate",
-    "odds_ratio",
-    "trade_frequency",
-    "total_return",
-    "annual_return",
-    "sharpe_ratio",
-    "max_drawdown",
-)
 
 
 @dataclass(frozen=True)
@@ -52,6 +42,9 @@ class MetricsReport:
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in REPORT_COLUMNS}
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(MetricsReport))
 
 
 def max_drawdown_pct(equity) -> float:

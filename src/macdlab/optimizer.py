@@ -197,10 +197,6 @@ def repair(genes: np.ndarray, bounds=DEFAULT_BOUNDS) -> np.ndarray:
     return out
 
 
-def _substream(seed: int, generation: int, operator: int) -> Stream:
-    return Stream([seed, generation, operator])
-
-
 def optimize(
     prices: PriceSeries | SeriesCache | None,
     mode: StrategyMode,
@@ -238,12 +234,12 @@ def optimize(
     history: list[GenerationStats] = []
     for generation in range(cfg.max_generations + 1):
         if generation == 0:
-            genes = _substream(cfg.seed, 0, _INIT).integers(cfg.lows, cfg.highs + 1,
-                                                            size=(cfg.population_size, 3))
+            genes = Stream([cfg.seed, 0, _INIT]).integers(cfg.lows, cfg.highs + 1,
+                                                          size=(cfg.population_size, 3))
         else:
-            genes = select(genes, fitness, _substream(cfg.seed, generation, _SELECT))
-            genes = crossover(genes, cfg.crossover_rate, _substream(cfg.seed, generation, _CROSSOVER))
-            genes = mutate(genes, cfg.mutation_rate, cfg.bounds, _substream(cfg.seed, generation, _MUTATE))
+            genes = select(genes, fitness, Stream([cfg.seed, generation, _SELECT]))
+            genes = crossover(genes, cfg.crossover_rate, Stream([cfg.seed, generation, _CROSSOVER]))
+            genes = mutate(genes, cfg.mutation_rate, cfg.bounds, Stream([cfg.seed, generation, _MUTATE]))
         genes = repair(genes, cfg.bounds)
 
         # The triples not seen before go to evaluate_many at once, in first-seen order.

@@ -386,7 +386,8 @@ class TestOptimize:
         out = tmp_path / "out"
         assert main(self.args(data_file, out)) == 0
         best = json.loads((out / "best.json").read_text())
-        assert {"fast", "slow", "signal", "fitness", "generations", "converged"} <= set(best)
+        assert set(best) == {"code", "mode", "fast", "slow", "signal", "fitness",
+                             "generations", "converged"}
         assert 5 <= best["fast"] <= 20 and 20 <= best["slow"] <= 50
         history = read_csv(out / "history.csv")
         assert history[0] == ["generation", "best_fitness", "mean_fitness",

@@ -1,5 +1,6 @@
-"""No module in src/macdlab imports a name it neither uses nor exports,
-and no private function, class or method in src/macdlab goes unused.
+"""No module in src/macdlab or bench/ imports a name it neither uses nor
+exports, and no private function, class or method in src/macdlab goes
+unused.
 
 stdlib only: each module is parsed with `ast`; a name counts as used
 when it is read anywhere in the module (annotations included) or is
@@ -14,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "macdlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "macdlab"
+BENCH = ROOT / "bench"
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -48,6 +51,11 @@ def unused_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(BENCH.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import_in_bench(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
