@@ -14,13 +14,17 @@ by side, one process each.
 
 The corpus is written in-process from fixed seeds, with numpy and the
 pool instruments of perfbench/gen.py (imported, never changed). It has
-twelve data files: a 220-day walk, two instruments, a usable and an
+thirteen data files: a 220-day walk, two instruments, a usable and an
 unusable one, long/mid/short/unusable instruments, a 5-day series, a
 total loss, a gain past the float range, an `A/B` code, a `Q,"X` code,
 12 pool instruments of 1,500 days with 3 blank closes each, two
 instruments with CRLF line ends and blank closes (the last row's
-among them), and two of 1,500 days whose rows at every multiple of EDGE
-characters of the body have blank closes. load_csv reads plain
+among them), two of 1,500 days whose rows at every multiple of EDGE
+characters of the body have blank closes, and one whose closes run
+from 1e-6 up to 1e18 and back beside one near 1e-6 throughout, so that
+every float column the commands write holds cells either side of
+1e-4 and of 1e16, where repr's text turns to an exponent and the CSV
+writer's float formatter falls back to repr. load_csv reads plain
 text in blocks cut at a newline and sends the rest of a file, from its
 first other block (the `Q,"X` file's), to csv.reader, so the last two
 files put blank closes on the rows either side of each block's cut, and
@@ -97,6 +101,19 @@ def walk(seed: int, n: int) -> np.ndarray:
     return 100.0 * np.exp(np.cumsum(np.random.default_rng(seed).normal(0.0004, 0.01, n)))
 
 
+def span(seed: int) -> np.ndarray:
+    """Closes from 1e-6 up to 1e18 and back, with 100 sideways days at each
+    end and at the top: the written floats (closes, their indicators,
+    the equity) fall either side of both of repr's exponent cut-offs,
+    1e-4 and 1e16. The whole-series denoiser spreads the top's DIF over
+    every day, so the "span" file's second instrument, closes near 1e-6
+    throughout, puts the smoothed DIF below 1e-4."""
+    noise = np.random.default_rng(seed).normal(0.0, 0.01, 600)
+    trend = np.concatenate([np.zeros(100), np.linspace(0.0, 24.0, 150), np.full(100, 24.0),
+                            np.linspace(24.0, 0.0, 150), np.zeros(100)])
+    return 1e-6 * 10.0 ** trend * np.exp(np.cumsum(noise) - np.cumsum(noise).mean())
+
+
 def data_files() -> dict[str, list[tuple[str, list[date], np.ndarray]]]:
     """File name -> its instruments as (code, dates, closes), NaN a blank close."""
     files = {
@@ -114,6 +131,7 @@ def data_files() -> dict[str, list[tuple[str, list[date], np.ndarray]]]:
         "quote": [('Q,"X', walk(21, 200)), ("PLAIN", walk(22, 200))],
         "crlf": [("CR.A", walk(41, 300)), ("CR.B", walk(42, 300))],
         "edges": [("EDGE.A", walk(31, 1500)), ("EDGE.B", walk(32, 1500))],
+        "span": [("SPAN", span(51)), ("TINY", 1e-8 * walk(52, 300))],
     }
     for closes in (files["crlf"][0][1], files["crlf"][1][1]):
         closes[[3, 150, len(closes) - 1]] = np.nan

@@ -143,21 +143,26 @@ _INT8_TEXT = np.array([str(v) for v in (*range(128), *range(-128, 0))], dtype=ob
 
 
 def _float_text(column: np.ndarray) -> list[str]:
-    """`repr` of each value of a float column as a Python float. A float64
-    column with runs of bit-identical values (equity is flat between
-    trades) is formatted once per run; comparing bits keeps -0.0 apart
-    from 0.0."""
-    values = len(column)
-    if column.dtype.itemsize == 8 and values > 1:
-        bits = column.view(np.int64)
-        change = np.empty(values, bool)
-        change[0] = True
-        np.not_equal(bits[1:], bits[:-1], out=change[1:])
-        starts = np.flatnonzero(change)
-        if 4 * len(starts) <= 3 * values:
-            texts = np.array(list(map(repr, column[starts].tolist())), dtype=object)
-            return np.repeat(texts, np.diff(starts, append=values)).tolist()
-    return list(map(repr, column.tolist()))
+    """`repr` of each value of a float column as a Python float.
+
+    orjson writes the whole column at once, each float as its shortest
+    round-trip digits, as `repr` does. The two texts differ only where
+    `repr` switches to an exponent (|x| < 1e-4 or >= 1e16, zero aside:
+    `1e+16` against `1e16`, `1e-05` against `0.00001`) and for nan and
+    inf (orjson's `null`); those cells are written by `repr`.
+    """
+    import orjson  # here, not at the top: optimize and compare write no float column
+
+    with np.errstate(invalid="ignore"):  # a float32 signalling nan widens quietly
+        values = np.asarray(column, np.float64)
+    if not len(values):
+        return []
+    texts = orjson.dumps(values.tolist())[1:-1].decode().split(",")
+    size = np.abs(values)
+    odd = np.flatnonzero((values != 0) & ~((size >= 1e-4) & (size < 1e16)))
+    for i, value in zip(odd.tolist(), values[odd].tolist()):
+        texts[i] = repr(value)
+    return texts
 
 
 def _text(column) -> list[str]:

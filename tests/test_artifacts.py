@@ -152,6 +152,17 @@ class TestWriter:
             tmp_path, header, zip(*arrays))
 
 
+def any_bits(width: int):
+    """Any bit pattern of a float `width` bits wide; about half the draws
+    are nans, of either sign and any payload, which plain bit draws
+    would almost never reach."""
+    fraction = {64: 52, 32: 23}[width]
+    nan = (2**(width - fraction - 1) - 1) << fraction
+    return st.one_of(st.integers(0, 2**width - 1),
+                     st.integers(nan + 1, nan + 2**fraction - 1).flatmap(
+                         lambda bits: st.sampled_from([bits, bits | 1 << (width - 1)])))
+
+
 class TestText:
     """`_text` against `repr(float(v))` and `str(v)`, cell by cell."""
 
@@ -168,6 +179,49 @@ class TestText:
         column = np.repeat(bits.view(np.float64), 3)
         assert cli._text(column) == ["nan"] * 9 + ["-0.0"] * 3 + ["0.0"] * 3
         assert cli._text(column[::2]) == [repr(float(v)) for v in column[::2]]
+
+    @given(st.lists(any_bits(64), max_size=20))
+    def test_any_float64_bits(self, bits):
+        """Every bit pattern, nan payloads, subnormals and infinities included."""
+        column = np.array(bits, dtype=np.uint64).view(np.float64)
+        assert cli._text(column) == [repr(float(v)) for v in column]
+
+    @given(st.lists(any_bits(32), max_size=20))
+    def test_any_float32_bits(self, bits):
+        """Signalling nans too: the widened column raises no warning."""
+        column = np.array(bits, dtype=np.uint32).view(np.float32)
+        assert cli._text(column) == [repr(float(v)) for v in column]
+
+    # Each side of the two cut-offs where repr switches to an exponent,
+    # zeros, and the ends of the float range.
+    EDGE_CELLS = [np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16, 0.0, -0.0,
+                  5e-324, -5e-324, np.finfo(np.float64).max, -np.finfo(np.float64).max,
+                  math.inf, -math.inf, math.nan, 1e-5, 0.1, 123.456, 1e15]
+
+    @pytest.mark.parametrize("cell", EDGE_CELLS + [-v for v in EDGE_CELLS[:4]])
+    def test_edge_cells(self, cell):
+        assert cli._text(np.array([cell])) == [repr(float(cell))]
+        column = np.array([1.5, cell, 2.5])
+        assert cli._text(column) == ["1.5", repr(float(cell)), "2.5"]
+
+    def test_edge_column(self):
+        column = np.array(self.EDGE_CELLS)
+        assert cli._text(column) == [repr(float(v)) for v in column]
+        with np.errstate(over="ignore"):  # float64's max rounds to float32's inf
+            narrow = column.astype(np.float32)
+        assert cli._text(narrow) == [repr(float(v)) for v in narrow]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_and_one_cell(self, dtype):
+        assert cli._text(np.array([], dtype=dtype)) == []
+        assert cli._text(np.array([0.1], dtype=dtype)) == [repr(float(dtype(0.1)))]
+
+    def test_in_range_cells_skip_repr(self, monkeypatch):
+        """orjson writes every cell of a column without an exponent or a nan."""
+        column = np.array([1e-4, -0.25, 0.0, -0.0, 50.123, np.nextafter(1e16, 0), 1e15])
+        expected = [repr(v) for v in column.tolist()]
+        monkeypatch.setattr(cli, "repr", None, raising=False)
+        assert cli._text(column) == expected
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8])
     def test_every_byte_value(self, dtype):

@@ -410,6 +410,24 @@ class TestOptimize:
     def test_unknown_code_is_data_error(self, data_file, tmp_path):
         assert main(self.args(data_file, tmp_path / "o", code="NOPE")) == 2
 
+    def test_loads_no_orjson(self, data_file, tmp_path):
+        """Only the CSV float writer imports orjson, and optimize and
+        compare write no float column; denoise, which does, loads it."""
+        probe = (
+            "import sys\n"
+            "from macdlab.cli import main\n"
+            "loaded = []\n"
+            "for command in ('optimize', 'compare', 'denoise'):\n"
+            "    assert main([command, '--data', sys.argv[1], '--out', sys.argv[2] + '/' + command,\n"
+            "                 *(['--pop', '24', '--max-gen', '2'] if command == 'optimize' else [])]) == 0\n"
+            "    loaded.append('orjson' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", probe, str(data_file), str(tmp_path)],
+                             env=env, capture_output=True, text=True, check=True)
+        assert run.stdout.splitlines()[-1] == "[False, False, True]"
+
     def test_unusable_instrument_skipped_and_recorded(self, good_bad_file, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(self.args(good_bad_file, out, code="GOOD")) == 0
