@@ -25,6 +25,11 @@ no instrument was processed. On large inputs the runner spreads the
 instruments over up to one process per CPU (`forks.fork_map`), and
 optimize a large generation's backtests (`SeriesCache.nets`).
 
+A CSV artifact holds csv.writer's bytes for its rows of `_fmt` cells, a
+JSON one `json.dumps(indent=2, sort_keys=True)`'s. orjson writes what it
+writes alike (`_text`, `_json_text`), imported only there: optimize and
+compare never load it.
+
 Exit codes: 0 success, 1 usage/config error, 2 data or domain error.
 """
 
@@ -102,33 +107,51 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# The value types a flat JSON record holds: the C encoder writes each as
-# json.dumps(indent=2) does.
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-# The C encoder, which json.dumps uses only without indent, with a line
-# break after every item: ensure_ascii escapes any newline in a string,
-# so each break in its text is one of these.
-_ITEM_PER_LINE = json.JSONEncoder(sort_keys=True, separators=(",\n", ": "))
+def _as_repr(values: np.ndarray) -> np.ndarray:
+    """Where orjson writes a float64 array's floats as `repr` does: not
+    where `repr` writes an exponent (|x| < 1e-4 or >= 1e16 but 0: `1e+16`
+    against `1e16`), nor nan and inf (orjson's `null`)."""
+    size = np.abs(values)
+    return (values == 0) | ((size >= 1e-4) & (size < 1e16))
 
 
-def _flat(record) -> bool:
-    return (type(record) is dict and set(map(type, record)) == {str}
-            and set(map(type, record.values())) <= _SCALARS)
+def _leaves(items, texts: list, floats: list, ints: list) -> bool:
+    """Add the strings (keys too), floats and ints in `items` to their lists; False
+    at any value but these, None, bools, lists, tuples and dicts of str keys."""
+    for value in items:
+        kind = type(value)
+        if kind is str:
+            texts.append(value)
+        elif kind is float:
+            floats.append(value)
+        elif kind is int:
+            ints.append(value)
+        elif kind is dict:
+            if not set(map(type, value)) <= {str} or not _leaves(value.values(), texts, floats, ints):
+                return False
+            texts += value
+        elif kind is list or kind is tuple:
+            if not _leaves(value, texts, floats, ints):
+                return False
+        elif value is not None and kind is not bool:
+            return False
+    return True
 
 
 def _json_text(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`.
+    """`json.dumps(obj, indent=2, sort_keys=True)`, by orjson for a list
+    whose `_leaves` it writes alike (the trades and divergence records):
+    printable ASCII (json.dumps escapes every other character, orjson
+    only some), ints of 64 bits (orjson's range) and `_as_repr` floats.
+    Any other value, dict documents included, goes through json.dumps."""
+    texts, floats, ints = [], [], []
+    if type(obj) is list and _leaves(obj, texts, floats, ints):
+        text = "".join(texts)
+        if (text.isascii() and text.isprintable() and _as_repr(np.array(floats)).all()
+                and -2**63 <= min(ints, default=0) and max(ints, default=0) < 2**64):
+            import orjson  # here, not at the top: optimize and compare write no record list
 
-    A non-empty list of flat records (non-empty dicts of str keys and
-    scalar values) goes through the C encoder with a break after every
-    item, and the breaks are indented as indent=2 lays the list out: a
-    break between records, which alone follows a `}` (no scalar ends in
-    one), becomes `},` on a line of its own. Any other shape goes
-    through json.dumps.
-    """
-    if type(obj) is list and obj and all(map(_flat, obj)):
-        body = _ITEM_PER_LINE.encode(obj)[2:-2].replace(",\n", ",\n    ")
-        return "[\n  {\n    " + body.replace("},\n    {", "\n  },\n  {\n    ") + "\n  }\n]"
+            return orjson.dumps(obj, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS).decode()
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
@@ -138,55 +161,6 @@ def _write_json(path: Path, obj) -> None:
         fh.write(text)
 
 
-# str of each int8 value (a trade tag), indexed by the value's byte.
-_INT8_TEXT = np.array([str(v) for v in (*range(128), *range(-128, 0))], dtype=object)
-
-
-def _float_text(column: np.ndarray) -> list[str]:
-    """`repr` of each value of a float column as a Python float.
-
-    orjson writes the whole column at once, each float as its shortest
-    round-trip digits, as `repr` does. The two texts differ only where
-    `repr` switches to an exponent (|x| < 1e-4 or >= 1e16, zero aside:
-    `1e+16` against `1e16`, `1e-05` against `0.00001`) and for nan and
-    inf (orjson's `null`); those cells are written by `repr`.
-    """
-    import orjson  # here, not at the top: optimize and compare write no float column
-
-    with np.errstate(invalid="ignore"):  # a float32 signalling nan widens quietly
-        values = np.asarray(column, np.float64)
-    if not len(values):
-        return []
-    texts = orjson.dumps(values.tolist())[1:-1].decode().split(",")
-    size = np.abs(values)
-    odd = np.flatnonzero((values != 0) & ~((size >= 1e-4) & (size < 1e16)))
-    for i, value in zip(odd.tolist(), values[odd].tolist()):
-        texts[i] = repr(value)
-    return texts
-
-
-def _text(column) -> list[str]:
-    """The cells of one column, each as `_fmt` writes it.
-
-    Float, int8 and bool numpy columns are formatted whole: `repr` of
-    the Python float (the text of `repr(float(x))`, `nan` included,
-    `_float_text`), `str` of the int8 (looked up), and "1"/"0". Anything
-    else goes cell by cell.
-    """
-    if isinstance(column, np.ndarray):
-        kind = column.dtype.kind
-        if kind == "f":
-            return _float_text(column)
-        if column.dtype == np.int8:
-            return _INT8_TEXT[column.view(np.uint8)].tolist()
-        if kind == "b":
-            return ["1" if v else "0" for v in column.tolist()]
-    return [v if type(v) is str else _fmt(v) for v in column]
-
-
-_CSV_SPECIAL = (",", '"', "\r", "\n")
-
-
 def _csv_cell(text: str) -> str:
     """`text` as csv.writer writes it inside a row of several cells."""
     buf = io.StringIO()
@@ -194,15 +168,31 @@ def _csv_cell(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _csv_cells(column) -> list[str]:
-    """A column's cells as csv.writer writes them: passed through it only
-    if one of them holds a character it may quote (cells are never split
-    across a row). A numeric numpy column's text holds none."""
-    cells = _text(column)
+def _text(column) -> list[str]:
+    """The cells of one column as csv.writer writes `_fmt` of each.
+
+    orjson writes a float, int or bool numpy column whole, as a native,
+    contiguous float64, int or uint8 array, and `repr` the floats
+    `_as_repr` rejects; no such cell needs quoting. Anything else goes
+    cell by cell, through csv.writer only if a cell holds a character it
+    may quote."""
     if isinstance(column, np.ndarray) and column.dtype.kind in "fiub":
+        import orjson  # here, not at the top: optimize and compare write no numpy column
+
+        dtype = {"f": np.float64, "b": np.uint8}.get(column.dtype.kind, column.dtype.newbyteorder("="))
+        with np.errstate(invalid="ignore"):  # a float32 signalling nan widens quietly
+            values = np.ascontiguousarray(column, dtype)
+        if not len(values):
+            return []
+        cells = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+        if values.dtype.kind == "f":
+            odd = np.flatnonzero(~_as_repr(values))
+            for i, value in zip(odd.tolist(), values[odd].tolist()):
+                cells[i] = repr(value)
         return cells
+    cells = [v if type(v) is str else _fmt(v) for v in column]
     joined = "".join(cells)
-    if any(char in joined for char in _CSV_SPECIAL):
+    if any(char in joined for char in ',"\r\n'):
         return [_csv_cell(cell) for cell in cells]
     return cells
 
@@ -219,9 +209,9 @@ def _write_csv(path: Path, header, columns) -> None:
     columns = list(columns)
     rows = min(map(len, columns), default=0)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(_csv_cells(list(header))) + "\n")
+        fh.write(",".join(_text(list(header))) + "\n")
         for lo in range(0, rows, CSV_BLOCK_ROWS):
-            cells = [_csv_cells(column[lo:lo + CSV_BLOCK_ROWS]) for column in columns]
+            cells = [_text(column[lo:lo + CSV_BLOCK_ROWS]) for column in columns]
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 

@@ -37,8 +37,9 @@ What is reproduced (all arithmetic wraps at the width named):
   while `m mod 2**32 < (2**32 - r - 1) mod (r + 1)`, and the value is
   `low + (m >> 32)`. Elements draw in C order over the broadcast shape.
   From r = 2**32 on numpy draws 64-bit words, which is not reproduced.
-- `choice`: p is checked as numpy 2 checks it (a Kahan sum that is NaN,
-  a negative entry, a sum further than sqrt(eps) from 1), then
+- `choice`: a of 0 or less with samples to take is refused, and p is
+  checked as numpy 2 checks it (a Kahan sum that is NaN, a negative
+  entry, a sum further than sqrt(eps) from 1), then
   `cdf = p.cumsum(); cdf /= cdf[-1]; cdf.searchsorted(random(size),
   side="right")`.
 
@@ -313,6 +314,8 @@ class Stream:
         """Generator.choice(a, size, replace=True, p=p) for an int a."""
         if not replace or p is None:
             raise NotImplementedError("only choice(a, size, replace=True, p=p) is reproduced")
+        if a <= 0 and np.prod(size) != 0:
+            raise ValueError("a must be a positive integer unless no samples are taken")
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 1 or p.size != a:
             raise ValueError("a and p must have same size")

@@ -230,11 +230,67 @@ class TestText:
         assert cli._text(column) == [str(v) for v in range(info.min, info.max + 1)]
         assert cli._text(column[::-3]) == [str(int(v)) for v in column[::-3]]
 
+    @given(st.sampled_from([np.bool_, np.int8, np.int16, np.int64, np.uint64]).flatmap(
+        lambda dtype: st.tuples(
+            st.just(dtype),
+            st.lists(st.booleans() if dtype is np.bool_ else
+                     st.integers(np.iinfo(dtype).min, np.iinfo(dtype).max), max_size=12),
+            st.sampled_from("<>"), st.sampled_from([1, 2, -1, -3]))))
+    def test_int_and_bool_columns(self, drawn):
+        """Either byte order, and strided slices: `str` of each int, and
+        "1"/"0" for a bool."""
+        dtype, values, order, step = drawn
+        column = np.array(values, np.dtype(dtype).newbyteorder(order))[::step]
+        assert cli._text(column) == [("1" if v else "0") if type(v) is bool else str(v)
+                                     for v in column.tolist()]
+
+    @pytest.mark.parametrize("dtype", [">f8", "<f8", ">f4", "<f4", ">f2"])
+    def test_float_columns_of_either_byte_order(self, dtype):
+        cells = [1e-5, 0.1, -7.25, 0.0, -0.0, math.inf, -math.inf, math.nan, 3e-7, 1234.5]
+        column = np.array(cells, dtype)[::-2]
+        assert cli._text(column) == [repr(float(v)) for v in column]
+
 
 JSON_TEXT = st.text(alphabet=st.sampled_from('{},"\n\\:[] aé€\u2028\x00\t'), max_size=6)
 JSON_SCALAR = st.one_of(
     st.none(), st.booleans(), st.integers(-2**70, 2**70), JSON_TEXT,
     st.floats(allow_nan=True, allow_infinity=True),
+)
+# What orjson writes alike: printable-ASCII text, ints of 64 bits, and
+# floats with neither an exponent nor a nan in their repr.
+PLAIN_TEXT = st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6)
+PLAIN_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**63, 2**64 - 1), PLAIN_TEXT, st.just(0.0),
+    st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+# And what it may not: text with control characters, DEL or non-ASCII,
+# ints and floats either side of each end of its ranges, and floats of
+# any bit pattern.
+ODD_SCALAR = st.one_of(
+    JSON_SCALAR, st.text(alphabet=st.sampled_from('a~\x7f\x1f\x00\n"\\é\U0001f600'), max_size=4),
+    st.sampled_from([-2**63 - 1, -2**63, 2**64 - 1, 2**64, 1e-4, float(np.nextafter(1e-4, 0)),
+                     1e16, float(np.nextafter(1e16, 0)), -0.0, 5e-324]),
+    any_bits(64).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+)
+
+
+def nested(scalars, keys):
+    """Records of `keys` holding `scalars`, lists, tuples and records."""
+    return st.recursive(scalars, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(keys, inner, max_size=4)), max_leaves=12)
+
+
+RECORD_LISTS = st.one_of(
+    st.lists(st.dictionaries(PLAIN_TEXT, nested(PLAIN_SCALAR, PLAIN_TEXT), max_size=6),
+             max_size=5),
+    st.lists(nested(st.one_of(PLAIN_SCALAR, ODD_SCALAR),
+                    st.one_of(PLAIN_TEXT, JSON_TEXT)), max_size=5),
+    # Non-str keys, all of one type (json.dumps sorts them) or mixed (it
+    # cannot).
+    st.lists(st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans()),
+                             PLAIN_SCALAR, max_size=3), max_size=3),
+    st.lists(st.dictionaries(st.integers(), PLAIN_SCALAR, max_size=3), max_size=3),
 )
 
 
@@ -257,6 +313,7 @@ class TestJsonText:
         [{"a": np.int64(2)}],
         [{1: "x"}],
         [{"a": 1}, {None: 2}],
+        [{"b": 1.5, "a": "x"}, {"a": None, "b": 2**64}],
         {"a": 1.5, "b": "x"},
         ["a", 1],
         [[{"a": 1}]],
@@ -271,8 +328,36 @@ class TestJsonText:
             return
         assert cli._json_text(obj) == expected
 
+    @given(RECORD_LISTS)
+    def test_record_lists(self, records):
+        try:
+            expected = json.dumps(records, indent=2, sort_keys=True)
+        except TypeError as exc:  # keys of several types cannot be sorted
+            with pytest.raises(TypeError, match=str(exc)):
+                cli._json_text(records)
+            return
+        assert cli._json_text(records) == expected
+
+    @pytest.mark.parametrize("odd", [
+        "é", "\u2028", "\x7f", "\x1f", "\x00", "\n", "\t", 2**64, -2**63 - 1, 1e16, -1e16,
+        float(np.nextafter(1e-4, 0)), 1e-5, 5e-324, math.nan, math.inf, -math.inf,
+        {1: "x"}, {None: 1}, np.float64(1.5),
+    ])
+    def test_one_odd_leaf(self, odd):
+        """Anywhere in a record list orjson would otherwise write, one
+        value it writes otherwise (or not at all) sends the list to
+        json.dumps."""
+        for records in ([{"a": 1.5, "b": odd}], [{"a": [1, (2.5, odd)]}], [{"a": "x"}, odd]):
+            assert cli._json_text(records) == json.dumps(records, indent=2, sort_keys=True)
+        key = odd if type(odd) is str else "k"
+        assert cli._json_text([{key: 1}]) == json.dumps([{key: 1}], indent=2, sort_keys=True)
+
     def test_flat_records_skip_the_python_encoder(self, monkeypatch):
-        records = [{"b": 1.5, "a": "x"}, {"a": None, "b": 2**64}]
+        """A list orjson writes alike never reaches json.dumps: the trades
+        and divergence records, nested tuples and the ends of each range."""
+        records = [{"b": 1.5, "a": 'x "~\\'}, {"a": None, "b": 2**64 - 1, "c": -2**63},
+                   {"d": (1e-4, -float(np.nextafter(1e16, 0))), "e": [True, False, 0.0, -0.0, []],
+                    "f": {"g": {}, "h": ()}}]
         expected = json.dumps(records, indent=2, sort_keys=True)
         monkeypatch.setattr(json, "dumps", None)
         assert cli._json_text(records) == expected

@@ -1,3 +1,4 @@
+import errno
 import os
 import signal
 import sys
@@ -297,3 +298,33 @@ def test_pulled_block_that_raises_reaps_every_child(raising, cpus):
     with pytest.raises(LookupError, match=f"^failed in {raising}$"):
         forks.map_pulled(fn, range(12), [1] * 12)
     assert len(forked) == 2 and no_child_left()
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["first fork", "second fork"])
+def test_a_failed_fork_leaves_no_child_and_no_pipe(failing, cpus, monkeypatch):
+    """The fork's error ends the call once the children forked before it
+    are reaped, and every pipe the call opened is closed."""
+    forked, pipes = cpus(3), []
+    fork, pipe = os.fork, os.pipe
+
+    def fork_or_fail():
+        if len(forked) == failing - 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    def recorded_pipe():
+        fds = pipe()
+        pipes.extend(fds)
+        return fds
+
+    monkeypatch.setattr(os, "fork", fork_or_fail)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    with pytest.raises(OSError) as error:
+        forks.map_pulled(block_pids, range(12), [1] * 12)
+    assert error.value.errno == errno.EAGAIN
+    assert len(forked) == failing - 1 and no_child_left()
+    assert len(pipes) == 2 * (1 + failing)  # the queue and each fork's reply pipe
+    for fd in pipes:
+        with pytest.raises(OSError) as closed:
+            os.fstat(fd)
+        assert closed.value.errno == errno.EBADF

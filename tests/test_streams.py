@@ -183,6 +183,17 @@ def test_choice_checks_p_as_numpy_does(p):
         assert_same(Stream(0).choice(3, size=4, replace=True, p=p), want)
 
 
+@pytest.mark.parametrize("a, size", [(0, 0), (0, (2, 0)), (0, 3), (0, (2, 1)), (0, None),
+                                     (-1, 0), (-1, 3)])
+def test_choice_from_no_items_as_numpy_does(a, size):
+    """a of 0 or less refuses to take samples, before p is checked."""
+    with pytest.raises(ValueError) as error:
+        reference(0).choice(a, size=size, replace=True, p=[])
+    with pytest.raises(ValueError) as got:
+        Stream(0).choice(a, size=size, replace=True, p=[])
+    assert first_sentence(str(got.value)) == first_sentence(str(error.value))
+
+
 @pytest.mark.parametrize("kwargs", [dict(replace=False, p=[0.5, 0.5]), dict(replace=True)],
                          ids=["without replacement", "without p"])
 def test_choice_reproduces_only_weighted_draws_with_replacement(kwargs):

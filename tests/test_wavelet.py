@@ -175,6 +175,14 @@ class TestReconstruct:
         with pytest.raises(ValueError, match=f"^{message}$"):
             reconstruct(decomp, coif5_filters())
 
+    def test_detail_rows_unlike_the_approximation_rejected(self, rng):
+        """The shape check reads only the last axis; the synthesis step
+        refuses a band whose rows are not the approximation's."""
+        decomp = decompose(rng.normal(size=(3, 64)), coif5_filters(), 3)
+        decomp.details[-1] = decomp.details[-1][:2]
+        with pytest.raises(ValueError, match="^approximation and detail lengths differ$"):
+            reconstruct(decomp, coif5_filters())
+
 
 class TestDenoiseDif:
     def test_output_length_matches_input(self, rng):
